@@ -27,8 +27,8 @@ from .errors import (
     InvalidK,
     InvalidN,
     InvalidTiling,
-    NonIntegerRho,
     NotATree,
+    NotSingleCrossing,
     ParseError,
     RejectionBudgetExceeded,
 )
@@ -102,8 +102,8 @@ __all__ = [
     "InvalidK",
     "InvalidN",
     "InvalidTiling",
-    "NonIntegerRho",
     "NotATree",
+    "NotSingleCrossing",
     "ParseError",
     "RejectionBudgetExceeded",
 ]

@@ -19,6 +19,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -28,13 +29,12 @@ from .core import (
     Objective,
     PreferenceProfile,
     RootedTree,
-    borda_misrepresentation,
 )
 from .errors import (
     AlgorithmStructureMismatch,
     BudgetExceeded,
     CCWinnerError,
-    NonIntegerRho,
+    NotSingleCrossing,
     ParseError,
 )
 from .generators import gen_sc_grid, gen_sc_line, gen_sc_tree, gen_star_instance
@@ -172,6 +172,55 @@ def load_instance(path: str):
     if m < 1:
         raise ParseError("instance.m: need at least one candidate")
     rankings_raw = _field(doc, "rankings", list, "instance")
+    profile = _profile_from_arrays(doc, rankings_raw, m)
+    if profile is None:
+        profile = _profile_per_element(doc, rankings_raw, m)
+    structure = _parse_structure(_field(doc, "structure", dict, "instance"), profile.n)
+    k = doc.get("k")
+    if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
+        raise ParseError(f"instance.k: expected a positive integer, got {k!r}")
+    return profile, structure, k
+
+
+def _int_rows(rows: list, width: int):
+    """`rows` as an int64 array if each is a list of `width` plain ints that fit, else None."""
+    if not rows or not all(type(row) is list and len(row) == width for row in rows):
+        return None
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        return None
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _profile_from_arrays(doc: dict, rankings_raw: list, m: int):
+    """The profile, checked by whole-array passes; None when a check fails.
+
+    A failed check leaves the diagnosis to `_profile_per_element`, which
+    names the offending field and entry. Checks run in its order, so an error
+    raised here is the one it would raise.
+    """
+    rank = _int_rows(rankings_raw, m)
+    if rank is None or rank.min() < 1 or rank.max() > m:
+        return None
+    rho = None
+    if doc.get("rho") is not None:
+        rho_raw = _field(doc, "rho", list, "instance")
+        if len(rho_raw) != len(rankings_raw):
+            raise ParseError("rho: one row per voter required")
+        rho = _int_rows(rho_raw, m)
+        if rho is None:
+            return None
+    rank -= 1
+    try:
+        return PreferenceProfile.from_rankings(rank, rho)
+    except ValueError as exc:
+        raise ParseError(f"rankings: {exc}") from None
+
+
+def _profile_per_element(doc: dict, rankings_raw: list, m: int) -> PreferenceProfile:
+    """The profile, checked entry by entry; errors name the first malformed field."""
     rankings = []
     for v, row in enumerate(rankings_raw):
         if not isinstance(row, list) or len(row) != m:
@@ -188,14 +237,9 @@ def load_instance(path: str):
                 raise ParseError(f"rho[{v}]: expected a list of {m} values")
             rho.append(tuple(decode_value(x, f"rho[{v}][{c}]") for c, x in enumerate(row)))
     try:
-        profile = PreferenceProfile.from_rankings(tuple(rankings), rho)
+        return PreferenceProfile.from_rankings(tuple(rankings), rho)
     except ValueError as exc:
         raise ParseError(f"rankings: {exc}") from None
-    structure = _parse_structure(_field(doc, "structure", dict, "instance"), profile.n)
-    k = doc.get("k")
-    if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
-        raise ParseError(f"instance.k: expected a positive integer, got {k!r}")
-    return profile, structure, k
 
 
 def instance_to_doc(profile: PreferenceProfile, structure, k=None) -> dict:
@@ -216,9 +260,9 @@ def instance_to_doc(profile: PreferenceProfile, structure, k=None) -> dict:
         "schema_version": SCHEMA_VERSION,
         "structure": struct,
         "m": profile.m,
-        "rankings": [[c + 1 for c in ranking] for ranking in profile.rankings],
+        "rankings": (profile.rank + 1).tolist(),
     }
-    if profile.rho != borda_misrepresentation(profile.rankings):
+    if profile.scale != 1 or not np.array_equal(profile.scaled, profile.pos):
         doc["rho"] = [[encode_value(x) for x in row] for row in profile.rho]
     if k is not None:
         doc["k"] = k
@@ -226,9 +270,9 @@ def instance_to_doc(profile: PreferenceProfile, structure, k=None) -> dict:
 
 
 def _write_json(doc: dict, path: str):
+    text = json.dumps(doc, indent=2) + "\n"  # encode first: a failure leaves no partial file
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+        handle.write(text)
 
 
 def result_to_doc(result, k: int, objective: Objective) -> dict:
@@ -240,6 +284,8 @@ def result_to_doc(result, k: int, objective: Objective) -> dict:
             value = [c + 1 for c in value]
         elif isinstance(value, tuple):
             value = list(value)
+        elif isinstance(value, (int, Fraction)):
+            value = encode_value(value)
         stats[key] = value
     return {
         "schema_version": SCHEMA_VERSION,
@@ -353,11 +399,7 @@ def cmd_solve(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    try:
-        result, tiling = _dispatch(profile, structure, args.algorithm, objective, k)
-    except NonIntegerRho as exc:
-        print(f"solve: {exc}; rerun with --algorithm line-dp", file=sys.stderr)
-        return 1
+    result, tiling = _dispatch(profile, structure, args.algorithm, objective, k)
     if tiling is not None:
         result.stats["tiling"] = tuple((r.i0, r.i1, r.j0, r.j1) for r in tiling.rects)
         result.stats["reps"] = tiling.reps
@@ -629,7 +671,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, NotSingleCrossing) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceeded as exc:

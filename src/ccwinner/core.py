@@ -1,17 +1,23 @@
 """Shared domain model: profiles, structures, assignments, and costs.
 
 All indices are 0-based inside the library; the CLI converts to 1-based
-labels at the file-format boundary.  Core types are frozen dataclasses
-built from tuples, so they are immutable and safe to share.
+labels at the file-format boundary.  A profile stores checked, read-only
+integer arrays (rho scaled to integers over a common denominator); the
+other core types are frozen dataclasses built from tuples.  All of them are
+immutable and safe to share.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import NotATree
 
@@ -25,12 +31,32 @@ class Objective(Enum):
     EGALITARIAN = "egalitarian"
 
 
+_INT64_MAX = (1 << 63) - 1
+
+
+def int_dtype(bound: int):
+    """``np.int64`` when no value of a computation exceeds ``bound`` in magnitude, else ``object``.
+
+    Object arrays hold Python ints, so the same array code stays exact past
+    the int64 range.
+    """
+    return np.int64 if bound <= _INT64_MAX else object
+
+
 def _as_rational(x) -> Rational:
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise ValueError(f"rho entries must be int or Fraction, got {type(x).__name__}")
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x
+
+
+def to_rho_units(value: int, scale: int) -> Rational:
+    """The value in rho units of a scaled integer (an entry of ``scaled`` or a sum of them).
+
+    An int when it is integral, else a Fraction.
+    """
+    return value if scale == 1 else _as_rational(Fraction(value, scale))
 
 
 def borda_misrepresentation(rankings: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -46,64 +72,201 @@ def borda_misrepresentation(rankings: Sequence[Sequence[int]]) -> tuple[tuple[in
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class PreferenceProfile:
-    """Voters' strict rankings plus a misrepresentation matrix.
+def _int_array(rows) -> np.ndarray:
+    """Rows of Python ints as an int64 array, or an object array when some value does not fit."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
-    ``rankings[v]`` lists candidates from most to least preferred.
-    ``rho[v][c]`` is voter v's misrepresentation when represented by c;
-    entries are non-negative ints or Fractions.  Consistency of rho with
-    the rankings is a property of well-formed instances and is checked by
+
+def _rankings_per_element(rankings) -> np.ndarray:
+    """Per-row ranking checks with the constructor's messages; the fallback of `_checked_rankings`."""
+    if not rankings:
+        raise ValueError("profile needs at least one voter")
+    m = len(rankings[0])
+    if m == 0:
+        raise ValueError("profile needs at least one candidate")
+    expected = frozenset(range(m))
+    rows = tuple(tuple(r) for r in rankings)
+    for v, ranking in enumerate(rows):
+        if len(ranking) != m or frozenset(ranking) != expected:
+            raise ValueError(f"ranking of voter {v} is not a permutation of 0..{m - 1}")
+    return np.array(rows, dtype=np.int64)
+
+
+def _checked_rankings(rankings) -> tuple[np.ndarray, np.ndarray]:
+    """(rank, pos) int64 arrays; ValueError unless every row permutes 0..m-1.
+
+    Array input is copied, so the profile never shares the caller's data.
+    """
+    try:
+        rank = np.array(rankings)
+    except ValueError:  # ragged rows
+        rank = None
+    if rank is None or rank.ndim != 2 or rank.dtype.kind not in "biu" or rank.size == 0:
+        rank = _rankings_per_element(rankings)
+    rank = rank.astype(np.int64, copy=False)
+    n, m = rank.shape
+    rows = np.arange(n)[:, None]
+    seen = np.zeros((n, m), dtype=bool)
+    if ((rank >= 0) & (rank < m)).all():
+        seen[rows, rank] = True
+    if not seen.all():
+        _rankings_per_element(rank.tolist())  # names the first row that is not a permutation
+    pos = np.empty_like(rank)
+    pos[rows, rank] = np.arange(m)
+    return rank, pos
+
+
+def _rho_per_element(rho, n: int, m: int) -> list:
+    """Per-row rho checks with the constructor's messages; the fallback of `_checked_rho`."""
+    if len(rho) != n:
+        raise ValueError("rho must have one row per voter")
+    rows = []
+    for v, row in enumerate(rho):
+        if len(row) != m:
+            raise ValueError(f"rho row of voter {v} must have {m} entries")
+        vals = [_as_rational(x) for x in row]
+        if any(x < 0 for x in vals):
+            raise ValueError(f"rho row of voter {v} has a negative entry")
+        rows.append(vals)
+    return rows
+
+
+def _check_signs(scaled: np.ndarray) -> None:
+    bad = np.flatnonzero((scaled < 0).any(axis=1))
+    if len(bad):
+        raise ValueError(f"rho row of voter {bad[0]} has a negative entry")
+
+
+def _checked_rho(rho, n: int, m: int) -> tuple[np.ndarray, int]:
+    """(scaled, scale) with rho == scaled / scale exactly; ValueError on malformed rows.
+
+    Whole-matrix passes decide the common case; only a row count, row length
+    or entry type they reject reruns the per-element checks, which name the
+    first offending row.  An (n, m) integer array is integer rho as it
+    stands and is copied, not scanned entry by entry.
+    """
+    if isinstance(rho, np.ndarray) and rho.dtype.kind in "iu" and rho.shape == (n, m):
+        scaled = rho.astype(np.int64) if rho.dtype != np.uint64 else _int_array(rho.tolist())
+        _check_signs(scaled)
+        return scaled, 1
+    kinds = None
+    if len(rho) == n and all(len(row) == m for row in rho):
+        kinds = set(map(type, chain.from_iterable(rho)))
+    if kinds is None or not kinds <= {int, Fraction}:
+        rho = _rho_per_element(rho, n, m)
+        kinds = {Fraction}  # int subclasses may remain; convert entry by entry
+    if Fraction not in kinds:
+        scaled, scale = _int_array(rho), 1
+    else:
+        scale = math.lcm(*{x.denominator for x in chain.from_iterable(rho) if isinstance(x, Fraction)})
+        scaled = _int_array([[int(x * scale) for x in row] for row in rho])
+    _check_signs(scaled)
+    return scaled, scale
+
+
+class PreferenceProfile:
+    """Voters' strict rankings plus a misrepresentation matrix, stored as checked arrays.
+
+    ``rank[v]`` lists voter v's candidates from most to least preferred and
+    ``pos`` is its inverse, ``pos[v, rank[v, p]] == p``; both are (n, m)
+    int64 arrays.  Misrepresentation is kept exactly as integers over one
+    common denominator: ``rho[v][c] == Fraction(scaled[v, c], scale)``, where
+    ``scale`` is the least common multiple of the reduced denominators (1 for
+    integer rho) and ``scaled`` is int64, or an object array of Python ints
+    when some value does not fit.  The arrays are read-only.
+
+    ``rankings`` and ``rho`` are tuple views (ints, and Fractions where a
+    value is not integral), built on first access and cached; the solvers
+    work on the arrays.  Consistency of rho with the rankings is a property
+    of well-formed instances and is checked by
     ``validation.check_consistency``, not by the constructor, so that
     malformed external data can still be loaded and diagnosed.
     """
 
-    rankings: tuple[tuple[int, ...], ...]
-    rho: tuple[tuple[Rational, ...], ...]
+    __slots__ = ("rank", "pos", "scaled", "scale", "_rankings", "_rho")
 
-    def __post_init__(self):
-        if not self.rankings:
-            raise ValueError("profile needs at least one voter")
-        m = len(self.rankings[0])
-        if m == 0:
-            raise ValueError("profile needs at least one candidate")
-        expected = frozenset(range(m))
-        rankings = tuple(tuple(r) for r in self.rankings)
-        for v, ranking in enumerate(rankings):
-            if len(ranking) != m or frozenset(ranking) != expected:
-                raise ValueError(f"ranking of voter {v} is not a permutation of 0..{m - 1}")
-        if len(self.rho) != len(rankings):
-            raise ValueError("rho must have one row per voter")
-        rho = []
-        for v, row in enumerate(self.rho):
-            if len(row) != m:
-                raise ValueError(f"rho row of voter {v} must have {m} entries")
-            vals = tuple(_as_rational(x) for x in row)
-            if any(x < 0 for x in vals):
-                raise ValueError(f"rho row of voter {v} has a negative entry")
-            rho.append(vals)
-        object.__setattr__(self, "rankings", rankings)
-        object.__setattr__(self, "rho", tuple(rho))
+    def __init__(self, rankings, rho):
+        rank, pos = _checked_rankings(rankings)
+        scaled, scale = _checked_rho(rho, *rank.shape)
+        self._fill(rank, pos, scaled, scale)
+
+    def _fill(self, rank, pos, scaled, scale):
+        for arr in (rank, pos, scaled):
+            arr.flags.writeable = False
+        for name, value in (("rank", rank), ("pos", pos), ("scaled", scaled), ("scale", scale)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_rankings", None)
+        object.__setattr__(self, "_rho", None)
+
+    @classmethod
+    def _from_parts(cls, rank, pos, scaled, scale) -> "PreferenceProfile":
+        """Wrap arrays that are already checked and owned by no one else."""
+        profile = cls.__new__(cls)
+        profile._fill(rank, pos, scaled, scale)
+        return profile
 
     @classmethod
     def from_rankings(cls, rankings, rho=None) -> "PreferenceProfile":
         """Build a profile; rho defaults to Borda misrepresentation."""
-        rankings = tuple(tuple(r) for r in rankings)
-        if rho is None:
-            rho = borda_misrepresentation(rankings)
-        return cls(rankings, tuple(tuple(row) for row in rho))
+        if rho is not None:
+            return cls(rankings, rho)
+        try:
+            rank, pos = _checked_rankings(rankings)
+        except ValueError:
+            borda_misrepresentation(rankings)  # names an out-of-range entry first
+            raise
+        return cls._from_parts(rank, pos, pos, 1)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PreferenceProfile is immutable")
+
+    def __reduce__(self):
+        return (PreferenceProfile._from_parts, (self.rank, self.pos, self.scaled, self.scale))
+
+    def __eq__(self, other):
+        if not isinstance(other, PreferenceProfile):
+            return NotImplemented
+        return (
+            self.scale == other.scale
+            and np.array_equal(self.rank, other.rank)
+            and np.array_equal(self.scaled, other.scaled)
+        )
+
+    def __hash__(self):
+        return hash((self.rank.shape, self.rank.tobytes(), self.scale))
+
+    def __repr__(self):
+        return f"PreferenceProfile(n={self.n}, m={self.m}, scale={self.scale})"
 
     @property
     def n(self) -> int:
-        return len(self.rankings)
+        return self.rank.shape[0]
 
     @property
     def m(self) -> int:
-        return len(self.rankings[0])
+        return self.rank.shape[1]
 
     @property
     def has_integer_rho(self) -> bool:
-        return all(isinstance(x, int) for row in self.rho for x in row)
+        return self.scale == 1
+
+    @property
+    def rankings(self) -> tuple[tuple[int, ...], ...]:
+        if self._rankings is None:
+            object.__setattr__(self, "_rankings", tuple(map(tuple, self.rank.tolist())))
+        return self._rankings
+
+    @property
+    def rho(self) -> tuple[tuple[Rational, ...], ...]:
+        if self._rho is None:
+            rows = self.scaled.tolist()
+            if self.scale != 1:
+                rows = [[to_rho_units(x, self.scale) for x in row] for row in rows]
+            object.__setattr__(self, "_rho", tuple(map(tuple, rows)))
+        return self._rho
 
 
 @dataclass(frozen=True)
@@ -145,14 +308,15 @@ class RootedTree:
             raise NotATree("root must be the unique vertex without a parent")
         if len(child_order) != n:
             raise NotATree("child_order must have one entry per vertex")
+        children = [[] for _ in range(n)]
         for v, p in enumerate(parent):
             if v == self.root:
                 continue
             if p is None or not (0 <= p < n):
                 raise NotATree(f"vertex {v} needs a parent inside the tree")
+            children[p].append(v)
         for v in range(n):
-            expected = sorted(u for u in range(n) if u != self.root and parent[u] == v)
-            if sorted(child_order[v]) != expected:
+            if sorted(child_order[v]) != children[v]:
                 raise NotATree(f"child_order of vertex {v} does not match the parent links")
         # A reachability sweep from the root rejects cycles and disconnections.
         seen = [False] * n
@@ -259,33 +423,26 @@ def canonicalize(profile: PreferenceProfile, assignment: Assignment) -> Assignme
     The committee shrinks to the members that remain in use; the cost under
     any consistent rho weakly decreases.  Idempotent.
     """
-    committee = assignment.committee
-    rep = []
-    for ranking in profile.rankings:
-        for cand in ranking:
-            if cand in committee:
-                rep.append(cand)
-                break
-    return Assignment(tuple(rep))
+    member = np.zeros(profile.m, dtype=bool)
+    member[list(assignment.committee)] = True
+    first = member[profile.rank].argmax(axis=1)
+    return Assignment(tuple(profile.rank[np.arange(profile.n), first].tolist()))
 
 
 def cost(profile: PreferenceProfile, assignment: Assignment, objective: Objective) -> Rational:
     """Total (utilitarian) or maximum (egalitarian) misrepresentation of an assignment."""
-    values = [profile.rho[v][c] for v, c in enumerate(assignment.rep)]
-    if objective is Objective.UTILITARIAN:
-        return sum(values)
-    return max(values)
+    values = profile.scaled[np.arange(profile.n), np.asarray(assignment.rep)].tolist()
+    total = sum(values) if objective is Objective.UTILITARIAN else max(values)
+    return to_rho_units(total, profile.scale)
 
 
-def normalize_to_root_order(
-    profile: PreferenceProfile, structure: Structure
-) -> tuple[PreferenceProfile, tuple[int, ...]]:
-    """Relabel candidates so the reference voter's ranking becomes 0, 1, ..., m-1.
+def reference_ranking(profile: PreferenceProfile, structure: Structure) -> tuple[int, ...]:
+    """Ranking of the structure's reference voter, best first.
 
     The reference voter is the first voter of a line order, the root of a
-    tree, and the top-left cell of a grid.  Returns the relabeled profile
-    and the inverse map (new label -> old label) used to translate solver
-    output back.  Voter indices are untouched.
+    tree, and the top-left cell of a grid.  Read as a map from new to old
+    labels, it relabels candidates so that this voter ranks them 0, 1, ...,
+    m-1.
     """
     if isinstance(structure, Line):
         ref = structure.order[0]
@@ -293,14 +450,27 @@ def normalize_to_root_order(
         ref = structure.root
     else:
         ref = 0
-    ref_ranking = profile.rankings[ref]
-    m = profile.m
-    forward = [0] * m
-    for pos, cand in enumerate(ref_ranking):
-        forward[cand] = pos
-    rankings = tuple(tuple(forward[c] for c in ranking) for ranking in profile.rankings)
-    rho = tuple(tuple(row[ref_ranking[c]] for c in range(m)) for row in profile.rho)
-    return PreferenceProfile(rankings, rho), ref_ranking
+    return tuple(profile.rank[ref].tolist())
+
+
+def normalize_to_root_order(
+    profile: PreferenceProfile, structure: Structure
+) -> tuple[PreferenceProfile, tuple[int, ...]]:
+    """Relabel candidates so the reference voter's ranking becomes 0, 1, ..., m-1.
+
+    Returns the relabeled profile and the inverse map (new label -> old
+    label, see `reference_ranking`) used to translate solver output back.
+    Voter indices are untouched.  The relabeled arrays are column gathers of
+    the stored ones; nothing is checked again.  The solvers gather only the
+    scaled rows they need, with `reference_ranking`.
+    """
+    inverse = reference_ranking(profile, structure)
+    cols = list(inverse)
+    forward = np.empty(profile.m, dtype=np.int64)
+    forward[cols] = np.arange(profile.m)
+    pos = profile.pos[:, cols]
+    scaled = pos if profile.scaled is profile.pos else profile.scaled[:, cols]
+    return PreferenceProfile._from_parts(forward[profile.rank], pos, scaled, profile.scale), inverse
 
 
 def relabel_assignment(assignment: Assignment, new_to_old: Sequence[int]) -> Assignment:

@@ -13,8 +13,8 @@ class InvalidN(CCWinnerError, ValueError):
     """Instance size parameter out of range."""
 
 
-class NonIntegerRho(CCWinnerError, TypeError):
-    """Operation requires an all-integer misrepresentation matrix."""
+class NotSingleCrossing(CCWinnerError, ValueError):
+    """A solver found its input is not single-crossing on the given structure."""
 
 
 class NotATree(CCWinnerError, ValueError):

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from .core import Assignment, Grid, PreferenceProfile, SolveResult
+import numpy as np
+
+from .core import Assignment, Grid, PreferenceProfile, SolveResult, int_dtype, to_rho_units
 from .errors import BudgetExceeded, InvalidK, InvalidTiling
 
 __all__ = [
@@ -110,34 +112,36 @@ def _rect_key(r: Rect):
 
 @dataclass(frozen=True)
 class GridPrefix:
-    """Per-candidate 2D prefix sums; table[c][i][j] sums rho over cells < (i, j)."""
+    """Per-candidate 2D prefix sums of scaled rho.
 
-    table: tuple
+    table[c][i][j] sums the scaled values over cells < (i, j); nested lists of
+    Python ints, so rectangle sums in the DP loops stay off numpy scalars.
+    Divide by ``scale`` for rho units.
+    """
+
+    table: list
     n1: int
     n2: int
     m: int
+    scale: int = 1
 
 
 def build_grid_prefix(profile: PreferenceProfile, grid: Grid) -> GridPrefix:
     if profile.n != grid.n:
         raise ValueError(f"grid has {grid.n} cells, profile has {profile.n} voters")
     n1, n2, m = grid.n1, grid.n2, profile.m
-    table = []
-    for c in range(m):
-        acc = [[0] * (n2 + 1) for _ in range(n1 + 1)]
-        for i in range(n1):
-            row = acc[i + 1]
-            above = acc[i]
-            running = 0
-            for j in range(n2):
-                running += profile.rho[grid.index(i, j)][c]
-                row[j + 1] = above[j + 1] + running
-        table.append(tuple(tuple(r) for r in acc))
-    return GridPrefix(tuple(table), n1, n2, m)
+    dtype = int_dtype(grid.n * int(profile.scaled.max()))
+    cells = profile.scaled.astype(dtype, copy=False).reshape(n1, n2, m).transpose(2, 0, 1)
+    table = np.zeros((m, n1 + 1, n2 + 1), dtype=dtype)
+    table[:, 1:, 1:] = cells.cumsum(axis=1).cumsum(axis=2)
+    return GridPrefix(table.tolist(), n1, n2, m, profile.scale)
 
 
 def rect_cost(prefix2d: GridPrefix, rect: Rect):
-    """Cheapest single candidate for a rectangle: (cost, candidate), ties to smallest."""
+    """Cheapest single candidate for a rectangle: (cost, candidate), ties to smallest.
+
+    The cost is in rho units.
+    """
     i0, i1, j0, j1 = rect.i0, rect.i1 + 1, rect.j0, rect.j1 + 1
     best = None
     cand = None
@@ -146,7 +150,7 @@ def rect_cost(prefix2d: GridPrefix, rect: Rect):
         s = t[i1][j1] - t[i0][j1] - t[i1][j0] + t[i0][j0]
         if best is None or s < best:
             best, cand = s, c
-    return best, cand
+    return to_rho_units(best, prefix2d.scale), cand
 
 
 def _solve_laminar(profile: PreferenceProfile, grid: Grid, budget: int, algorithm: str):

@@ -12,8 +12,9 @@ Three routes to the optimum:
 * ``solve_line_egal_threshold`` -- egalitarian via binary search on the
   bottleneck value, each feasibility probe a 0/1 utilitarian DP.
 
-Everything here works on a normalized copy of the instance (candidates
-relabeled so the first voter in line order ranks them 0, 1, 2, ...);
+Everything here works on the normalized scaled rows of the instance
+(candidates relabeled so the first voter in line order ranks them 0, 1, 2,
+..., voters in line order), taken from the profile in one gather;
 assignments are mapped back before returning.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -32,10 +33,12 @@ from .core import (
     PreferenceProfile,
     SolveResult,
     canonicalize,
-    normalize_to_root_order,
+    int_dtype,
+    reference_ranking,
     relabel_assignment,
+    to_rho_units,
 )
-from .errors import InvalidK, NonIntegerRho
+from .errors import InvalidK, NotSingleCrossing
 
 __all__ = [
     "PrefixSums",
@@ -49,17 +52,21 @@ __all__ = [
     "solve_line_egal_threshold",
 ]
 
-_INF = 1 << 62
-# int64 engine limits: sums must stay well below the infinity sentinel
-_RHO_LIMIT = 1 << 40
-_TOTAL_LIMIT = 1 << 55
 
-
-def _line_order(profile: PreferenceProfile, order) -> tuple[int, ...]:
+def _line(profile: PreferenceProfile, order) -> Line:
     line = order if isinstance(order, Line) else Line(tuple(order))
     if line.n != profile.n:
         raise ValueError(f"order covers {line.n} voters, profile has {profile.n}")
-    return line.order
+    return line
+
+
+def _normalized_rows(profile: PreferenceProfile, line: Line):
+    """Scaled rho rows in line order, candidates relabeled to the first voter's ranking.
+
+    Returns the rows and the new -> old label map.
+    """
+    inverse = reference_ranking(profile, line)
+    return profile.scaled[np.ix_(line.order, inverse)], inverse
 
 
 # ---------------------------------------------------------------------------
@@ -68,59 +75,50 @@ def _line_order(profile: PreferenceProfile, order) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PrefixSums:
-    """Per-candidate running sums of rho along the line.
+    """Per-candidate running sums of scaled rho along the line.
 
-    ``table[c][j]`` is the summed misrepresentation of candidate c over the
-    first j voters in line order, so a segment sum is one subtraction. The
-    table is an int64 array when every value fits comfortably, otherwise a
-    tuple of tuples of exact numbers.
+    ``table[c, j]`` is the summed scaled misrepresentation of candidate c
+    over the first j voters in line order, so a segment sum is one
+    subtraction; divide by ``scale`` for rho units. The table is int64 when
+    every sum fits, otherwise an object array of Python ints.
     """
 
-    table: Union[np.ndarray, tuple[tuple, ...]]
+    table: np.ndarray
     n: int
     m: int
+    scale: int = 1
 
 
 def build_prefix_sums(profile: PreferenceProfile, order) -> PrefixSums:
-    order = _line_order(profile, order)
-    n, m = profile.n, profile.m
-    rows = [profile.rho[v] for v in order]
-    if profile.has_integer_rho:
-        try:
-            rho = np.array(rows, dtype=np.int64)
-        except OverflowError:
-            rho = None
-        if rho is not None and n * int(rho.max(initial=0)) < _TOTAL_LIMIT:
-            table = np.zeros((m, n + 1), dtype=np.int64)
-            np.cumsum(rho.T, axis=1, out=table[:, 1:])
-            return PrefixSums(table, n, m)
-    cols = []
-    for c in range(m):
-        acc = [0]
-        for row in rows:
-            acc.append(acc[-1] + row[c])
-        cols.append(tuple(acc))
-    return PrefixSums(tuple(cols), n, m)
+    line = _line(profile, order)
+    return _prefix_sums(profile.scaled[list(line.order)], profile.scale)
+
+
+def _prefix_sums(rows: np.ndarray, scale: int) -> PrefixSums:
+    n, m = rows.shape
+    dtype = int_dtype(n * int(rows.max()))
+    table = np.zeros((m, n + 1), dtype=dtype)
+    np.cumsum(rows.T, axis=1, dtype=dtype, out=table[:, 1:])
+    return PrefixSums(table, n, m, scale)
+
+
+def _segment(prefix: PrefixSums, i: int, j: int) -> tuple[int, int]:
+    """(scaled weight, candidate) of the cheapest single candidate for positions i..j-1."""
+    diff = prefix.table[:, j] - prefix.table[:, i]
+    c = int(diff.argmin())
+    return int(diff[c]), c
 
 
 def omega(prefix: PrefixSums, i: int, j: int):
     """Cheapest single candidate for the voters at positions i..j-1.
 
-    Returns (weight, candidate); ties go to the smallest candidate index.
+    Returns (weight, candidate), the weight in rho units; ties go to the
+    smallest candidate index.
     """
     if not 0 <= i < j <= prefix.n:
         raise ValueError(f"need 0 <= i < j <= {prefix.n}, got ({i}, {j})")
-    table = prefix.table
-    if isinstance(table, np.ndarray):
-        diff = table[:, j] - table[:, i]
-        c = int(diff.argmin())
-        return int(diff[c]), c
-    best, best_c = None, -1
-    for c in range(prefix.m):
-        w = table[c][j] - table[c][i]
-        if best is None or w < best:
-            best, best_c = w, c
-    return best, best_c
+    w, c = _segment(prefix, i, j)
+    return to_rho_units(w, prefix.scale), c
 
 
 def check_concave_monge(prefix: PrefixSums) -> Optional[tuple[int, int]]:
@@ -133,8 +131,8 @@ def check_concave_monge(prefix: PrefixSums) -> Optional[tuple[int, int]]:
     n = prefix.n
     for i in range(n - 2):
         for j in range(i + 2, n):
-            lhs = omega(prefix, i, j)[0] + omega(prefix, i + 1, j + 1)[0]
-            rhs = omega(prefix, i, j + 1)[0] + omega(prefix, i + 1, j)[0]
+            lhs = _segment(prefix, i, j)[0] + _segment(prefix, i + 1, j + 1)[0]
+            rhs = _segment(prefix, i, j + 1)[0] + _segment(prefix, i + 1, j)[0]
             if lhs > rhs:
                 return (i, j)
     return None
@@ -144,7 +142,8 @@ class KLinkInstance:
     """Weight oracle for the segment DAG on vertices 0..n.
 
     Arc (i, j) covers the voters at positions i..j-1 and costs the cheapest
-    single-candidate sum over them. ``evals`` counts weight lookups.
+    single-candidate sum over them, in scaled units (integers for every
+    input). ``evals`` counts weight lookups.
     """
 
     def __init__(self, prefix: PrefixSums):
@@ -154,10 +153,10 @@ class KLinkInstance:
 
     def omega(self, i: int, j: int):
         self.evals += 1
-        return omega(self.prefix, i, j)[0]
+        return _segment(self.prefix, i, j)[0]
 
     def cand(self, i: int, j: int) -> int:
-        return omega(self.prefix, i, j)[1]
+        return _segment(self.prefix, i, j)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -319,33 +318,24 @@ def _exact_k_path(klink: KLinkInstance, lam, k: int) -> tuple[int, ...]:
     lmax = [-hi.value(j)[1] for j in range(n + 1)]
 
     table = klink.prefix.table
-    use_numpy = isinstance(table, np.ndarray)
-    if use_numpy:
-        try:
-            cost_np = np.array(cost, dtype=np.int64)
-        except OverflowError:
-            use_numpy = False
-        else:
-            lmin_np = np.array(lmin, dtype=np.int64)
-            lmax_np = np.array(lmax, dtype=np.int64)
+    dtype = int_dtype(max(cost) + int(table[:, -1].max()) + lam)
+    cost_a = np.array(cost, dtype=dtype)
+    lmin_a = np.array(lmin, dtype=np.int64)
+    lmax_a = np.array(lmax, dtype=np.int64)
 
     path = [n]
     v, t = n, k
     while v > 0:
-        u = -1
-        if use_numpy:
-            w = (table[:, v : v + 1] - table[:, :v]).min(axis=0)
-            tight = (cost_np[:v] + w + lam == cost_np[v]) & (lmin_np[:v] <= t - 1)
-            tight &= t - 1 <= lmax_np[:v]
-            hits = np.flatnonzero(tight)
-            u = int(hits[-1])
-        else:
-            for u in range(v - 1, -1, -1):
-                if (
-                    cost[u] + omega(klink.prefix, u, v)[0] + lam == cost[v]
-                    and lmin[u] <= t - 1 <= lmax[u]
-                ):
-                    break
+        w = (table[:, v : v + 1] - table[:, :v]).min(axis=0)
+        tight = (cost_a[:v] + w + lam == cost_a[v]) & (lmin_a[:v] <= t - 1)
+        tight &= t - 1 <= lmax_a[:v]
+        hits = np.flatnonzero(tight)
+        if len(hits) == 0:
+            raise NotSingleCrossing(
+                "no tight arc continues an exactly-k path; the weights are not "
+                "concave Monge, so the input is not single-crossing on this line"
+            )
+        u = int(hits[-1])
         path.append(u)
         v, t = u, t - 1
     path.reverse()
@@ -358,21 +348,24 @@ def _exact_k_path(klink: KLinkInstance, lam, k: int) -> tuple[int, ...]:
 # Plane layout at voter i: dyp1[t, c] is the optimal suffix cost when voter
 # i is represented by exactly candidate c and the suffix committee uses
 # t + 1 candidates, all >= c; dyp0[t, c] relaxes "exactly c" to ">= c"
-# (a running suffix minimum over c). Infeasible states hold _INF and the
-# recurrences propagate it, so no explicit bound of t against m is needed.
+# (a running suffix minimum over c). Infeasible states hold the sentinel
+# inf, chosen per instance above every finite total, and the recurrences
+# propagate it, so no explicit bound of t against m is needed. Values are
+# int64 when inf plus any entry fits, otherwise Python ints in object arrays;
+# the same array code runs on both.
 
 
-def _dp_base(rho_last: np.ndarray, planes: int):
+def _dp_base(rho_last: np.ndarray, planes: int, inf):
     m = rho_last.shape[0]
-    d1 = np.full((planes, m), _INF, dtype=np.int64)
+    d1 = np.full((planes, m), inf, dtype=rho_last.dtype)
     d1[0] = rho_last
     d0 = np.minimum.accumulate(d1[:, ::-1], axis=1)[:, ::-1]
     return d1, d0
 
 
-def _dp_step(rho_i: np.ndarray, next1: np.ndarray, next0: np.ndarray, egal: bool):
+def _dp_step(rho_i: np.ndarray, next1: np.ndarray, next0: np.ndarray, egal: bool, inf):
     planes, m = next1.shape
-    new = np.full((planes, m), _INF, dtype=np.int64)
+    new = np.full((planes, m), inf, dtype=next1.dtype)
     new[1:, : m - 1] = next0[:-1, 1:]
     choice = new < next1  # strict: ties keep the current candidate
     inner = np.minimum(next1, new)
@@ -380,7 +373,7 @@ def _dp_step(rho_i: np.ndarray, next1: np.ndarray, next0: np.ndarray, egal: bool
         cur1 = np.maximum(rho_i, inner)
     else:
         cur1 = rho_i + inner
-        np.minimum(cur1, _INF, out=cur1)  # pin the sentinel in place
+        np.minimum(cur1, inf, out=cur1)  # pin the sentinel in place
     cur0 = np.minimum.accumulate(cur1[:, ::-1], axis=1)[:, ::-1]
     return cur1, cur0, choice
 
@@ -389,7 +382,7 @@ def _bit(packed: np.ndarray, idx: int) -> int:
     return (int(packed[idx >> 3]) >> (7 - (idx & 7))) & 1
 
 
-def _record_segment(rho, planes, egal, a, b, checkpoints):
+def _record_segment(rho, planes, egal, inf, a, b, checkpoints):
     """Re-run the DP for voters b..a, packing choice and take bits per voter.
 
     take[t, c] says dyp1 attains dyp0 at (t, c); choice[t, c] says opening a
@@ -400,32 +393,40 @@ def _record_segment(rho, planes, egal, a, b, checkpoints):
     choice_bits: list = [None] * (b - a + 1)
     take_bits: list = [None] * (b - a + 1)
     if b == n - 1:
-        d1, d0 = _dp_base(rho[b], planes)
+        d1, d0 = _dp_base(rho[b], planes, inf)
         choice_bits[b - a] = np.zeros(nbytes, dtype=np.uint8)
     else:
-        d1, d0, ch = _dp_step(rho[b], *checkpoints[b + 1], egal)
+        d1, d0, ch = _dp_step(rho[b], *checkpoints[b + 1], egal, inf)
         choice_bits[b - a] = np.packbits(ch.ravel())
     take_bits[b - a] = np.packbits((d1 == d0).ravel())
     for i in range(b - 1, a - 1, -1):
-        d1, d0, ch = _dp_step(rho[i], d1, d0, egal)
+        d1, d0, ch = _dp_step(rho[i], d1, d0, egal, inf)
         choice_bits[i - a] = np.packbits(ch.ravel())
         take_bits[i - a] = np.packbits((d1 == d0).ravel())
     return choice_bits, take_bits
 
 
-def _dp_engine_numpy(rho: np.ndarray, planes: int, egal: bool):
-    """Two-phase DP: value sweep with plane checkpoints every B voters, then
-    per-segment re-sweeps recording packed choice bits for the walk. Memory
-    is O(sqrt(n) * planes * m) instead of the full O(n * planes * m).
+def _dp_engine(rho: np.ndarray, planes: int, egal: bool):
+    """Two-phase DP over scaled integer rows in line order: value sweep with
+    plane checkpoints every B voters, then per-segment re-sweeps recording
+    packed choice bits for the walk. Memory is O(sqrt(n) * planes * m)
+    instead of the full O(n * planes * m).
+
+    Returns (representative per line position, optimal committee size, the
+    dtype the sweep ran in).
     """
     n, m = rho.shape
+    top = int(rho.max())
+    inf = n * top + 1  # above every finite total and every finite maximum
+    dtype = int_dtype(inf + top)
+    rho = rho.astype(dtype, copy=False)
     spacing = max(1, int(8 * math.sqrt(n)))
     checkpoints = {}
-    d1, d0 = _dp_base(rho[n - 1], planes)
+    d1, d0 = _dp_base(rho[n - 1], planes, inf)
     if n - 1 > 0 and (n - 1) % spacing == 0:
         checkpoints[n - 1] = (d1.copy(), d0.copy())
     for i in range(n - 2, -1, -1):
-        d1, d0, _ = _dp_step(rho[i], d1, d0, egal)
+        d1, d0, _ = _dp_step(rho[i], d1, d0, egal, inf)
         if i > 0 and i % spacing == 0:
             checkpoints[i] = (d1.copy(), d0.copy())
     first = d0[:, 0]
@@ -438,7 +439,7 @@ def _dp_engine_numpy(rho: np.ndarray, planes: int, egal: bool):
     a = 0
     while a < n:
         b = min(a + spacing - 1, n - 1)
-        choice_bits, take_bits = _record_segment(rho, planes, egal, a, b, checkpoints)
+        choice_bits, take_bits = _record_segment(rho, planes, egal, inf, a, b, checkpoints)
         for i in range(a, b + 1):
             if resolving:
                 idx = t * m + c
@@ -454,74 +455,7 @@ def _dp_engine_numpy(rho: np.ndarray, planes: int, egal: bool):
                 else:
                     resolving = False
         a = b + 1
-    return rep, l_star
-
-
-def _dp_engine_python(rows, planes: int, egal: bool):
-    """Exact-arithmetic engine: keeps every value plane, desk scale only.
-
-    Mirrors the numpy engine's recurrences and tie-breaks so the two produce
-    identical assignments on shared instances.
-    """
-    n, m = len(rows), len(rows[0])
-    inf = math.inf
-    all1: list = [None] * n
-    all0: list = [None] * n
-    d1 = [[inf] * m for _ in range(planes)]
-    d1[0] = list(rows[n - 1])
-    all1[n - 1] = d1
-    all0[n - 1] = _suffix_min_rows(d1)
-    for i in range(n - 2, -1, -1):
-        next1, next0 = all1[i + 1], all0[i + 1]
-        d1 = [[inf] * m for _ in range(planes)]
-        r = rows[i]
-        for t in range(planes):
-            same_row = next1[t]
-            new_row = next0[t - 1] if t else None
-            cur = d1[t]
-            for c in range(m):
-                inner = same_row[c]
-                if new_row is not None and c + 1 < m and new_row[c + 1] < inner:
-                    inner = new_row[c + 1]
-                cur[c] = max(r[c], inner) if egal else r[c] + inner
-        all1[i] = d1
-        all0[i] = _suffix_min_rows(d1)
-    first = [all0[0][t][0] for t in range(planes)]
-    best = min(first)
-    t = first.index(best)
-    l_star = t + 1
-
-    rep: list[int] = []
-    c = 0
-    resolving = True
-    for i in range(n):
-        if resolving:
-            while all1[i][t][c] != all0[i][t][c]:
-                c += 1
-        rep.append(c)
-        if i < n - 1:
-            same = all1[i + 1][t][c]
-            opened = (
-                all0[i + 1][t - 1][c + 1] if t >= 1 and c + 1 < m else inf
-            )
-            if opened < same:
-                t -= 1
-                c += 1
-                resolving = True
-            else:
-                resolving = False
-    return rep, l_star
-
-
-def _suffix_min_rows(d1):
-    out = []
-    for row in d1:
-        acc = list(row)
-        for c in range(len(acc) - 2, -1, -1):
-            if acc[c + 1] < acc[c]:
-                acc[c] = acc[c + 1]
-        out.append(acc)
-    return out
+    return rep, l_star, np.dtype(dtype).name
 
 
 def solve_line_dp(
@@ -540,37 +474,23 @@ def solve_line_dp(
     """
     if k < 1:
         raise InvalidK(f"committee bound must be at least 1, got {k}")
-    order = _line_order(profile, order)
-    norm, inverse = normalize_to_root_order(profile, Line(order))
+    line = _line(profile, order)
+    rows, inverse = _normalized_rows(profile, line)
     n, m = profile.n, profile.m
     planes = min(k, n)
     egal = objective is Objective.EGALITARIAN
-    rows = [norm.rho[v] for v in order]
-
-    arr = None
-    if norm.has_integer_rho:
-        try:
-            arr = np.array(rows, dtype=np.int64)
-        except OverflowError:
-            arr = None
-        if arr is not None:
-            top = int(arr.max(initial=0))
-            if top >= _RHO_LIMIT or n * top >= _TOTAL_LIMIT:
-                arr = None
-    if arr is not None:
-        rep_pos, l_star = _dp_engine_numpy(arr, planes, egal)
-        engine = "numpy"
-    else:
-        rep_pos, l_star = _dp_engine_python(rows, planes, egal)
-        engine = "python"
-
-    rep = [0] * n
-    for pos, c in enumerate(rep_pos):
-        rep[order[pos]] = c
-    assignment = relabel_assignment(Assignment(tuple(rep)), inverse)
-    assignment = canonicalize(profile, assignment)
+    rep_pos, l_star, engine = _dp_engine(rows, planes, egal)
+    assignment = _from_line_positions(profile, line, inverse, rep_pos)
     stats = {"engine": engine, "states": 2 * n * planes * m, "l_star": l_star}
     return SolveResult.from_assignment(profile, assignment, "line-dp", stats)
+
+
+def _from_line_positions(profile, line, inverse, rep_pos) -> Assignment:
+    """Canonical assignment from normalized representatives listed in line order."""
+    rep = [0] * profile.n
+    for v, c in zip(line.order, rep_pos):
+        rep[v] = c
+    return canonicalize(profile, relabel_assignment(Assignment(tuple(rep)), inverse))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +498,7 @@ def solve_line_dp(
 
 
 def solve_line_klink(profile: PreferenceProfile, order, k: int) -> SolveResult:
-    """Utilitarian optimum via the k-link path reduction, integer rho only.
+    """Utilitarian optimum via the k-link path reduction.
 
     Strategy: if the fewest-link unconstrained optimum already fits the
     budget, done. Otherwise binary-search the smallest integer penalty whose
@@ -586,22 +506,23 @@ def solve_line_klink(profile: PreferenceProfile, order, k: int) -> SolveResult:
     at consecutive penalties tile the integers, so the budget k lies inside
     the optimal interval at that penalty and the optimum is the penalized
     value minus penalty * k, witnessed by an exactly-k tight-arc path.
+    Rational rho runs on its scaled integers, which is exact; ``lambda`` is
+    reported in rho units.
+
+    Raises NotSingleCrossing when the optimal link interval misses k, which
+    concave Monge weights rule out.
     """
     if k < 1:
         raise InvalidK(f"committee bound must be at least 1, got {k}")
-    if not profile.has_integer_rho:
-        raise NonIntegerRho("the k-link route needs integer misrepresentation values")
-    order = _line_order(profile, order)
-    norm, inverse = normalize_to_root_order(profile, Line(order))
+    line = _line(profile, order)
+    rows, inverse = _normalized_rows(profile, line)
     n = profile.n
-    prefix = build_prefix_sums(norm, order)
-    klink = KLinkInstance(prefix)
+    klink = KLinkInstance(_prefix_sums(rows, profile.scale))
 
     lam = 0
     _, links, path = smawk_min_links(klink, 0)
     if links > k:
-        top = max(max(row) for row in norm.rho)
-        lo, hi = 1, n * top + 1  # at the top penalty a single arc wins
+        lo, hi = 1, n * int(rows.max()) + 1  # at the top penalty a single arc wins
         while lo < hi:
             mid = (lo + hi) // 2
             if smawk_min_links(klink, mid)[1] <= k:
@@ -613,20 +534,19 @@ def solve_line_klink(profile: PreferenceProfile, order, k: int) -> SolveResult:
         if links < k:
             most = smawk_min_links(klink, lam, most_links=True)[1]
             if most < k:
-                raise AssertionError(
+                raise NotSingleCrossing(
                     "optimal link interval misses the budget; the weights are "
-                    "not concave Monge (input not single-crossing?)"
+                    "not concave Monge, so the input is not single-crossing on this line"
                 )
             path = _exact_k_path(klink, lam, k)
 
-    rep = [0] * n
+    rep_pos = [0] * n
     for u, v in zip(path, path[1:]):
         c = klink.cand(u, v)
         for pos in range(u, v):
-            rep[order[pos]] = c
-    assignment = relabel_assignment(Assignment(tuple(rep)), inverse)
-    assignment = canonicalize(profile, assignment)
-    stats = {"lambda": lam, "links": len(path) - 1, "omega_evals": klink.evals}
+            rep_pos[pos] = c
+    assignment = _from_line_positions(profile, line, inverse, rep_pos)
+    stats = {"lambda": to_rho_units(lam, profile.scale), "links": len(path) - 1, "omega_evals": klink.evals}
     return SolveResult.from_assignment(profile, assignment, "line-klink", stats)
 
 
@@ -641,23 +561,25 @@ def solve_line_egal_threshold(profile: PreferenceProfile, order, k: int) -> Solv
     above; rankings are untouched, so the probe instance is exactly as
     single-crossing as the input, and t is achievable iff the utilitarian
     optimum of the probe is 0. The answer is the least feasible t among the
-    distinct rho values.
+    distinct rho values. Each probe is one mask of the normalized scaled
+    rows and one DP run; ``threshold`` is reported in rho units.
     """
     if k < 1:
         raise InvalidK(f"committee bound must be at least 1, got {k}")
-    order = _line_order(profile, order)
-    values = sorted({x for row in profile.rho for x in row})
+    line = _line(profile, order)
+    rows, inverse = _normalized_rows(profile, line)
+    values = np.unique(rows).tolist()
+    planes = min(k, profile.n)
+    everyone = np.arange(profile.n)
+    over = np.empty(rows.shape, dtype=np.int64)  # one 0/1 buffer serves every probe
     calls = 0
 
-    def probe(t) -> Optional[SolveResult]:
+    def probe(t) -> Optional[list]:
         nonlocal calls
         calls += 1
-        capped = PreferenceProfile(
-            profile.rankings,
-            tuple(tuple(0 if x <= t else 1 for x in row) for row in profile.rho),
-        )
-        res = solve_line_dp(capped, order, k)
-        return res if res.total_cost == 0 else None
+        np.greater(rows, t, out=over)
+        rep_pos = _dp_engine(over, planes, False)[0]
+        return None if over[everyone, rep_pos].any() else rep_pos
 
     lo, hi = 0, len(values) - 1
     while lo < hi:
@@ -666,8 +588,6 @@ def solve_line_egal_threshold(profile: PreferenceProfile, order, k: int) -> Solv
             hi = mid
         else:
             lo = mid + 1
-    witness = probe(values[lo])
-    stats = {"threshold": values[lo], "dp_calls": calls}
-    return SolveResult.from_assignment(
-        profile, witness.assignment, "line-egal-threshold", stats
-    )
+    witness = _from_line_positions(profile, line, inverse, probe(values[lo]))
+    stats = {"threshold": to_rho_units(values[lo], profile.scale), "dp_calls": calls}
+    return SolveResult.from_assignment(profile, witness, "line-egal-threshold", stats)

@@ -2,7 +2,8 @@
 
 These are deliberately slow and obviously correct; every fast solver in the
 package is tested against them at desk scale.  No pruning beyond the early
-exit at cost zero.
+exit at cost zero.  They read the profile through its ``rho`` tuple view,
+one entry at a time, so they share no array code with the solvers.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .core import Assignment, Objective, PreferenceProfile, SolveResult, cost
+from .core import Assignment, Objective, PreferenceProfile, SolveResult
 from .errors import BudgetExceeded, InvalidK
 
 #: Committees (or tilings) examined before giving up.
@@ -31,6 +32,11 @@ def best_assignment_for(profile: PreferenceProfile, committee) -> Assignment:
     """
     rep = tuple(min(committee, key=lambda c: (profile.rho[v][c], c)) for v in range(profile.n))
     return Assignment(rep)
+
+
+def _objective_value(profile: PreferenceProfile, assignment: Assignment, objective: Objective):
+    values = [profile.rho[v][c] for v, c in enumerate(assignment.rep)]
+    return sum(values) if objective is Objective.UTILITARIAN else max(values)
 
 
 def brute_force(
@@ -64,7 +70,7 @@ def brute_force(
     for size in range(1, min(k, profile.m) + 1):
         for committee in combinations(range(profile.m), size):
             assignment = best_assignment_for(profile, committee)
-            value = cost(profile, assignment, objective)
+            value = _objective_value(profile, assignment, objective)
             if best_cost is None or value < best_cost:
                 best, best_cost = assignment, value
                 if best_cost == 0:

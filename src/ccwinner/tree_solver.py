@@ -17,14 +17,14 @@ tier); the fold at child u considers splitting l between u's subtree and
 the part already folded, either keeping u on its own candidate (DIFF,
 budget t goes to u with candidates above c) or sharing v's candidate c
 (SAME, u's piece and v's piece merge into one subtree). Infeasible states
-hold infinity and the tight t ranges below make the whole sweep cost
+hold an integer sentinel chosen per instance above every finite value (the
+scaled rows are exact ints of any size, so a float infinity cannot be
+added to them), and the tight t ranges below make the whole sweep cost
 O(min(k, |T_u|) * min(k, |T_rest|)) per candidate, which telescopes to
 O(min(n^2, nk)) over the tree.
 """
 
 from __future__ import annotations
-
-import math
 
 from .core import (
     Assignment,
@@ -33,15 +33,12 @@ from .core import (
     RootedTree,
     SolveResult,
     canonicalize,
-    normalize_to_root_order,
+    reference_ranking,
     relabel_assignment,
 )
 from .errors import InvalidK
 
 __all__ = ["subtree_sizes", "merge_child_plane", "solve_tree_dp"]
-
-_INF = math.inf
-
 
 def subtree_sizes(tree: RootedTree):
     """Sizes |T_v| plus the partial sizes |T_{v,i}| used by the child sweep.
@@ -79,21 +76,24 @@ def merge_child_plane(
     child_size: int,
     k: int,
     objective: Objective = Objective.UTILITARIAN,
+    *,
+    inf: int,
 ):
     """Fold one child into a partial plane of its parent.
 
     ``plane[l-1][c]`` is the best cost for the already-folded part (parent v
     plus previously folded children, ``upper_size`` voters) split into l
-    subtrees with representatives in [c:m] and v on c. Returns the extended
-    plane plus the number of (l, t) splits examined, which the caller sums
-    into its work counter.
+    subtrees with representatives in [c:m] and v on c. ``inf`` marks
+    infeasible states and must exceed every finite value. Returns the
+    extended plane plus the number of (l, t) splits examined, which the
+    caller sums into its work counter.
     """
     egal = objective is Objective.EGALITARIAN
     m = len(plane[0])
     s, szu = upper_size, child_size
     bound = min(k, s + szu)
-    ext0 = [tuple(row) + (_INF,) for row in child_dyp0]  # sentinel for c+1 == m
-    new = [[_INF] * m for _ in range(bound)]
+    ext0 = [tuple(row) + (inf,) for row in child_dyp0]  # sentinel for c+1 == m
+    new = [[inf] * m for _ in range(bound)]
     iterations = 0
     for l in range(1, bound + 1):
         row = new[l - 1]
@@ -153,13 +153,15 @@ def solve_tree_dp(
 
     if k >= n:
         # one subtree per voter: everyone's top choice is attainable
-        tops = tuple(r[0] for r in profile.rankings)
-        assignment = Assignment(tops)
+        assignment = Assignment(tuple(profile.rank[:, 0].tolist()))
         return SolveResult.from_assignment(
             profile, assignment, "tree-dp", {"shortcut": "tops", "merge_iterations": 0}
         )
 
-    norm, inverse = normalize_to_root_order(profile, tree)
+    inverse = reference_ranking(profile, tree)
+    # normalized rows as Python ints: the merge loops stay off numpy scalars
+    rows = profile.scaled[:, list(inverse)].tolist()
+    inf = n * int(profile.scaled.max()) + 1  # above every finite total and maximum
     size, partial = subtree_sizes(tree)
 
     dyp0: list = [None] * n
@@ -173,11 +175,11 @@ def solve_tree_dp(
         post.append(v)
         stack.extend(tree.child_order[v])
     for v in reversed(post):
-        plane = [list(norm.rho[v])]
+        plane = [rows[v]]
         upper = 1
         for u in reversed(tree.child_order[v]):
             plane, its = merge_child_plane(
-                plane, dyp0[u], dyp1[u], upper, size[u], k, objective
+                plane, dyp0[u], dyp1[u], upper, size[u], k, objective, inf=inf
             )
             merges += its
             upper += size[u]
@@ -189,7 +191,7 @@ def solve_tree_dp(
     best = min(first)
     l_star = first.index(best) + 1
 
-    rep = _reconstruct(norm, tree, k, objective, dyp0, dyp1, size, partial, l_star)
+    rep = _reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, inf)
     assignment = relabel_assignment(Assignment(tuple(rep)), inverse)
     assignment = canonicalize(profile, assignment)
     cells = 2 * m * sum(min(k, size[v]) for v in range(n))
@@ -201,7 +203,7 @@ def solve_tree_dp(
     return SolveResult.from_assignment(profile, assignment, "tree-dp", stats)
 
 
-def _reconstruct(norm, tree, k, objective, dyp0, dyp1, size, partial, l_star):
+def _reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, inf):
     """Walk the tables back into per-voter representatives.
 
     dyp2 planes were dropped after the sweep, so per visited vertex the
@@ -210,7 +212,7 @@ def _reconstruct(norm, tree, k, objective, dyp0, dyp1, size, partial, l_star):
     budget; dyp0 states resolve to the smallest attaining candidate.
     """
     egal = objective is Objective.EGALITARIAN
-    m = norm.m
+    m = len(rows[0])
     rep = [0] * tree.n
     # (vertex, subtree budget, candidate bound, budget is a dyp0 state)
     stack = [(tree.root, l_star, 0, True)]
@@ -224,16 +226,16 @@ def _reconstruct(norm, tree, k, objective, dyp0, dyp1, size, partial, l_star):
         if not children:
             continue
         # value vectors of the partial folds at candidate c, innermost first
-        vectors = [[norm.rho[v][c]]]
+        vectors = [[rows[v][c]]]
         upper = 1
         for u in reversed(children):
             prev = vectors[-1]
             bound = min(k, upper + size[u])
-            vec = [_INF] * bound
+            vec = [inf] * bound
             for l2 in range(1, bound + 1):
-                best = _INF
+                best = inf
                 for t in range(max(1, l2 - upper), min(l2 - 1, size[u]) + 1):
-                    side = dyp0[u][t - 1][c + 1] if c + 1 < m else _INF
+                    side = dyp0[u][t - 1][c + 1] if c + 1 < m else inf
                     got = max(side, prev[l2 - t - 1]) if egal else side + prev[l2 - t - 1]
                     if got < best:
                         best = got
@@ -266,7 +268,7 @@ def _reconstruct(norm, tree, k, objective, dyp0, dyp1, size, partial, l_star):
                     break
             if chosen is None:
                 for t in range(max(1, l - upper), min(l - 1, size[u]) + 1):
-                    side = dyp0[u][t - 1][c + 1] if c + 1 < m else _INF
+                    side = dyp0[u][t - 1][c + 1] if c + 1 < m else inf
                     got = (
                         max(side, vectors[i + 1][l - t - 1])
                         if egal

@@ -43,22 +43,20 @@ def check_consistency(profile: PreferenceProfile) -> Optional[ConsistencyViolati
     """Verify rho is nondecreasing along every ranking.
 
     Adjacent positions suffice: any violating pair contains an adjacent one.
+    The scaled matrix orders exactly as rho does, so one gather along the
+    rankings and one comparison decide every voter at once.
     """
-    for v, ranking in enumerate(profile.rankings):
-        row = profile.rho[v]
-        for p in range(len(ranking) - 1):
-            if row[ranking[p]] > row[ranking[p + 1]]:
-                return ConsistencyViolation(v, ranking[p], ranking[p + 1])
-    return None
+    along = np.take_along_axis(profile.scaled, profile.rank, axis=1)
+    hits = np.argwhere(along[:, :-1] > along[:, 1:])
+    if len(hits) == 0:
+        return None
+    v, p = (int(x) for x in hits[0])
+    return ConsistencyViolation(v, int(profile.rank[v, p]), int(profile.rank[v, p + 1]))
 
 
 def rank_positions(profile: PreferenceProfile) -> np.ndarray:
     """(n, m) matrix of rank positions; row v maps candidate -> position."""
-    rank = np.asarray(profile.rankings, dtype=np.int64)
-    pos = np.empty_like(rank)
-    n, m = rank.shape
-    pos[np.arange(n)[:, None], rank] = np.arange(m)[None, :]
-    return pos
+    return profile.pos
 
 
 def check_sc_line(profile: PreferenceProfile, line: Line) -> Optional[CrossingViolation]:
@@ -81,15 +79,18 @@ def check_sc_line(profile: PreferenceProfile, line: Line) -> Optional[CrossingVi
     return None
 
 
-def _tree_side_violation(tree: RootedTree, inside: np.ndarray) -> Optional[tuple[int, int, int]]:
-    """If `inside` does not induce a connected subtree, return (v1, v2, v3)."""
+def _tree_side_violation(
+    tree: RootedTree, inside: np.ndarray, child: np.ndarray, parent: np.ndarray
+) -> Optional[tuple[int, int, int]]:
+    """If `inside` does not induce a connected subtree, return (v1, v2, v3).
+
+    ``child`` lists the non-root vertices and ``parent`` their parents.
+    """
     members = np.flatnonzero(inside)
     if len(members) == 0:
         return None
     # A vertex subset of a tree is connected iff it spans |S| - 1 edges.
-    edges = sum(
-        1 for v in range(tree.n) if v != tree.root and inside[v] and inside[tree.parent[v]]
-    )
+    edges = np.count_nonzero(inside[child] & inside[parent])
     if edges == len(members) - 1:
         return None
     start = int(members[0])
@@ -119,11 +120,13 @@ def check_sc_tree(profile: PreferenceProfile, tree: RootedTree) -> Optional[Cros
         raise ValueError("tree and profile disagree on the number of voters")
     pos = rank_positions(profile)
     m = profile.m
+    child = np.array([v for v in range(tree.n) if v != tree.root], dtype=np.int64)
+    parent = np.array([tree.parent[v] for v in child.tolist()], dtype=np.int64)
     for a in range(m):
         for b in range(a + 1, m):
             prefers_a = pos[:, a] < pos[:, b]
             for c, c_other, inside in ((a, b, prefers_a), (b, a, ~prefers_a)):
-                witness = _tree_side_violation(tree, inside)
+                witness = _tree_side_violation(tree, inside, child, parent)
                 if witness is not None:
                     return CrossingViolation(c, c_other, *witness)
     return None

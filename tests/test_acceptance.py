@@ -130,7 +130,7 @@ def test_criterion_05_subtree_pair_identity():
     report(5, checked == 1000, f"{checked} trees satisfy the pair-counting identity exactly")
 
 
-def test_criterion_06_laminar_conjecture_sweep():
+def test_criterion_06_laminar_conjecture_sweep(tmp_path):
     # >= 300 instances, n1 <= 4, n2 <= 5, k <= 5: counterexamples fail the
     # suite in the proved regime k <= 4 and only warn at k = 5, persisted
     rng = random.Random(106)
@@ -151,7 +151,7 @@ def test_criterion_06_laminar_conjecture_sweep():
                 "rects": [[r.i0, r.i1, r.j0, r.j1] for r in counterexample.rects],
                 "reps": list(counterexample.reps),
             }
-            path = f"conjecture-counterexample-seed{seed}.json"
+            path = tmp_path / f"conjecture-counterexample-seed{seed}.json"
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(record, handle, indent=2)
             (failures if k <= 4 else warnings).append(path)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from ccwinner import cli
 from ccwinner.cli import (
     decode_value,
     encode_value,
@@ -85,6 +86,46 @@ def test_float_rho_rejected(tmp_path):
     doc["rho"] = [[0, 0.5, 1], [1, 0, 2], [2, 0, 1]]
     with pytest.raises(ParseError, match="floats"):
         load_instance(write(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "patch,message",
+    [
+        ({"rankings": [[1, 2, 3], [2, True, 3], [2, 3, 1]]},
+         "rankings[1]: expected an integer in 1..3, got True"),
+        ({"rankings": [[1, 2, 3], [2, 1, 3.0], [2, 3, 1]]},
+         "rankings[1]: expected an integer in 1..3, got 3.0"),
+        ({"rankings": [[1, 2, 3], [2, 1, 4], [2, 3, 1]]},
+         "rankings[1]: expected an integer in 1..3, got 4"),
+        ({"rankings": [[1, 2, 3], [2, 1], [2, 3, 1]]},
+         "rankings[1]: expected a list of 3 candidates"),
+        ({"rankings": [[1, 2, 3], [2, 2, 3], [2, 3, 1]]},
+         "rankings: ranking of voter 1 is not a permutation of 0..2"),
+        ({"rankings": []}, "rankings: profile needs at least one voter"),
+        ({"rho": [[0, 1, 2], [1, 0, 2], [2, False, 1]]},
+         "rho[2][1]: booleans are not misrepresentation values"),
+        ({"rho": [[0, 1, 2], [1, 0.5, 2], [2, 0, 1]]},
+         "rho[1][1]: floats are inexact; use an integer or a 'p/q' string"),
+        ({"rho": [[0, 1, 2], [1, 0, 2], [2, 0, -1]]},
+         "rankings: rho row of voter 2 has a negative entry"),
+        ({"rho": [[0, 1, 2], [1, 0, "-1/2"], [2, 0, 1]]},
+         "rankings: rho row of voter 1 has a negative entry"),
+        ({"rho": [[0, 1, 2], [1, 0], [2, 0, 1]]}, "rho[1]: expected a list of 3 values"),
+        ({"rho": [[0, 1, 2], [1, 0, 2]]}, "rho: one row per voter required"),
+    ],
+)
+def test_parse_errors_keep_their_messages(tmp_path, patch, message):
+    with pytest.raises(ParseError) as info:
+        load_instance(write(tmp_path, {**THREE, **patch}))
+    assert str(info.value) == message
+
+
+def test_large_integer_rho_round_trip(tmp_path):
+    doc = dict(THREE)
+    doc["rho"] = [[0, 1, 2**70], [1, 0, 2**70], [2**70, 0, 1]]
+    profile, line, _ = load_instance(write(tmp_path, doc))
+    assert profile.rho[0] == (0, 1, 2**70)
+    assert instance_to_doc(profile, line)["rho"] == doc["rho"]
 
 
 def test_parse_diagnostics_name_the_field(tmp_path):
@@ -186,12 +227,40 @@ def test_egalitarian_klink_hands_over_to_threshold(tmp_path, capsys):
     assert "line-egal-threshold" in capsys.readouterr().out
 
 
-def test_klink_refuses_fractional_rho_with_hint(tmp_path, capsys):
+def test_klink_solves_fractional_rho(tmp_path, capsys):
     doc = dict(THREE)
     doc["rho"] = [[0, "1/2", 1], [1, 0, 2], [2, 0, 1]]
-    code = main(["solve", write(tmp_path, doc), "--k", "1", "--algorithm", "line-klink"])
-    assert code == 1
-    assert "line-dp" in capsys.readouterr().err
+    path = write(tmp_path, doc)
+    assert main(["solve", path, "--k", "1", "--algorithm", "line-klink"]) == 0
+    klink = capsys.readouterr().out
+    assert main(["solve", path, "--k", "1", "--algorithm", "line-dp"]) == 0
+    dp = capsys.readouterr().out
+    assert "total_cost=1/2" in klink
+    assert klink.split(":", 1)[1] == dp.split(":", 1)[1]
+
+
+def test_fractional_threshold_result_file(tmp_path):
+    doc = dict(THREE)
+    doc["rho"] = [[0, "1/2", 1], [1, 0, 2], [2, 0, "1/2"]]
+    out = tmp_path / "r.json"
+    argv = ["solve", write(tmp_path, doc), "--k", "1", "--algorithm", "line-klink",
+            "--objective", "egalitarian", "--out", str(out)]
+    assert main(argv) == 0
+    result = json.loads(out.read_text())
+    assert result["egal_cost"] == "1/2"
+    assert result["stats"]["threshold"] == "1/2"
+    assert result["stats"]["dp_calls"] >= 1
+
+
+def test_solver_detected_crossing_exits_1(tmp_path, monkeypatch, capsys):
+    # a structure check that lets a mislabeled line through leaves the
+    # k-link solver to notice; its typed error is an input error, not usage
+    monkeypatch.setattr(cli, "check_structure", lambda profile, structure: None)
+    doc = dict(THREE)
+    doc["rankings"] = [[1, 2], [2, 1], [1, 2]]
+    doc["m"] = 2
+    assert main(["solve", write(tmp_path, doc), "--k", "2", "--algorithm", "line-klink"]) == 1
+    assert "not concave Monge" in capsys.readouterr().err
 
 
 def test_solve_usage_errors(tmp_path):

@@ -1,7 +1,11 @@
-import pytest
+import math
+import pickle
+import time
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccwinner.core import (
     Assignment,
@@ -64,6 +68,101 @@ def test_profile_rejects_malformed(rankings, rho):
         PreferenceProfile.from_rankings(rankings, rho)
 
 
+@pytest.mark.parametrize(
+    "rankings,rho,message",
+    [
+        (((0, 0, 2),), None, "ranking of voter 0 is not a permutation of 0..2"),
+        (((0, 1, 3),), None, "ranking entry 3 outside 0..2"),
+        (((0, 1), (1, 2)), ((0, 1), (1, 0)), "ranking of voter 1 is not a permutation of 0..1"),
+        (((0, 1), (1,)), ((0, 1), (1,)), "ranking of voter 1 is not a permutation of 0..1"),
+        ((), None, "profile needs at least one voter"),
+        (((0, 1), (1, 0)), ((0, 1),), "rho must have one row per voter"),
+        (((0, 1),), ((0, 1, 2),), "rho row of voter 0 must have 2 entries"),
+        (((0, 1), (1, 0)), ((0, 1), (0, -1)), "rho row of voter 1 has a negative entry"),
+        (((0, 1),), ((Fraction(-1, 2), 0),), "rho row of voter 0 has a negative entry"),
+        (((0, 1),), ((0.5, 0),), "rho entries must be int or Fraction, got float"),
+        (((0, 1),), ((True, 0),), "rho entries must be int or Fraction, got bool"),
+    ],
+)
+def test_profile_errors_name_the_row(rankings, rho, message):
+    with pytest.raises(ValueError) as info:
+        PreferenceProfile.from_rankings(rankings, rho)
+    assert str(info.value) == message
+
+
+@st.composite
+def rational_profile(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    rankings = [tuple(draw(st.permutations(range(m)))) for _ in range(n)]
+    big = draw(st.sampled_from([0, 50, 70]))
+    entry = st.one_of(
+        st.integers(0, 9).map(lambda x: x << big),
+        st.fractions(0, 9, max_denominator=12),
+    )
+    rho = [tuple(draw(st.lists(entry, min_size=m, max_size=m))) for _ in range(n)]
+    return rankings, rho
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_profile())
+def test_arrays_hold_rho_exactly(data):
+    rankings, rho = data
+    profile = PreferenceProfile.from_rankings(rankings, rho)
+    n, m = profile.n, profile.m
+    assert profile.rank.tolist() == [list(r) for r in rankings]
+    assert (profile.pos[np.arange(n)[:, None], profile.rank] == np.arange(m)).all()
+    assert profile.scale == math.lcm(*(Fraction(x).denominator for row in rho for x in row))
+    for v in range(n):
+        for c in range(m):
+            assert Fraction(profile.scaled[v, c], profile.scale) == rho[v][c]
+            assert profile.rho[v][c] == rho[v][c]
+            assert type(profile.rho[v][c]) is (int if rho[v][c].denominator == 1 else Fraction)
+    assert profile.scaled.dtype == (np.int64 if profile.scaled.max() < 2**63 else object)
+    assert profile.rankings == tuple(tuple(r) for r in rankings)
+    assert profile == PreferenceProfile(tuple(rankings), tuple(rho))
+    assert pickle.loads(pickle.dumps(profile)) == profile
+
+
+def test_profile_is_immutable_and_compares_by_value():
+    profile = PreferenceProfile.from_rankings(THREE_VOTERS)
+    with pytest.raises(AttributeError):
+        profile.scale = 2
+    with pytest.raises(ValueError):
+        profile.scaled[0, 0] = 5
+    same = PreferenceProfile(THREE_VOTERS, borda_misrepresentation(THREE_VOTERS))
+    assert same == profile and hash(same) == hash(profile)
+    assert profile != PreferenceProfile.from_rankings(THREE_VOTERS[::-1])
+
+
+def test_integer_arrays_build_the_same_profile():
+    rank = np.array(THREE_VOTERS)
+    rho = np.array(borda_misrepresentation(THREE_VOTERS)) * 2
+    profile = PreferenceProfile(rank, rho)
+    assert profile == PreferenceProfile(THREE_VOTERS, tuple(map(tuple, rho.tolist())))
+    assert type(profile.rho[0][1]) is int
+    assert PreferenceProfile.from_rankings(rank) == PreferenceProfile.from_rankings(THREE_VOTERS)
+    big = np.array([[0, 1]], dtype=np.uint64), np.array([[0, 2**64 - 1]], dtype=np.uint64)
+    assert PreferenceProfile(*big).rho == ((0, 2**64 - 1),)
+    with pytest.raises(ValueError, match="ranking of voter 1 is not a permutation"):
+        PreferenceProfile.from_rankings(np.array([[0, 1], [1, 1]]))
+    with pytest.raises(ValueError, match="rho row of voter 0 has a negative entry"):
+        PreferenceProfile(np.array([[0, 1]]), np.array([[0, -1]]))
+    with pytest.raises(ValueError, match="must be int or Fraction, got float"):
+        PreferenceProfile(np.array([[0, 1]]), np.array([[0.5, 1.0]]))
+
+
+def test_profiles_copy_the_callers_arrays():
+    rank = np.array(THREE_VOTERS)
+    rho = np.array(borda_misrepresentation(THREE_VOTERS))
+    for profile in (PreferenceProfile(rank, rho), PreferenceProfile.from_rankings(rank)):
+        assert rank.flags.writeable and rho.flags.writeable
+        assert not np.shares_memory(profile.rank, rank)
+        assert not np.shares_memory(profile.scaled, rho)
+    rank[0, 0], rho[0, 0] = 9, 9  # the profiles keep their own values
+    assert profile.rank[0, 0] == THREE_VOTERS[0][0] and profile.scaled[0, 0] == 0
+
+
 def test_assignment_committee_is_derived():
     a = Assignment((1, 1, 0))
     assert a.committee == frozenset({0, 1})
@@ -99,6 +198,30 @@ def profile_and_assignment(draw):
     rankings = [tuple(draw(st.permutations(range(m)))) for _ in range(n)]
     rep = tuple(draw(st.integers(0, m - 1)) for _ in range(n))
     return PreferenceProfile.from_rankings(rankings), Assignment(rep)
+
+
+def reference_canonicalize(profile, assignment):
+    rep = []
+    for ranking in profile.rankings:
+        rep.append(next(c for c in ranking if c in assignment.committee))
+    return Assignment(tuple(rep))
+
+
+def reference_cost(profile, assignment, objective):
+    values = [profile.rho[v][c] for v, c in enumerate(assignment.rep)]
+    return sum(values) if objective is Objective.UTILITARIAN else max(values)
+
+
+@given(rational_profile(), st.data())
+def test_canonicalize_and_cost_match_the_loops(data, draw):
+    rankings, rho = data
+    profile = PreferenceProfile.from_rankings(rankings, rho)
+    a = Assignment(tuple(draw.draw(st.integers(0, profile.m - 1)) for _ in range(profile.n)))
+    assert canonicalize(profile, a) == reference_canonicalize(profile, a)
+    for obj in Objective:
+        got = cost(profile, a, obj)
+        assert got == reference_cost(profile, a, obj)
+        assert type(got) is (int if got.denominator == 1 else Fraction)  # integral totals are ints
 
 
 @given(profile_and_assignment())
@@ -151,6 +274,22 @@ def test_tree_rejects_cycles_and_orphans():
         RootedTree.from_parent((None, 0, None), root=0)  # second root
     with pytest.raises(NotATree):
         RootedTree((None, 0), 0, ((), ()))  # child_order misses vertex 1
+
+
+def test_path_tree_constructs_in_linear_time():
+    n = 100_000
+    started = time.perf_counter()
+    tree = RootedTree.from_parent((None,) + tuple(range(n - 1)), 0)
+    elapsed = time.perf_counter() - started
+    assert tree.child_order[n - 2] == (n - 1,)
+    assert elapsed < 1.0, elapsed
+
+
+def test_tree_rejects_child_order_mismatch_by_vertex():
+    with pytest.raises(NotATree, match="child_order of vertex 0 does not match"):
+        RootedTree((None, 0, 1), 0, ((1, 2), (), ()))
+    with pytest.raises(NotATree, match="child_order of vertex 1 does not match"):
+        RootedTree((None, 0, 1), 0, ((1,), (), (2,)))
 
 
 def test_grid_indexing_roundtrip():

@@ -1,6 +1,7 @@
 """Line solver tests: weight table, Monge checker, matrix search, DP, and
 the Lagrangian route, each against an independent reference."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,7 +17,7 @@ from ccwinner.core import (
     cost,
     normalize_to_root_order,
 )
-from ccwinner.errors import InvalidK, NonIntegerRho
+from ccwinner.errors import InvalidK, NotSingleCrossing
 from ccwinner.generators import gen_sc_line
 from ccwinner.line_solver import (
     KLinkInstance,
@@ -272,27 +273,53 @@ def test_dp_exact_engine_agrees_with_the_int64_engine():
     for seed in range(25):
         profile, line = gen_sc_line(seed, n=7, m=4)
         k = 1 + seed % 4
-        fast = solve_line_dp(profile, line, k)
-        assert fast.stats["engine"] == "numpy"
-        # adding one half to every rho shifts all segment sums uniformly,
-        # so the optimal assignment and every tie-break must be unchanged
-        shifted = PreferenceProfile(
-            profile.rankings,
-            tuple(tuple(x + Fraction(1, 2) for x in row) for row in profile.rho),
-        )
-        slow = solve_line_dp(shifted, line, k)
-        assert slow.stats["engine"] == "python"
-        assert slow.assignment == fast.assignment
-        assert slow.total_cost == fast.total_cost + Fraction(profile.n, 2)
-        # scaling past the int64 guard exercises the same engine on big ints
-        big = PreferenceProfile(
-            profile.rankings,
-            tuple(tuple(x << 50 for x in row) for row in profile.rho),
-        )
-        huge = solve_line_dp(big, line, k)
-        assert huge.stats["engine"] == "python"
-        assert huge.assignment == fast.assignment
-        assert huge.total_cost == fast.total_cost << 50
+        for objective in Objective:
+            fast = solve_line_dp(profile, line, k, objective)
+            assert fast.stats["engine"] == "int64"
+            # adding one half to every rho shifts all segment sums uniformly,
+            # so the optimal assignment and every tie-break must be unchanged
+            shifted = PreferenceProfile(
+                profile.rankings,
+                tuple(tuple(x + Fraction(1, 2) for x in row) for row in profile.rho),
+            )
+            assert shifted.scale == 2
+            slow = solve_line_dp(shifted, line, k, objective)
+            assert slow.assignment == fast.assignment
+            assert slow.total_cost == fast.total_cost + Fraction(profile.n, 2)
+            assert slow.egal_cost == fast.egal_cost + Fraction(1, 2)
+            # 2**50 stays inside the int64 guard, 2**70 runs the same array
+            # code on Python ints
+            for shift, engine in ((50, "int64"), (70, "object")):
+                big = PreferenceProfile(
+                    profile.rankings,
+                    tuple(tuple(x << shift for x in row) for row in profile.rho),
+                )
+                huge = solve_line_dp(big, line, k, objective)
+                assert huge.stats["engine"] == engine
+                assert huge.assignment == fast.assignment
+                assert huge.total_cost == fast.total_cost << shift
+                assert huge.egal_cost == fast.egal_cost << shift
+                assert type(huge.total_cost) is int and type(huge.egal_cost) is int
+
+
+def test_costs_and_reported_values_are_python_numbers():
+    profile, line = gen_sc_line(seed=4, n=12, m=5)
+    thirds = PreferenceProfile(
+        profile.rankings, tuple(tuple(Fraction(x, 3) for x in row) for row in profile.rho)
+    )
+    exact = (int, Fraction)
+    for solve in (solve_line_dp, solve_line_klink, solve_line_egal_threshold):
+        whole = solve(profile, line, 1)
+        third = solve(thirds, line, 1)
+        assert third.assignment == whole.assignment
+        assert type(whole.total_cost) is int and type(whole.egal_cost) is int
+        assert type(third.total_cost) in exact and type(third.egal_cost) in exact
+        assert third.total_cost == Fraction(whole.total_cost, 3)
+        assert third.egal_cost == Fraction(whole.egal_cost, 3)
+        for key in ("lambda", "threshold"):
+            if key in whole.stats:
+                assert type(whole.stats[key]) is int and type(third.stats[key]) in exact
+                assert third.stats[key] == Fraction(whole.stats[key], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +332,42 @@ def test_klink_frozen_example_and_singleton_budget():
     assert solve_line_klink(profile, line, k=profile.n).total_cost == 0
 
 
-def test_klink_requires_integer_rho():
+def test_klink_solves_scaled_rationals_exactly():
     fractional = PreferenceProfile(
         THREE.rankings,
         tuple(tuple(Fraction(x, 3) for x in row) for row in THREE.rho),
     )
-    with pytest.raises(NonIntegerRho):
-        solve_line_klink(fractional, THREE_LINE, k=2)
+    assert solve_line_klink(fractional, THREE_LINE, k=1).total_cost == Fraction(1, 3)
+    for seed in range(60):
+        rng = random.Random(seed)
+        n, m, k = 2 + seed % 14, 2 + seed % 6, 1 + seed % 5
+        profile, line = gen_sc_line(seed, n, m, shuffle_voters=seed % 4 == 0)
+        # random rationals, nondecreasing along each ranking: consistent rho
+        rho = []
+        for ranking in profile.rankings:
+            values = sorted(Fraction(rng.randint(0, 20), rng.randint(1, 6)) for _ in range(m))
+            row = [0] * m
+            for p, c in enumerate(ranking):
+                row[c] = values[p]
+            rho.append(tuple(row))
+        rational = PreferenceProfile(profile.rankings, tuple(rho))
+        got = solve_line_klink(rational, line, k)
+        want = solve_line_dp(rational, line, k)
+        assert got.total_cost == want.total_cost, (seed, n, m, k)
+        assert got.k_used <= k
+
+
+@pytest.mark.parametrize(
+    "rankings",
+    [
+        ((0, 1), (1, 0), (0, 1)),  # the exactly-k walk finds no tight arc
+        ((0, 1, 2), (2, 0, 1), (2, 1, 0), (0, 1, 2)),  # the link interval skips k
+    ],
+)
+def test_klink_raises_a_typed_error_on_a_mislabeled_line(rankings):
+    profile = PreferenceProfile.from_rankings(rankings)
+    with pytest.raises(NotSingleCrossing):
+        solve_line_klink(profile, Line(tuple(range(len(rankings)))), k=2)
 
 
 def test_klink_matches_the_dp():

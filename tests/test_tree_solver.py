@@ -1,7 +1,7 @@
 """Tests for the tree dynamic program."""
 
-import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +19,9 @@ from ccwinner.line_solver import solve_line_dp
 from ccwinner.oracle import brute_force
 from ccwinner.tree_solver import merge_child_plane, solve_tree_dp, subtree_sizes
 
-INF = math.inf
+# the merge tests below fold two voters with rho entries up to 5, so
+# n * max + 1 exceeds every finite value, as in solve_tree_dp
+INF = 2 * 5 + 1
 
 
 def path_tree(n):
@@ -71,7 +73,9 @@ def test_merge_single_leaf_child():
     child_dyp1 = [[2, 5, 0]]
     child_dyp0 = [[0, 0, 0]]  # suffix minima of the row above
     plane = [list(parent_rho)]
-    new, its = merge_child_plane(plane, child_dyp0, child_dyp1, 1, 1, 2, Objective.UTILITARIAN)
+    new, its = merge_child_plane(
+        plane, child_dyp0, child_dyp1, 1, 1, 2, Objective.UTILITARIAN, inf=INF
+    )
     # l=1 is SAME only: both voters on c
     assert new[0] == [5, 6, 4]
     # l=2 is DIFF only: child strictly above c, so dyp0[u][1][c+1] + rho(v, c)
@@ -81,7 +85,9 @@ def test_merge_single_leaf_child():
 
 def test_merge_egalitarian_uses_max():
     plane = [[3, 1, 4]]
-    new, _ = merge_child_plane(plane, [[0, 0, 0]], [[2, 5, 0]], 1, 1, 2, Objective.EGALITARIAN)
+    new, _ = merge_child_plane(
+        plane, [[0, 0, 0]], [[2, 5, 0]], 1, 1, 2, Objective.EGALITARIAN, inf=INF
+    )
     assert new[0] == [3, 5, 4]
     assert new[1] == [3, 1, INF]
 
@@ -127,6 +133,33 @@ def test_matches_brute_force(objective):
         want = brute_force(profile, k, objective)
         assert getattr(got, key) == getattr(want, key), (n, m, k, trial)
         assert cost(profile, got.assignment, objective) == getattr(got, key)
+
+
+PRIMES_BELOW_1000 = [p for p in range(2, 1000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_rational_rho_past_the_float_range(objective):
+    # every voter adds j / P_v at rank position j, P_v a product of its share
+    # of the primes below 1000: rho stays consistent and the common
+    # denominator passes 2**1024, beyond anything a float can hold
+    key = "total_cost" if objective is Objective.UTILITARIAN else "egal_cost"
+    for trial in range(6):
+        base, tree = gen_sc_tree(7000 + trial, 8, 4)
+        rho = [list(row) for row in base.rho]
+        for v, ranking in enumerate(base.rankings):
+            denominator = 1
+            for p in PRIMES_BELOW_1000[v :: base.n]:
+                denominator *= p
+            for j, c in enumerate(ranking):
+                rho[v][c] += Fraction(j, denominator)
+        profile = PreferenceProfile(base.rankings, rho)
+        assert profile.scale > 2**1024
+        for k in (1, 2, 3):
+            got = solve_tree_dp(profile, tree, k, objective)
+            want = brute_force(profile, k, objective)
+            assert getattr(got, key) == getattr(want, key), (trial, k)
+            assert cost(profile, got.assignment, objective) == getattr(got, key)
 
 
 def test_path_tree_agrees_with_line_solver():

@@ -1,5 +1,7 @@
 import random
+from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -267,3 +269,101 @@ def test_any_witness_is_genuine(profile, rng):
             w = check_sc_grid(profile, grid)
             if w is not None:
                 verify_grid_witness(profile, grid, w)
+
+
+# ---------------------------------------------------------------------------
+# the array checks against per-element references
+
+
+def reference_consistency(profile):
+    for v, ranking in enumerate(profile.rankings):
+        row = profile.rho[v]
+        for p in range(len(ranking) - 1):
+            if row[ranking[p]] > row[ranking[p + 1]]:
+                return ConsistencyViolation(v, ranking[p], ranking[p + 1])
+    return None
+
+
+def reference_tree_side(tree, inside):
+    """Connectivity test with a per-vertex edge count, witness as the checker reports it."""
+    members = np.flatnonzero(inside)
+    if len(members) == 0:
+        return None
+    edges = sum(
+        1 for v in range(tree.n) if v != tree.root and inside[v] and inside[tree.parent[v]]
+    )
+    if edges == len(members) - 1:
+        return None
+    start = int(members[0])
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        neighbors = list(tree.child_order[v])
+        if v != tree.root:
+            neighbors.append(tree.parent[v])
+        for u in neighbors:
+            if inside[u] and u not in seen:
+                seen.add(u)
+                queue.append(u)
+    v3 = int(next(v for v in members if int(v) not in seen))
+    v2 = next(u for u in tree.path(start, v3) if not inside[u])
+    return start, v2, v3
+
+
+def reference_check_sc_tree(profile, tree):
+    pos = np.array([[r.index(c) for c in range(profile.m)] for r in profile.rankings])
+    for a in range(profile.m):
+        for b in range(a + 1, profile.m):
+            prefers_a = pos[:, a] < pos[:, b]
+            for c, c_other, inside in ((a, b, prefers_a), (b, a, ~prefers_a)):
+                witness = reference_tree_side(tree, inside)
+                if witness is not None:
+                    return CrossingViolation(c, c_other, *witness)
+    return None
+
+
+@st.composite
+def mislabeled_tree(draw):
+    """Arbitrary rankings on a random tree with a random root and child order."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(2, 4))
+    rankings = [tuple(draw(st.permutations(range(m)))) for _ in range(n)]
+    labels = draw(st.permutations(range(n)))
+    parent = [None] * n
+    for v in range(1, n):
+        parent[labels[v]] = labels[draw(st.integers(0, v - 1))]
+    children = [[] for _ in range(n)]
+    for v, p in enumerate(parent):
+        if p is not None:
+            children[p].append(v)
+    child_order = tuple(tuple(draw(st.permutations(ch))) for ch in children)
+    tree = RootedTree(tuple(parent), labels[0], child_order)
+    return PreferenceProfile.from_rankings(rankings), tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(mislabeled_tree())
+def test_tree_witnesses_match_the_per_vertex_reference(instance):
+    profile, tree = instance
+    assert check_sc_tree(profile, tree) == reference_check_sc_tree(profile, tree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda m: st.lists(
+            st.tuples(
+                st.permutations(range(m)),
+                st.lists(st.fractions(0, 5, max_denominator=4), min_size=m, max_size=m),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_consistency_matches_the_per_element_reference(rows):
+    profile = PreferenceProfile(
+        tuple(tuple(r) for r, _ in rows), tuple(tuple(vals) for _, vals in rows)
+    )
+    assert check_consistency(profile) == reference_consistency(profile)
