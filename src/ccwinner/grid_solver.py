@@ -114,12 +114,13 @@ def _rect_key(r: Rect):
 class GridPrefix:
     """Per-candidate 2D prefix sums of scaled rho.
 
-    table[c][i][j] sums the scaled values over cells < (i, j); nested lists of
-    Python ints, so rectangle sums in the DP loops stay off numpy scalars.
-    Divide by ``scale`` for rho units.
+    ``table`` is a read-only (m, n1+1, n2+1) array (int64, or object past
+    the int64 range) whose [c, i, j] entry sums candidate c's scaled values
+    over the cells above row i and left of column j.  Divide by ``scale``
+    for rho units.
     """
 
-    table: list
+    table: np.ndarray
     n1: int
     n2: int
     m: int
@@ -134,7 +135,8 @@ def build_grid_prefix(profile: PreferenceProfile, grid: Grid) -> GridPrefix:
     cells = profile.scaled.astype(dtype, copy=False).reshape(n1, n2, m).transpose(2, 0, 1)
     table = np.zeros((m, n1 + 1, n2 + 1), dtype=dtype)
     table[:, 1:, 1:] = cells.cumsum(axis=1).cumsum(axis=2)
-    return GridPrefix(table.tolist(), n1, n2, m, profile.scale)
+    table.flags.writeable = False
+    return GridPrefix(table, n1, n2, m, profile.scale)
 
 
 def rect_cost(prefix2d: GridPrefix, rect: Rect):
@@ -142,86 +144,99 @@ def rect_cost(prefix2d: GridPrefix, rect: Rect):
 
     The cost is in rho units.
     """
+    t = prefix2d.table
     i0, i1, j0, j1 = rect.i0, rect.i1 + 1, rect.j0, rect.j1 + 1
-    best = None
-    cand = None
-    for c in range(prefix2d.m):
-        t = prefix2d.table[c]
-        s = t[i1][j1] - t[i0][j1] - t[i1][j0] + t[i0][j0]
-        if best is None or s < best:
-            best, cand = s, c
-    return to_rho_units(best, prefix2d.scale), cand
+    sums = t[:, i1, j1] - t[:, i0, j1] - t[:, i1, j0] + t[:, i0, j0]
+    cand = int(sums.argmin())
+    return to_rho_units(int(sums[cand]), prefix2d.scale), cand
+
+
+def _shape_minima(prefix: GridPrefix, h: int, w: int):
+    """Cheapest scaled cost and candidate of every h x w rectangle, ties to smallest.
+
+    Two (n1-h+1, n2-w+1) arrays; entry [i0, j0] is the rectangle whose top-left
+    cell is (i0, j0).
+    """
+    t = prefix.table
+    p1, p2 = prefix.n1 - h + 1, prefix.n2 - w + 1
+    sums = t[:, h:, w:] - t[:, :p1, w:] - t[:, h:, :p2] + t[:, :p1, :p2]
+    return sums.min(axis=0), sums.argmin(axis=0)
 
 
 def _solve_laminar(profile: PreferenceProfile, grid: Grid, budget: int, algorithm: str):
+    """The laminar DP, one rectangle shape (h, w) at a time.
+
+    For each shape, ``value[h, w][i0, j0, l-1]`` is the cheapest laminar
+    tiling with at most l rectangles of the h x w rectangle at (i0, j0), in
+    scaled units.  ``cut[h, w]`` records how it was reached: -1 uncut, a-1
+    for a vertical cut after a columns, w-2+b for a horizontal cut after b
+    rows; ``split[h, w]`` holds the budget l1 of the left or top half.  The
+    candidates of each l are stacked cut by cut (vertical cuts, then
+    horizontal, each ascending), l1 ascending within a cut, so the first
+    argmin is the earliest of the scalar scan, and it replaces the uncut
+    rectangle only when strictly cheaper.
+    """
     n1, n2 = grid.n1, grid.n2
     kk = min(budget, n1 * n2)
     prefix = build_grid_prefix(profile, grid)
 
-    dyp: dict = {}
-    choice: dict = {}
+    value: dict = {}
+    cut: dict = {}
+    split: dict = {}
+    cand: dict = {}
     # increasing height + width guarantees both halves of any cut are ready
     for size in range(2, n1 + n2 + 1):
-        for h in range(1, min(n1, size - 1) + 1):
+        for h in range(max(1, size - n2), min(n1, size - 1) + 1):
             w = size - h
-            if w > n2:
-                continue
-            for i0 in range(n1 - h + 1):
-                i1 = i0 + h - 1
-                for j0 in range(n2 - w + 1):
-                    j1 = j0 + w - 1
-                    key = (i0, i1, j0, j1)
-                    const, cand = rect_cost(prefix, Rect(i0, i1, j0, j1))
-                    vec = []
-                    chv = []
-                    for l in range(1, kk + 1):
-                        best = const
-                        ch = ("const", cand)
-                        for j in range(j0, j1):
-                            left = dyp[(i0, i1, j0, j)]
-                            right = dyp[(i0, i1, j + 1, j1)]
-                            for l1 in range(1, l):
-                                got = left[l1 - 1] + right[l - l1 - 1]
-                                if got < best:
-                                    best, ch = got, ("vert", j, l1)
-                        for i in range(i0, i1):
-                            top = dyp[(i0, i, j0, j1)]
-                            bottom = dyp[(i + 1, i1, j0, j1)]
-                            for l1 in range(1, l):
-                                got = top[l1 - 1] + bottom[l - l1 - 1]
-                                if got < best:
-                                    best, ch = got, ("hor", i, l1)
-                        vec.append(best)
-                        chv.append(ch)
-                    dyp[key] = vec
-                    choice[key] = chv
+            p1, p2 = n1 - h + 1, n2 - w + 1
+            const, cand[h, w] = _shape_minima(prefix, h, w)
+            val = np.repeat(const[:, :, None], kk, axis=2)
+            how = np.full((p1, p2, kk), -1, dtype=np.int32)
+            l1s = np.zeros((p1, p2, kk), dtype=np.int32)
+            halves = [(value[h, a][:, :p2], value[h, w - a][:, a : a + p2]) for a in range(1, w)]
+            halves += [(value[b, w][:p1], value[h - b, w][b : b + p1]) for b in range(1, h)]
+            if halves and kk > 1:
+                first = np.stack([x for x, _ in halves], axis=2)  # (p1, p2, cuts, kk)
+                second = np.stack([y for _, y in halves], axis=2)
+                for l in range(2, kk + 1):
+                    # entry (cut, l1): l1 rectangles in the first half, l - l1 in the second
+                    sums = (first[..., : l - 1] + second[..., l - 2 :: -1]).reshape(p1, p2, -1)
+                    best = sums.argmin(axis=2)
+                    got = sums.min(axis=2)
+                    win = got < const
+                    val[..., l - 1] = np.where(win, got, const)
+                    how[..., l - 1] = np.where(win, best // (l - 1), -1)
+                    l1s[..., l - 1] = best % (l - 1) + 1
+            value[h, w], cut[h, w], split[h, w] = val, how, l1s
 
-    full = (0, n1 - 1, 0, n2 - 1)
     rects = []
     reps = []
-    stack = [(full, kk)]
+    stack = [(0, 0, n1, n2, kk)]
     while stack:
-        (i0, i1, j0, j1), l = stack.pop()
-        ch = choice[(i0, i1, j0, j1)][l - 1]
-        if ch[0] == "const":
-            rects.append(Rect(i0, i1, j0, j1))
-            reps.append(ch[1])
-        elif ch[0] == "vert":
-            _, cut, l1 = ch
-            stack.append(((i0, i1, j0, cut), l1))
-            stack.append(((i0, i1, cut + 1, j1), l - l1))
+        i0, j0, h, w, l = stack.pop()
+        c = int(cut[h, w][i0, j0, l - 1])
+        if c < 0:
+            rects.append(Rect(i0, i0 + h - 1, j0, j0 + w - 1))
+            reps.append(int(cand[h, w][i0, j0]))
+            continue
+        l1 = int(split[h, w][i0, j0, l - 1])
+        if c < w - 1:
+            a = c + 1
+            stack.append((i0, j0, h, a, l1))
+            stack.append((i0, j0 + a, h, w - a, l - l1))
         else:
-            _, cut, l1 = ch
-            stack.append(((i0, cut, j0, j1), l1))
-            stack.append(((cut + 1, i1, j0, j1), l - l1))
+            b = c - w + 2
+            stack.append((i0, j0, b, w, l1))
+            stack.append((i0 + b, j0, h - b, w, l - l1))
     tiling = Tiling(tuple(rects), tuple(reps))
 
-    rep = [0] * profile.n
+    rep = np.empty((n1, n2), dtype=np.int64)
     for r, c in zip(tiling.rects, tiling.reps):
-        for i, j in r.cells():
-            rep[grid.index(i, j)] = c
-    stats = {"rects": len(tiling.rects), "budget": kk, "dp_cells": len(dyp) * kk}
-    result = SolveResult.from_assignment(profile, Assignment(tuple(rep)), algorithm, stats)
+        rep[r.i0 : r.i1 + 1, r.j0 : r.j1 + 1] = c
+    n_rects = n1 * (n1 + 1) // 2 * (n2 * (n2 + 1) // 2)  # every sub-rectangle has a table row
+    stats = {"rects": len(tiling.rects), "budget": kk, "dp_cells": n_rects * kk}
+    assignment = Assignment(rep.ravel().tolist())
+    result = SolveResult.from_assignment(profile, assignment, algorithm, stats)
     return result, tiling
 
 
@@ -230,10 +245,10 @@ def solve_grid_laminar(profile: PreferenceProfile, grid: Grid, k: int):
 
     Returns (SolveResult, Tiling).  The assignment keeps each voter on their
     rectangle's representative (it is not re-canonicalized, so the tiling
-    stays readable from the assignment).  dyp[rect][l] is nonincreasing in l
-    and the answer is the full grid at l = min(k, cells); ties prefer an
-    uncut rectangle, then vertical over horizontal cuts, then the earlier
-    cut and the smaller left budget.
+    stays readable from the assignment).  A rectangle's optimum is
+    nonincreasing in its budget l and the answer is the full grid at
+    l = min(k, cells); ties prefer an uncut rectangle, then vertical over
+    horizontal cuts, then the earlier cut and the smaller left budget.
     """
     if k < 1:
         raise InvalidK(f"committee size bound must be at least 1, got {k}")
@@ -378,6 +393,7 @@ def check_laminar_conjecture(
     """
     laminar_cost = solve_grid_laminar(profile, grid, k)[0].total_cost
     prefix = build_grid_prefix(profile, grid)
+    minima = {}  # (h, w) -> nested lists of scaled costs and candidates
     best_cost = None
     best: Optional[Tiling] = None
     if tilings is None:
@@ -386,11 +402,16 @@ def check_laminar_conjecture(
         total = 0
         reps = []
         for r in tiling.rects:
-            got, cand = rect_cost(prefix, r)
-            total += got
-            reps.append(cand)
+            shape = (r.i1 - r.i0 + 1, r.j1 - r.j0 + 1)
+            if shape not in minima:
+                minima[shape] = tuple(a.tolist() for a in _shape_minima(prefix, *shape))
+            costs, cands = minima[shape]
+            total += costs[r.i0][r.j0]
+            reps.append(cands[r.i0][r.j0])
         if best_cost is None or total < best_cost:
             best_cost = total
             best = Tiling(tiling.rects, tuple(reps))
-    assert best_cost is not None and best_cost <= laminar_cost
+    assert best_cost is not None
+    best_cost = to_rho_units(best_cost, prefix.scale)
+    assert best_cost <= laminar_cost
     return best if best_cost < laminar_cost else None

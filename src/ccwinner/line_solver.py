@@ -582,12 +582,16 @@ def solve_line_egal_threshold(profile: PreferenceProfile, order, k: int) -> Solv
         return None if over[everyone, rep_pos].any() else rep_pos
 
     lo, hi = 0, len(values) - 1
+    rep_pos = None  # the witness of the last feasible probe, which is at values[hi]
     while lo < hi:
         mid = (lo + hi) // 2
-        if probe(values[mid]) is not None:
-            hi = mid
+        got = probe(values[mid])
+        if got is not None:
+            hi, rep_pos = mid, got
         else:
             lo = mid + 1
-    witness = _from_line_positions(profile, line, inverse, probe(values[lo]))
+    if rep_pos is None:  # hi never moved: the top value, feasible with any k
+        rep_pos = probe(values[lo])
+    witness = _from_line_positions(profile, line, inverse, rep_pos)
     stats = {"threshold": to_rho_units(values[lo], profile.scale), "dp_calls": calls}
     return SolveResult.from_assignment(profile, witness, "line-egal-threshold", stats)

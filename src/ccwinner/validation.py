@@ -60,22 +60,30 @@ def rank_positions(profile: PreferenceProfile) -> np.ndarray:
 
 
 def check_sc_line(profile: PreferenceProfile, line: Line) -> Optional[CrossingViolation]:
-    """Single-crossing on a line: every candidate pair flips at most once."""
+    """Single-crossing on a line: every candidate pair flips at most once.
+
+    One pass per candidate a decides every pair (a, b > a) at once.
+    """
     if line.n != profile.n:
         raise ValueError("line order and profile disagree on the number of voters")
-    pos = rank_positions(profile)[np.asarray(line.order)]
     m = profile.m
-    for a in range(m):
-        for b in range(a + 1, m):
-            prefers_a = pos[:, a] < pos[:, b]
-            flips = np.flatnonzero(prefers_a[1:] != prefers_a[:-1])
-            if len(flips) < 2:
-                continue
-            f0, f1 = int(flips[0]), int(flips[1])
-            v1, v2, v3 = (line.order[f0], line.order[f0 + 1], line.order[f1 + 1])
-            if prefers_a[f0]:
-                return CrossingViolation(a, b, v1, v2, v3)
-            return CrossingViolation(b, a, v1, v2, v3)
+    # row c: candidate c's rank position at each voter in line order, in the
+    # narrowest dtype that holds positions < m
+    pos = rank_positions(profile).astype(np.min_scalar_type(m - 1))[np.asarray(line.order)]
+    pos = np.ascontiguousarray(pos.T)
+    for a in range(m - 1):
+        prefers_a = pos[a + 1 :] > pos[a]  # row b - a - 1 is the pair (a, b)
+        flipped = prefers_a[:, 1:] != prefers_a[:, :-1]
+        twice = np.flatnonzero(flipped.sum(axis=1, dtype=np.int32) >= 2)
+        if len(twice) == 0:
+            continue
+        row = int(twice[0])
+        b = a + 1 + row
+        f0, f1 = (int(f) for f in np.flatnonzero(flipped[row])[:2])
+        v1, v2, v3 = (line.order[f0], line.order[f0 + 1], line.order[f1 + 1])
+        if prefers_a[row, f0]:
+            return CrossingViolation(a, b, v1, v2, v3)
+        return CrossingViolation(b, a, v1, v2, v3)
     return None
 
 
@@ -137,23 +145,35 @@ def _first_member(mask: np.ndarray) -> tuple[int, int]:
     return divmod(flat, mask.shape[1])
 
 
-def _grid_side_violation(side: np.ndarray) -> Optional[tuple[tuple, tuple, tuple]]:
-    """If `side` is not box-convex, return grid coords (s, u, t) with u outside.
+def _box_gaps(side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells outside ``side`` inside a box spanned by two of its members.
 
-    u fails iff two opposite closed quadrants around it both contain members;
-    then some member box contains u.  Quadrant occupancy comes from running
-    maxima in the four sweep directions.
+    A cell is such a gap iff two opposite closed quadrants around it both
+    contain members.  Returns the gaps and the cells whose north-west and
+    south-east quadrants both do.  ``side`` holds grid rows and columns on
+    its first two axes and any batch axes after them; quadrant occupancy
+    comes from running maxima in the four sweep directions.
     """
     a = side.astype(np.uint8)
     nw = np.maximum.accumulate(np.maximum.accumulate(a, axis=0), axis=1)
     se = np.maximum.accumulate(np.maximum.accumulate(a[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
     ne = np.maximum.accumulate(np.maximum.accumulate(a[:, ::-1], axis=0), axis=1)[:, ::-1]
     sw = np.maximum.accumulate(np.maximum.accumulate(a[::-1, :], axis=0), axis=1)[::-1, :]
-    bad = ((nw & se) | (ne & sw)).astype(bool) & ~side
+    diagonal = (nw & se).astype(bool)
+    return (diagonal | (ne & sw).astype(bool)) & ~side, diagonal
+
+
+def _grid_side_violation(side: np.ndarray) -> Optional[tuple[tuple, tuple, tuple]]:
+    """If `side` is not box-convex, return grid coords (s, u, t) with u outside.
+
+    u is the first gap of :func:`_box_gaps`; s and t are members in two
+    opposite quadrants around it, so their box contains u.
+    """
+    bad, diagonal = _box_gaps(side)
     if not bad.any():
         return None
     i, j = _first_member(bad)
-    if nw[i, j] and se[i, j]:
+    if diagonal[i, j]:
         s = _first_member(side[: i + 1, : j + 1])
         t0, t1 = _first_member(side[i:, j:])
         t = (t0 + i, t1 + j)
@@ -171,22 +191,24 @@ def check_sc_grid(profile: PreferenceProfile, grid: Grid) -> Optional[CrossingVi
     Equivalent to the shortest-path formulation: monotone staircases inside a
     bounding box are exactly the shortest paths through it, so a chord
     c, c_other, c along some shortest path exists iff box-convexity fails for
-    one side of the pair.  O(n) per ordered pair via quadrant sweeps.
+    one side of the pair.  O(n) per ordered pair via quadrant sweeps, run
+    for all pairs (a, b > a) of one candidate a at once.
     """
     if grid.n != profile.n:
         raise ValueError("grid shape and profile disagree on the number of voters")
-    pos = rank_positions(profile)
+    pos = rank_positions(profile).reshape(grid.n1, grid.n2, -1)
     m = profile.m
-    for a in range(m):
-        for b in range(a + 1, m):
-            prefers_a = (pos[:, a] < pos[:, b]).reshape(grid.n1, grid.n2)
-            for c, c_other, side in ((a, b, prefers_a), (b, a, ~prefers_a)):
-                witness = _grid_side_violation(side)
-                if witness is not None:
-                    s, u, t = witness
-                    return CrossingViolation(
-                        c, c_other, grid.index(*s), grid.index(*u), grid.index(*t)
-                    )
+    for a in range(m - 1):
+        # sides[..., b - a - 1, 0] supports a over b, sides[..., b - a - 1, 1] b over a
+        prefers_a = pos[:, :, a : a + 1] < pos[:, :, a + 1 :]
+        sides = np.stack((prefers_a, ~prefers_a), axis=3)
+        failing = np.flatnonzero(_box_gaps(sides)[0].any(axis=(0, 1)))
+        if len(failing) == 0:
+            continue
+        col, flip = divmod(int(failing[0]), 2)
+        c, c_other = (a, a + 1 + col) if flip == 0 else (a + 1 + col, a)
+        s, u, t = _grid_side_violation(sides[:, :, col, flip])
+        return CrossingViolation(c, c_other, grid.index(*s), grid.index(*u), grid.index(*t))
     return None
 
 

@@ -418,3 +418,44 @@ def test_egal_threshold_matches_maxdp_and_oracle():
         want = brute_force(profile, k, Objective.EGALITARIAN)
         assert thr.egal_cost == maxdp.egal_cost == want.egal_cost, (seed, n, m, k)
         assert thr.stats["threshold"] == thr.egal_cost
+
+
+def reference_egal_threshold(profile, line, k):
+    """The threshold search with a final DP rerun at the answer.
+
+    Returns (threshold, witness assignment, binary-search probes, whether the
+    final threshold was among them).  Feasibility of t is a zero optimum of
+    the 0/1 profile (rho > t) under the utilitarian line DP.
+    """
+    values = sorted({x for row in profile.rho for x in row})
+
+    def solve(t):
+        rho01 = [[int(x > t) for x in row] for row in profile.rho]
+        return solve_line_dp(PreferenceProfile(profile.rankings, rho01), line, k)
+
+    lo, hi = 0, len(values) - 1
+    probed = set()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probed.add(mid)
+        if solve(values[mid]).total_cost == 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    steps = len(probed)
+    return values[lo], solve(values[lo]).assignment, steps, lo in probed
+
+
+def test_egal_threshold_reuses_the_last_feasible_probe():
+    rng = random.Random(83)
+    reruns = 0
+    for seed in range(40):
+        n, m, k = rng.randint(2, 14), rng.randint(2, 6), rng.randint(1, 4)
+        profile, line = gen_sc_line(seed, n, m)
+        got = solve_line_egal_threshold(profile, line, k)
+        threshold, witness, probes, probed = reference_egal_threshold(profile, line, k)
+        assert got.stats["threshold"] == threshold, seed
+        assert got.assignment == witness, seed
+        assert got.stats["dp_calls"] == probes + (0 if probed else 1), seed
+        reruns += not probed
+    assert 0 < reruns < 40  # both branches exercised

@@ -367,3 +367,119 @@ def test_consistency_matches_the_per_element_reference(rows):
         tuple(tuple(r) for r, _ in rows), tuple(tuple(vals) for _, vals in rows)
     )
     assert check_consistency(profile) == reference_consistency(profile)
+
+
+def reference_check_sc_line(profile, line):
+    """One pair at a time, as the line checker first did."""
+    pos = rank_positions(profile)[np.asarray(line.order)]
+    for a in range(profile.m):
+        for b in range(a + 1, profile.m):
+            prefers_a = pos[:, a] < pos[:, b]
+            flips = np.flatnonzero(prefers_a[1:] != prefers_a[:-1])
+            if len(flips) < 2:
+                continue
+            f0, f1 = int(flips[0]), int(flips[1])
+            v1, v2, v3 = (line.order[f0], line.order[f0 + 1], line.order[f1 + 1])
+            if prefers_a[f0]:
+                return CrossingViolation(a, b, v1, v2, v3)
+            return CrossingViolation(b, a, v1, v2, v3)
+    return None
+
+
+def reference_grid_side(side):
+    a = side.astype(np.uint8)
+    nw = np.maximum.accumulate(np.maximum.accumulate(a, axis=0), axis=1)
+    se = np.maximum.accumulate(np.maximum.accumulate(a[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
+    ne = np.maximum.accumulate(np.maximum.accumulate(a[:, ::-1], axis=0), axis=1)[:, ::-1]
+    sw = np.maximum.accumulate(np.maximum.accumulate(a[::-1, :], axis=0), axis=1)[::-1, :]
+    bad = ((nw & se) | (ne & sw)).astype(bool) & ~side
+    if not bad.any():
+        return None
+
+    def first(mask):
+        return divmod(int(np.flatnonzero(mask.ravel())[0]), mask.shape[1])
+
+    i, j = first(bad)
+    if nw[i, j] and se[i, j]:
+        s = first(side[: i + 1, : j + 1])
+        t0, t1 = first(side[i:, j:])
+        t = (t0 + i, t1 + j)
+    else:
+        s0, s1 = first(side[: i + 1, j:])
+        s = (s0, s1 + j)
+        t0, t1 = first(side[i:, : j + 1])
+        t = (t0 + i, t1)
+    return s, (i, j), t
+
+
+def reference_check_sc_grid(profile, grid):
+    """One ordered pair at a time, as the grid checker first did."""
+    pos = rank_positions(profile)
+    for a in range(profile.m):
+        for b in range(a + 1, profile.m):
+            prefers_a = (pos[:, a] < pos[:, b]).reshape(grid.n1, grid.n2)
+            for c, c_other, side in ((a, b, prefers_a), (b, a, ~prefers_a)):
+                witness = reference_grid_side(side)
+                if witness is not None:
+                    s, u, t = witness
+                    return CrossingViolation(
+                        c, c_other, grid.index(*s), grid.index(*u), grid.index(*t)
+                    )
+    return None
+
+
+def perturbed(rng, rankings):
+    """Swap one adjacent pair in one random voter's ranking."""
+    rankings = [list(r) for r in rankings]
+    v = rng.randrange(len(rankings))
+    p = rng.randrange(len(rankings[v]) - 1)
+    rankings[v][p], rankings[v][p + 1] = rankings[v][p + 1], rankings[v][p]
+    return [tuple(r) for r in rankings]
+
+
+def test_line_checker_matches_the_per_pair_reference():
+    rng = random.Random(89)
+    outcomes = set()
+    for trial in range(400):
+        n, m = rng.randint(1, 14), rng.randint(2, 7)
+        if trial % 3 == 0:
+            along = [tuple(rng.sample(range(m), m)) for _ in range(n)]
+        else:
+            states = sc_line_states(rng, m, rng.randint(0, m * (m - 1) // 2))
+            along = [states[x] for x in sorted(rng.randrange(len(states)) for _ in range(n))]
+            if trial % 3 == 2:
+                along = perturbed(rng, along)
+        order = rng.sample(range(n), n)
+        rankings = [None] * n
+        for i, v in enumerate(order):
+            rankings[v] = along[i]
+        profile = PreferenceProfile.from_rankings(rankings)
+        line = Line(tuple(order))
+        got = check_sc_line(profile, line)
+        assert got == reference_check_sc_line(profile, line), trial
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_grid_checker_matches_the_per_pair_reference():
+    rng = random.Random(97)
+    outcomes = set()
+    for trial in range(400):
+        n1, n2, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(2, 6)
+        if trial % 3 == 0:
+            rankings = [tuple(rng.sample(range(m), m)) for _ in range(n1 * n2)]
+        else:
+            rows = sc_line_states(rng, m, rng.randint(0, 6))
+            cols = sc_line_states(rng, m, rng.randint(0, 6))
+            if trial % 2:
+                rankings = [rows[min(i, len(rows) - 1)] for i in range(n1) for _ in range(n2)]
+            else:
+                rankings = [cols[min(j, len(cols) - 1)] for _ in range(n1) for j in range(n2)]
+            if trial % 3 == 2:
+                rankings = perturbed(rng, rankings)
+        profile = PreferenceProfile.from_rankings(rankings)
+        grid = Grid(n1, n2)
+        got = check_sc_grid(profile, grid)
+        assert got == reference_check_sc_grid(profile, grid), trial
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
