@@ -6,25 +6,33 @@ smaller candidate appear below a larger one (after normalizing labels to
 the root's ranking, optimal assignments are nondecreasing away from the
 root, which is what makes the candidate range [c:m] a sufficient state).
 
-Per vertex the tables are
+Per vertex the tables are (min(k, |T_v|), m) integer arrays
 
-* ``dyp1[v][l][c]`` -- best cost for T_v split into l subtrees with
+* ``dyp1[v][l-1, c]`` -- best cost for T_v split into l subtrees with
   representatives in [c:m] and v itself represented by c;
-* ``dyp0[v][l][c]`` -- same but v's representative only bounded below by c.
+* ``dyp0[v][l-1, c]`` -- same but v's representative only bounded below by c
+  (suffix minima of ``dyp1[v]`` along the candidate axis).
 
 Children are folded one at a time into a transient plane (the ``dyp2``
 tier); the fold at child u considers splitting l between u's subtree and
 the part already folded, either keeping u on its own candidate (DIFF,
 budget t goes to u with candidates above c) or sharing v's candidate c
-(SAME, u's piece and v's piece merge into one subtree). Infeasible states
-hold an integer sentinel chosen per instance above every finite value (the
-scaled rows are exact ints of any size, so a float infinity cannot be
-added to them), and the tight t ranges below make the whole sweep cost
+(SAME, u's piece and v's piece merge into one subtree). For a fixed child
+budget the affected budgets l form one contiguous block of rows, and the
+better of the two branches' child pieces can be taken first, so the fold
+is one slice operation per child budget over every l and c at once.
+Infeasible states hold an integer sentinel chosen per instance above every
+finite value (the scaled rows are exact ints of any size, so a float
+infinity cannot be added to them); tables are int64, or object arrays of
+Python ints once a sum of two entries can pass the int64 range. The tight
+t ranges make the whole sweep cost
 O(min(k, |T_u|) * min(k, |T_rest|)) per candidate, which telescopes to
 O(min(n^2, nk)) over the tree.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .core import (
     Assignment,
@@ -33,6 +41,7 @@ from .core import (
     RootedTree,
     SolveResult,
     canonicalize,
+    int_dtype,
     reference_ranking,
     relabel_assignment,
 )
@@ -81,55 +90,47 @@ def merge_child_plane(
 ):
     """Fold one child into a partial plane of its parent.
 
-    ``plane[l-1][c]`` is the best cost for the already-folded part (parent v
+    ``plane[l-1, c]`` is the best cost for the already-folded part (parent v
     plus previously folded children, ``upper_size`` voters) split into l
     subtrees with representatives in [c:m] and v on c. ``inf`` marks
     infeasible states and must exceed every finite value. Returns the
-    extended plane plus the number of (l, t) splits examined, which the
-    caller sums into its work counter.
+    extended (bound, m) plane plus the number of (l, t) splits examined,
+    which the caller sums into its work counter.
+
+    The two branches share one slice operation per child budget: row
+    l - 1 of the new plane pairs plane row r with the child's piece at
+    index i = l - 1 - r, which is SAME with budget t = i + 1 or DIFF with
+    t = i, and since the add (or max) distributes over min, the better of
+    the two pieces can be chosen before combining it with the plane rows.
     """
-    egal = objective is Objective.EGALITARIAN
-    m = len(plane[0])
-    s, szu = upper_size, child_size
-    bound = min(k, s + szu)
-    ext0 = [tuple(row) + (inf,) for row in child_dyp0]  # sentinel for c+1 == m
-    new = [[inf] * m for _ in range(bound)]
+    plane = np.asarray(plane)
+    d0 = np.asarray(child_dyp0)
+    d1 = np.asarray(child_dyp1)
+    op = np.maximum if objective is Objective.EGALITARIAN else np.add
+    rows, m = plane.shape
+    bound = min(k, upper_size + child_size)
+    dtype = np.result_type(plane, d0, d1)
+    same_hi = min(child_size, bound)  # SAME budgets t = 1..same_hi
+    diff_hi = min(child_size, bound - 1)  # DIFF budgets t = 1..diff_hi
+    # piece[i, c]: the better of SAME with budget i + 1 (child on c) and DIFF
+    # with budget i (child above c, so never for c = m - 1)
+    piece = np.full((diff_hi + 1, m), inf, dtype=dtype)
+    piece[:same_hi] = d1[:same_hi]
+    np.minimum(piece[1:, : m - 1], d0[:diff_hi, 1:], out=piece[1:, : m - 1])
+    new = np.full((bound, m), inf, dtype=dtype)
     iterations = 0
-    for l in range(1, bound + 1):
-        row = new[l - 1]
-        # DIFF: child keeps its own representative above c
-        t_lo, t_hi = max(1, l - s), min(l - 1, szu)
-        iterations += max(0, t_hi - t_lo + 1)
-        for t in range(t_lo, t_hi + 1):
-            d0 = ext0[t - 1]
-            rest = plane[l - t - 1]
-            for c in range(m):
-                got = max(d0[c + 1], rest[c]) if egal else d0[c + 1] + rest[c]
-                if got < row[c]:
-                    row[c] = got
-        # SAME: child shares candidate c, its subtree fuses with v's
-        t_lo, t_hi = max(1, l + 1 - s), min(l, szu)
-        iterations += max(0, t_hi - t_lo + 1)
-        for t in range(t_lo, t_hi + 1):
-            d1 = child_dyp1[t - 1]
-            rest = plane[l - t]
-            for c in range(m):
-                got = max(d1[c], rest[c]) if egal else d1[c] + rest[c]
-                if got < row[c]:
-                    row[c] = got
+    for i in range(diff_hi + 1):
+        span = min(rows, bound - i)
+        block = new[i : i + span]
+        np.minimum(block, op(piece[i], plane[:span]), out=block)
+        # the (l, t) splits of both branches, as counted one branch at a time
+        iterations += span * ((i < same_hi) + (i > 0))
     return new, iterations
 
 
-def _suffix_min_rows(plane, m):
+def _suffix_min_rows(plane):
     """dyp0 rows (suffix minima over the candidate axis) from dyp1 rows."""
-    out = []
-    for row in plane:
-        acc = list(row)
-        for c in range(m - 2, -1, -1):
-            if acc[c + 1] < acc[c]:
-                acc[c] = acc[c + 1]
-        out.append(acc)
-    return out
+    return np.ascontiguousarray(np.minimum.accumulate(plane[:, ::-1], axis=1)[:, ::-1])
 
 
 def solve_tree_dp(
@@ -159,9 +160,9 @@ def solve_tree_dp(
         )
 
     inverse = reference_ranking(profile, tree)
-    # normalized rows as Python ints: the merge loops stay off numpy scalars
-    rows = profile.scaled[:, list(inverse)].tolist()
     inf = n * int(profile.scaled.max()) + 1  # above every finite total and maximum
+    # a fold adds two table values, each at most inf
+    rows = profile.scaled[:, list(inverse)].astype(int_dtype(2 * inf), copy=False)
     size, partial = subtree_sizes(tree)
 
     dyp0: list = [None] * n
@@ -175,7 +176,7 @@ def solve_tree_dp(
         post.append(v)
         stack.extend(tree.child_order[v])
     for v in reversed(post):
-        plane = [rows[v]]
+        plane = rows[v : v + 1]
         upper = 1
         for u in reversed(tree.child_order[v]):
             plane, its = merge_child_plane(
@@ -184,12 +185,9 @@ def solve_tree_dp(
             merges += its
             upper += size[u]
         dyp1[v] = plane
-        dyp0[v] = _suffix_min_rows(plane, m)
+        dyp0[v] = _suffix_min_rows(plane)
 
-    root = tree.root
-    first = [dyp0[root][l - 1][0] for l in range(1, min(k, n) + 1)]
-    best = min(first)
-    l_star = first.index(best) + 1
+    l_star = int(np.argmin(dyp0[tree.root][:, 0])) + 1  # first minimum
 
     rep = _reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, inf)
     assignment = relabel_assignment(Assignment(tuple(rep)), inverse)
@@ -208,43 +206,45 @@ def _reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, in
 
     dyp2 planes were dropped after the sweep, so per visited vertex the
     child-fold value vectors are rebuilt at the single candidate the vertex
-    ended up with. Ties prefer SAME over DIFF, then the smallest child
-    budget; dyp0 states resolve to the smallest attaining candidate.
+    ended up with, from each child's two table columns read as Python lists.
+    Ties prefer SAME over DIFF, then the smallest child budget; dyp0 states
+    resolve to the smallest attaining candidate.
     """
     egal = objective is Objective.EGALITARIAN
-    m = len(rows[0])
+    m = rows.shape[1]
     rep = [0] * tree.n
     # (vertex, subtree budget, candidate bound, budget is a dyp0 state)
     stack = [(tree.root, l_star, 0, True)]
     while stack:
         v, l, c, floating = stack.pop()
         if floating:
-            while dyp1[v][l - 1][c] != dyp0[v][l - 1][c]:
+            row1, row0 = dyp1[v][l - 1].tolist(), dyp0[v][l - 1].tolist()
+            while row1[c] != row0[c]:
                 c += 1
         rep[v] = c
         children = tree.child_order[v]
         if not children:
             continue
-        # value vectors of the partial folds at candidate c, innermost first
-        vectors = [[rows[v][c]]]
+        # per child u: dyp1[u][:, c] (SAME) and dyp0[u][:, c + 1] (DIFF)
+        same = {u: dyp1[u][:, c].tolist() for u in children}
+        diff = {
+            u: dyp0[u][:, c + 1].tolist() if c + 1 < m else [inf] * len(dyp0[u])
+            for u in children
+        }
+        # value vectors of the partial folds at candidate c, innermost first;
+        # as in merge_child_plane, the better piece of SAME with budget i + 1
+        # and DIFF with budget i enters before the rest of the fold
+        vectors = [[int(rows[v, c])]]
         upper = 1
         for u in reversed(children):
             prev = vectors[-1]
+            piece = list(map(min, same[u] + [inf], [inf] + diff[u]))
             bound = min(k, upper + size[u])
             vec = [inf] * bound
             for l2 in range(1, bound + 1):
                 best = inf
-                for t in range(max(1, l2 - upper), min(l2 - 1, size[u]) + 1):
-                    side = dyp0[u][t - 1][c + 1] if c + 1 < m else inf
-                    got = max(side, prev[l2 - t - 1]) if egal else side + prev[l2 - t - 1]
-                    if got < best:
-                        best = got
-                for t in range(max(1, l2 + 1 - upper), min(l2, size[u]) + 1):
-                    got = (
-                        max(dyp1[u][t - 1][c], prev[l2 - t])
-                        if egal
-                        else dyp1[u][t - 1][c] + prev[l2 - t]
-                    )
+                for i in range(max(0, l2 - upper), min(l2 - 1, size[u]) + 1):
+                    got = max(piece[i], prev[l2 - 1 - i]) if egal else piece[i] + prev[l2 - 1 - i]
                     if got < best:
                         best = got
                 vec[l2 - 1] = best
@@ -255,25 +255,19 @@ def _reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, in
         for i, u in enumerate(children):
             upper = partial[v][i + 1]
             target = vectors[i][l - 1]
+            rest = vectors[i + 1]
+            d0, d1 = diff[u], same[u]
             chosen = None
             for t in range(max(1, l + 1 - upper), min(l, size[u]) + 1):
-                got = (
-                    max(dyp1[u][t - 1][c], vectors[i + 1][l - t])
-                    if egal
-                    else dyp1[u][t - 1][c] + vectors[i + 1][l - t]
-                )
+                got = max(d1[t - 1], rest[l - t]) if egal else d1[t - 1] + rest[l - t]
                 if got == target:
                     chosen = (u, t, c, False)
                     l = l - t + 1
                     break
             if chosen is None:
                 for t in range(max(1, l - upper), min(l - 1, size[u]) + 1):
-                    side = dyp0[u][t - 1][c + 1] if c + 1 < m else inf
-                    got = (
-                        max(side, vectors[i + 1][l - t - 1])
-                        if egal
-                        else side + vectors[i + 1][l - t - 1]
-                    )
+                    side = d0[t - 1]
+                    got = max(side, rest[l - t - 1]) if egal else side + rest[l - t - 1]
                     if got == target:
                         chosen = (u, t, c + 1, True)
                         l = l - t

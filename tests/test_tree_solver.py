@@ -77,9 +77,9 @@ def test_merge_single_leaf_child():
         plane, child_dyp0, child_dyp1, 1, 1, 2, Objective.UTILITARIAN, inf=INF
     )
     # l=1 is SAME only: both voters on c
-    assert new[0] == [5, 6, 4]
+    assert new[0].tolist() == [5, 6, 4]
     # l=2 is DIFF only: child strictly above c, so dyp0[u][1][c+1] + rho(v, c)
-    assert new[1] == [3, 1, INF]
+    assert new[1].tolist() == [3, 1, INF]
     assert its == 2
 
 
@@ -88,8 +88,8 @@ def test_merge_egalitarian_uses_max():
     new, _ = merge_child_plane(
         plane, [[0, 0, 0]], [[2, 5, 0]], 1, 1, 2, Objective.EGALITARIAN, inf=INF
     )
-    assert new[0] == [3, 5, 4]
-    assert new[1] == [3, 1, INF]
+    assert new[0].tolist() == [3, 5, 4]
+    assert new[1].tolist() == [3, 1, INF]
 
 
 # ---------------------------------------------------------------------------

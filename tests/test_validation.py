@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccwinner.core import Grid, Line, PreferenceProfile, RootedTree
+from ccwinner.generators import gen_sc_tree
 from ccwinner.validation import (
     ConsistencyViolation,
     CrossingViolation,
@@ -312,6 +313,7 @@ def reference_tree_side(tree, inside):
 
 
 def reference_check_sc_tree(profile, tree):
+    """One ordered pair at a time, as the tree checker first did."""
     pos = np.array([[r.index(c) for c in range(profile.m)] for r in profile.rankings])
     for a in range(profile.m):
         for b in range(a + 1, profile.m):
@@ -483,3 +485,25 @@ def test_grid_checker_matches_the_per_pair_reference():
         assert got == reference_check_sc_grid(profile, grid), trial
         outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+def test_tree_checker_matches_the_per_pair_reference():
+    rng = random.Random(101)
+    violations = 0
+    for trial in range(360):
+        n, m = rng.randint(1, 30), rng.randint(2, 7)
+        base, tree = gen_sc_tree(50_000 + trial, n, m)
+        rankings = list(base.rankings)
+        if trial % 4 == 0:
+            rankings = [tuple(rng.sample(range(m), m)) for _ in range(n)]
+        elif trial % 4 != 1:
+            rankings = perturbed(rng, rankings)
+        profile = PreferenceProfile.from_rankings(rankings)
+        got = check_sc_tree(profile, tree)
+        assert got == reference_check_sc_tree(profile, tree), trial
+        if trial % 4 == 1:
+            assert got is None  # generated single-crossing
+        elif got is not None:
+            verify_tree_witness(profile, tree, got)
+            violations += 1
+    assert violations > 180
