@@ -24,11 +24,13 @@ from itertools import chain
 import numpy as np
 
 from .core import (
+    Assignment,
     Grid,
     Line,
     Objective,
     PreferenceProfile,
     RootedTree,
+    SolveResult,
 )
 from .errors import (
     AlgorithmStructureMismatch,
@@ -48,6 +50,7 @@ from .grid_solver import (
 from .line_solver import (
     build_prefix_sums,
     check_concave_monge,
+    merge_identical_voters,
     solve_line_dp,
     solve_line_egal_threshold,
     solve_line_klink,
@@ -338,6 +341,21 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _solve_merged(profile, line, objective: Objective, solve, *args) -> SolveResult:
+    """Run a line solver on the profile with adjacent identical voters merged.
+
+    The merged instance's answer gives every voter of a run that run's
+    representative; both costs are recomputed on the full profile, since the
+    maximum of a summed row is no single voter's misrepresentation.
+    """
+    merged, block = merge_identical_voters(profile, line, objective)
+    inner = solve(merged, Line(tuple(range(merged.n))), *args)
+    rep = np.asarray(inner.assignment.rep)[block]
+    stats = {**inner.stats, "compressed_n": merged.n}
+    assignment = Assignment(tuple(rep.tolist()))
+    return SolveResult.from_assignment(profile, assignment, inner.algorithm, stats)
+
+
 def _dispatch(profile, structure, algorithm: str, objective: Objective, k: int):
     if algorithm == "auto":
         if isinstance(structure, Line):
@@ -355,14 +373,14 @@ def _dispatch(profile, structure, algorithm: str, objective: Objective, k: int):
 
     if algorithm == "line-dp":
         need(Line, "line")
-        return solve_line_dp(profile, structure, k, objective), None
+        return _solve_merged(profile, structure, objective, solve_line_dp, k, objective), None
     if algorithm == "line-klink":
         need(Line, "line")
         if objective is Objective.EGALITARIAN:
             # no egalitarian k-link route exists; threshold search is the
             # egalitarian line algorithm, so hand over rather than refuse
-            return solve_line_egal_threshold(profile, structure, k), None
-        return solve_line_klink(profile, structure, k), None
+            return _solve_merged(profile, structure, objective, solve_line_egal_threshold, k), None
+        return _solve_merged(profile, structure, objective, solve_line_klink, k), None
     if algorithm == "tree-dp":
         need(RootedTree, "tree")
         return solve_tree_dp(profile, structure, k, objective), None

@@ -46,6 +46,7 @@ __all__ = [
     "build_prefix_sums",
     "omega",
     "check_concave_monge",
+    "merge_identical_voters",
     "smawk_min_links",
     "solve_line_dp",
     "solve_line_klink",
@@ -58,6 +59,38 @@ def _line(profile: PreferenceProfile, order) -> Line:
     if line.n != profile.n:
         raise ValueError(f"order covers {line.n} voters, profile has {profile.n}")
     return line
+
+
+def merge_identical_voters(
+    profile: PreferenceProfile, order, objective: Objective = Objective.UTILITARIAN
+) -> tuple[PreferenceProfile, np.ndarray]:
+    """Merge each run of adjacent identical voters on the line into one voter.
+
+    The merged voter keeps the run's ranking and carries the run's summed
+    rho row (utilitarian) or its elementwise maximum (egalitarian), so every
+    assignment that gives the run one representative costs the same on both
+    profiles; canonical assignments do, because identical voters share
+    their favorite committee member. Returns the merged profile, whose line
+    is the identity order, and the merged voter of each original voter.
+    """
+    line = _line(profile, order)
+    voters = np.asarray(line.order)
+    cut = np.zeros(profile.n - 1, dtype=bool)
+    for c in range(profile.m):  # one column at a time: no full gather of the rankings
+        col = profile.rank[voters, c]
+        cut |= col[1:] != col[:-1]
+    starts = np.concatenate(([0], np.flatnonzero(cut) + 1))
+    block = np.empty(profile.n, dtype=np.int64)
+    block[voters] = np.concatenate(([0], np.cumsum(cut)))
+    # gather the full rows inside the call, so they are freed before the merged rankings exist
+    if objective is Objective.EGALITARIAN:
+        scaled = np.maximum.reduceat(profile.scaled[voters], starts)
+    else:
+        dtype = int_dtype(profile.n * int(profile.scaled.max()))
+        scaled = np.add.reduceat(profile.scaled[voters], starts, dtype=dtype)
+    heads = voters[starts]
+    rank, pos = profile.rank[heads], profile.pos[heads]
+    return PreferenceProfile._from_parts(rank, pos, scaled, profile.scale), block
 
 
 def _normalized_rows(profile: PreferenceProfile, line: Line):
@@ -128,13 +161,21 @@ def check_concave_monge(prefix: PrefixSums) -> Optional[tuple[int, int]]:
     n = 3. On single-crossing input there is no violation, so a hit
     falsifies either the input's single-crossing claim or the weight table.
     """
-    n = prefix.n
+    n, table = prefix.n, prefix.table
+
+    def weights(i):  # w(i, j) for j = i+1..n, at index j - i - 1
+        return (table[:, i + 1 :] - table[:, i : i + 1]).min(axis=0)
+
+    row = weights(0)
     for i in range(n - 2):
-        for j in range(i + 2, n):
-            lhs = _segment(prefix, i, j)[0] + _segment(prefix, i + 1, j + 1)[0]
-            rhs = _segment(prefix, i, j + 1)[0] + _segment(prefix, i + 1, j)[0]
-            if lhs > rhs:
-                return (i, j)
+        below = weights(i + 1)
+        # j = i+2..n-1 at index j - i - 2
+        lhs = row[1 : n - i - 1] + below[1 : n - i - 1]
+        rhs = row[2 : n - i] + below[: n - i - 2]
+        hits = np.flatnonzero(lhs > rhs)
+        if len(hits):
+            return (i, i + 2 + int(hits[0]))
+        row = below
     return None
 
 
@@ -520,7 +561,7 @@ def solve_line_klink(profile: PreferenceProfile, order, k: int) -> SolveResult:
     klink = KLinkInstance(_prefix_sums(rows, profile.scale))
 
     lam = 0
-    _, links, path = smawk_min_links(klink, 0)
+    total, links, path = smawk_min_links(klink, 0)
     if links > k:
         lo, hi = 1, n * int(rows.max()) + 1  # at the top penalty a single arc wins
         while lo < hi:
@@ -546,7 +587,13 @@ def solve_line_klink(profile: PreferenceProfile, order, k: int) -> SolveResult:
         for pos in range(u, v):
             rep_pos[pos] = c
     assignment = _from_line_positions(profile, line, inverse, rep_pos)
-    stats = {"lambda": to_rho_units(lam, profile.scale), "links": len(path) - 1, "omega_evals": klink.evals}
+    stats = {
+        "lambda": to_rho_units(lam, profile.scale),
+        "links": len(path) - 1,
+        "omega_evals": klink.evals,
+        # Lagrangian dual value: no path with at most k links weighs less
+        "lower_bound": to_rho_units(total - lam * k, profile.scale),
+    }
     return SolveResult.from_assignment(profile, assignment, "line-klink", stats)
 
 

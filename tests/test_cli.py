@@ -1,6 +1,7 @@
 """Tests for the command line front-end and its file formats."""
 
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,9 +16,11 @@ from ccwinner.cli import (
     load_instance,
     main,
 )
-from ccwinner.core import Assignment, Objective, cost
+from ccwinner.core import Assignment, Line, Objective, PreferenceProfile, cost
 from ccwinner.errors import ParseError
 from ccwinner.generators import gen_sc_grid, gen_sc_line, gen_sc_tree, gen_star_instance
+from ccwinner.line_solver import solve_line_dp, solve_line_egal_threshold, solve_line_klink
+from ccwinner.oracle import brute_force
 
 THREE = {
     "schema_version": 1,
@@ -282,6 +285,134 @@ def test_solve_refuses_non_single_crossing(tmp_path, capsys):
     }
     assert main(["solve", write(tmp_path, doc), "--k", "1"]) == 1
     assert "single-crossing" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# line routes run on the merged instance
+
+
+def with_rho(profile, rng, draw):
+    """The profile with each rho row drawn by `draw(rng)`, sorted along the ranking: consistent."""
+    rho = []
+    for ranking in profile.rankings:
+        values = sorted(draw(rng))
+        row = [0] * profile.m
+        for p, c in enumerate(ranking):
+            row[c] = values[p]
+        rho.append(row)
+    return PreferenceProfile(profile.rankings, rho)
+
+
+def tie_heavy_line(seed):
+    """A short-word line (long runs of identical voters) with zero, Borda, step or rational rho."""
+    rng = random.Random(seed)
+    n, m, k = rng.randint(1, 30), rng.randint(1, 7), rng.randint(1, 9)
+    shuffle = rng.random() < 0.5
+    profile, line = gen_sc_line(seed, n, m, max_swaps=rng.randint(0, 4), shuffle_voters=shuffle)
+    draw = [
+        lambda r: [0] * m,
+        lambda r: range(m),
+        lambda r: [r.choice((0, 0, 1, 3)) for _ in range(m)],
+        lambda r: [Fraction(r.randint(0, 12), r.choice((1, 2, 3))) for _ in range(m)],
+    ][seed % 4]
+    return with_rho(profile, rng, draw), line, k
+
+
+def line_routes(profile, line, k):
+    """(algorithm, objective, the unmerged solver's result) for every line route of _dispatch."""
+    egal = Objective.EGALITARIAN
+    return [
+        ("line-dp", Objective.UTILITARIAN, solve_line_dp(profile, line, k)),
+        ("line-dp", egal, solve_line_dp(profile, line, k, egal)),
+        ("line-klink", Objective.UTILITARIAN, solve_line_klink(profile, line, k)),
+        ("line-klink", egal, solve_line_egal_threshold(profile, line, k)),
+    ]
+
+
+def test_merged_line_routes_return_the_unmerged_answers():
+    merged_calls = unmerged_calls = 0
+    for seed in range(1000):
+        profile, line, k = tie_heavy_line(seed)
+        for algorithm, objective, want in line_routes(profile, line, k):
+            got, _ = cli._dispatch(profile, line, algorithm, objective, k)
+            where = (seed, algorithm, objective)
+            assert got.assignment == want.assignment, where
+            assert (got.total_cost, got.egal_cost, got.k_used) == (
+                want.total_cost, want.egal_cost, want.k_used), where
+            assert got.algorithm == want.algorithm
+            for key in ("l_star", "lambda", "links", "threshold", "lower_bound"):
+                assert got.stats.get(key) == want.stats.get(key), (where, key)
+            assert got.stats["compressed_n"] <= profile.n
+            if "dp_calls" in want.stats:
+                # the merged search bisects the merged rows' distinct values, a
+                # subset; a shorter list can still take one more probe
+                assert got.stats["dp_calls"] <= want.stats["dp_calls"] + 1, where
+                merged_calls += got.stats["dp_calls"]
+                unmerged_calls += want.stats["dp_calls"]
+    assert merged_calls < unmerged_calls
+
+
+def test_merged_line_routes_on_rational_rho_match_the_oracle():
+    for seed in range(40):
+        rng = random.Random(seed)
+        n, m, k = rng.randint(2, 9), rng.randint(2, 5), rng.randint(1, 3)
+        profile, line = gen_sc_line(seed, n, m, max_swaps=3, shuffle_voters=seed % 2 == 0)
+        profile = with_rho(profile, rng, lambda r: [Fraction(r.randint(0, 20), r.choice((3, 7, 11)))
+                                                    for _ in range(m)])
+        best = {o: brute_force(profile, k, o) for o in Objective}
+        for algorithm, objective, _ in line_routes(profile, line, k):
+            got, _ = cli._dispatch(profile, line, algorithm, objective, k)
+            key = "egal_cost" if objective is Objective.EGALITARIAN else "total_cost"
+            assert getattr(got, key) == getattr(best[objective], key), (seed, algorithm, objective)
+            assert got.k_used <= k
+
+
+@pytest.mark.parametrize("shift", [60, 70])
+def test_merged_line_routes_stay_exact_past_int64(shift):
+    # 16 identical neighbours: at 2**60 each row fits int64, their sum does not
+    runs = ((0, 1, 2, 3),) * 16 + ((1, 0, 2, 3),) * 17 + ((1, 2, 0, 3),) * 3
+    borda = PreferenceProfile.from_rankings(runs)
+    profile = PreferenceProfile(runs, [[x << shift for x in row] for row in borda.rho])
+    line = Line(tuple(range(len(runs))))
+    for k in (1, 2):
+        for algorithm, objective, want in line_routes(profile, line, k):
+            got, _ = cli._dispatch(profile, line, algorithm, objective, k)
+            assert got.assignment == want.assignment, (k, algorithm, objective)
+            assert type(got.total_cost) is int and got.total_cost == want.total_cost
+            assert got.egal_cost == want.egal_cost
+            assert got.stats["compressed_n"] == 3
+
+
+@pytest.mark.parametrize(
+    "rankings, compressed",
+    [
+        ([[2, 1, 3]], 1),
+        ([[2, 1, 3]] * 4, 1),
+        ([[1, 2, 3], [2, 1, 3], [2, 3, 1]], 3),
+        ([[1, 2, 3], [1, 2, 3], [2, 1, 3], [2, 1, 3], [2, 3, 1]], 3),
+    ],
+)
+def test_result_file_reports_the_merged_voter_count(tmp_path, rankings, compressed):
+    structure = {"type": "line", "order": list(range(1, len(rankings) + 1))}
+    path = write(tmp_path, dict(THREE, rankings=rankings, structure=structure))
+    out = tmp_path / "r.json"
+    for algorithm in ("line-dp", "line-klink"):
+        assert main(["solve", path, "--k", "1", "--algorithm", algorithm, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["stats"]["compressed_n"] == compressed
+    assert main(["solve", path, "--k", "1", "--algorithm", "oracle", "--out", str(out)]) == 0
+    assert "compressed_n" not in json.loads(out.read_text())["stats"]
+
+
+def test_klink_result_file_carries_the_lower_bound(tmp_path):
+    doc = dict(THREE)
+    doc["rho"] = [[0, "2/3", 1], ["1/7", 0, "5/3"], [2, 0, "1/3"]]
+    out = tmp_path / "r.json"
+    argv = ["solve", write(tmp_path, doc), "--k", "1", "--algorithm", "line-klink"]
+    assert main(argv + ["--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["total_cost"] == "2/3"
+    assert result["stats"]["lambda"] == "2/3"  # a positive penalty: the bound is total - lambda * k
+    assert result["stats"]["lower_bound"] == result["total_cost"]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from ccwinner.line_solver import (
     KLinkInstance,
     build_prefix_sums,
     check_concave_monge,
+    merge_identical_voters,
     omega,
     smawk_min_links,
     solve_line_dp,
@@ -105,6 +106,38 @@ def test_monge_violation_on_a_double_crossing_profile():
     profile = PreferenceProfile.from_rankings((a, b, a, b))
     prefix = build_prefix_sums(profile, Line((0, 1, 2, 3)))
     assert check_concave_monge(prefix) == (0, 2)
+
+
+def loop_concave_monge(prefix):
+    """The checker as a pairwise loop over (i, j), the reference for the array version."""
+    for i in range(prefix.n - 2):
+        for j in range(i + 2, prefix.n):
+            lhs = omega(prefix, i, j)[0] + omega(prefix, i + 1, j + 1)[0]
+            rhs = omega(prefix, i, j + 1)[0] + omega(prefix, i + 1, j)[0]
+            if lhs > rhs:
+                return (i, j)
+    return None
+
+
+def test_monge_checker_matches_the_pairwise_loop():
+    violations = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 14), rng.randint(1, 5)
+        profile, line = gen_sc_line(seed, n, m, shuffle_voters=seed % 3 == 0)
+        if seed % 2:  # random rankings: mostly not single-crossing
+            rankings = [tuple(rng.sample(range(m), m)) for _ in range(n)]
+            rho = [[rng.randint(0, 9) for _ in range(m)] for _ in range(n)]
+            if seed % 4 == 1:
+                rho = [[Fraction(x, 1 + v % 3) for x in row] for v, row in enumerate(rho)]
+            elif seed % 8 == 3:
+                rho = [[x << 70 for x in row] for row in rho]  # object prefix table
+            profile = PreferenceProfile(rankings, rho)
+        prefix = build_prefix_sums(profile, line)
+        got = check_concave_monge(prefix)
+        assert got == loop_concave_monge(prefix), seed
+        violations += got is not None
+    assert 20 < violations < 100  # both outcomes exercised
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -354,6 +387,7 @@ def test_klink_solves_scaled_rationals_exactly():
         got = solve_line_klink(rational, line, k)
         want = solve_line_dp(rational, line, k)
         assert got.total_cost == want.total_cost, (seed, n, m, k)
+        assert got.stats["lower_bound"] == got.total_cost  # the Lagrangian certificate
         assert got.k_used <= k
 
 
@@ -377,6 +411,7 @@ def test_klink_matches_the_dp():
         got = solve_line_klink(profile, line, k)
         want = solve_line_dp(profile, line, k)
         assert got.total_cost == want.total_cost, (seed, n, m, k)
+        assert got.stats["lower_bound"] == got.total_cost  # the Lagrangian certificate
         assert got.k_used <= k
 
 
@@ -390,7 +425,7 @@ def test_klink_synthesis_on_a_forced_plateau():
     klink_res = solve_line_klink(profile, line, k=2)
     dp_res = solve_line_dp(profile, line, k=2)
     assert klink_res.stats["lambda"] > 0
-    assert klink_res.total_cost == dp_res.total_cost
+    assert klink_res.total_cost == dp_res.total_cost == klink_res.stats["lower_bound"]
     assert klink_res.k_used <= 2
 
 
@@ -459,3 +494,38 @@ def test_egal_threshold_reuses_the_last_feasible_probe():
         assert got.stats["dp_calls"] == probes + (0 if probed else 1), seed
         reruns += not probed
     assert 0 < reruns < 40  # both branches exercised
+
+
+# ---------------------------------------------------------------------------
+# merging identical adjacent voters
+
+
+def test_merge_runs_of_identical_neighbours():
+    a, b, c = (0, 1, 2), (1, 0, 2), (1, 2, 0)
+    rho = [[v, 2 * v, 3 * v] for v in range(7)]
+    # line order 6, 0, 5, 1, 2, 3, 4 reads a a a b b a c
+    rankings = [a, b, b, a, c, a, a]
+    profile = PreferenceProfile(rankings, rho)
+    line = Line((6, 0, 5, 1, 2, 3, 4))
+    merged, block = merge_identical_voters(profile, line)
+    # the second a-run is not adjacent to the first: it stays its own voter
+    assert block.tolist() == [0, 1, 1, 2, 3, 0, 0]
+    assert merged.rankings == (a, b, a, c)
+    assert merged.rho == ((11, 22, 33), (3, 6, 9), (3, 6, 9), (4, 8, 12))
+    egal, egal_block = merge_identical_voters(profile, line, Objective.EGALITARIAN)
+    assert egal_block.tolist() == block.tolist()
+    assert egal.rho == ((6, 12, 18), (2, 4, 6), (3, 6, 9), (4, 8, 12))
+
+
+def test_merge_sums_past_the_int64_range():
+    # each row fits int64; the sum of 16 identical rows does not
+    runs = ((0, 1, 2, 3),) * 16 + ((1, 0, 2, 3),) * 17 + ((1, 2, 0, 3),) * 3
+    borda = PreferenceProfile.from_rankings(runs)
+    big = PreferenceProfile(runs, [[x << 60 for x in row] for row in borda.rho])
+    assert big.scaled.dtype == np.int64
+    line = Line(tuple(range(len(runs))))
+    merged, _ = merge_identical_voters(big, line)
+    assert merged.scaled.dtype == object
+    assert merged.rho[0] == tuple((x * 16) << 60 for x in borda.rho[0])
+    egal, _ = merge_identical_voters(big, line, Objective.EGALITARIAN)
+    assert egal.scaled.dtype == np.int64 and egal.rho[0] == big.rho[0]
