@@ -539,62 +539,54 @@ def _fit_slope(xs, ys) -> float:
     return float(np.polyfit(np.log2(np.array(xs, float)), np.log2(np.array(ys, float)), 1)[0])
 
 
-def _bench_line(base_n, base_m, base_k, points, seed):
-    def run(n, m, k):
-        profile, line = gen_sc_line(seed, n, m)
-        t0 = time.perf_counter()
-        result = solve_line_dp(profile, line, k)
-        return time.perf_counter() - t0, result.stats["states"]
-
-    return {
-        "n": [(base_n * 2**i, *run(base_n * 2**i, base_m, base_k)) for i in range(points)],
-        "m": [(base_m * 2**i, *run(base_n, base_m * 2**i, base_k)) for i in range(points)],
-        "k": [(base_k * 2**i, *run(base_n, base_m, base_k * 2**i)) for i in range(points)],
-    }
+def _run_line(seed, n, m, k):
+    profile, line = gen_sc_line(seed, n, m)
+    t0 = time.perf_counter()
+    result = solve_line_dp(profile, line, k)
+    return time.perf_counter() - t0, result.stats["states"]
 
 
-def _bench_tree(base_n, base_m, base_k, points, seed):
-    def run(n, m, k):
-        profile, tree = gen_sc_tree(seed, n, m)
-        t0 = time.perf_counter()
-        result = solve_tree_dp(profile, tree, k)
-        return time.perf_counter() - t0, result.stats["states"]
-
-    return {
-        "n": [(base_n * 2**i, *run(base_n * 2**i, base_m, base_k)) for i in range(points)],
-        "m": [(base_m * 2**i, *run(base_n, base_m * 2**i, base_k)) for i in range(points)],
-        "k": [(base_k * 2**i, *run(base_n, base_m, base_k * 2**i)) for i in range(points)],
-    }
+def _run_tree(seed, n, m, k):
+    profile, tree = gen_sc_tree(seed, n, m)
+    t0 = time.perf_counter()
+    result = solve_tree_dp(profile, tree, k)
+    return time.perf_counter() - t0, result.stats["states"]
 
 
-def _bench_grid(base_n, base_m, base_k, points, seed):
-    # base_n doubles the column count; three rows keep the DP table affordable
-    def run(n2, m, k):
-        profile, grid = gen_sc_grid(seed, 3, n2, m)
-        t0 = time.perf_counter()
-        result, _ = solve_grid_laminar(profile, grid, k)
-        return time.perf_counter() - t0, result.stats["dp_cells"]
+def _run_grid(seed, n, m, k):
+    # n doubles the column count; three rows keep the DP table affordable
+    profile, grid = gen_sc_grid(seed, 3, n, m)
+    t0 = time.perf_counter()
+    result, _ = solve_grid_laminar(profile, grid, k)
+    return time.perf_counter() - t0, result.stats["dp_cells"]
 
-    return {
-        "n": [(base_n * 2**i, *run(base_n * 2**i, base_m, base_k)) for i in range(points)],
-        "m": [(base_m * 2**i, *run(base_n, base_m * 2**i, base_k)) for i in range(points)],
-        "k": [(base_k * 2**i, *run(base_n, base_m, base_k * 2**i)) for i in range(points)],
-    }
+
+def _sweep(run, seed, base: dict, points: int) -> dict:
+    """Double one of n, m, k at a time from `base`: {param: [(value, seconds, counter), ...]}."""
+    sweeps = {}
+    for param in ("n", "m", "k"):
+        sweeps[param] = []
+        for i in range(points):
+            sizes = {**base, param: base[param] * 2**i}
+            sweeps[param].append((sizes[param], *run(seed, **sizes)))
+    return sweeps
 
 
 _BENCH_DEFAULTS = {
-    "line": (2000, 6, 3, _bench_line),
-    "tree": (400, 6, 3, _bench_tree),
-    "grid": (4, 4, 2, _bench_grid),
+    "line": (2000, 6, 3, _run_line),
+    "tree": (400, 6, 3, _run_tree),
+    "grid": (4, 4, 2, _run_grid),
 }
 
 
 def cmd_bench(args) -> int:
-    default_n, default_m, default_k, runner = _BENCH_DEFAULTS[args.suite]
-    base_n = args.base_n or default_n
-    base_m = args.base_m or default_m
-    base_k = args.base_k or default_k
-    sweeps = runner(base_n, base_m, base_k, args.points, args.seed)
+    default_n, default_m, default_k, run = _BENCH_DEFAULTS[args.suite]
+    base = {
+        "n": default_n if args.base_n is None else args.base_n,
+        "m": default_m if args.base_m is None else args.base_m,
+        "k": default_k if args.base_k is None else args.base_k,
+    }
+    sweeps = _sweep(run, args.seed, base, args.points)
     report = {"schema_version": SCHEMA_VERSION, "suite": args.suite, "sweeps": {}}
     for param, rows in sweeps.items():
         values = [r[0] for r in rows]
@@ -615,6 +607,21 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _at_least(low: int):
+    """argparse type for an integer no smaller than `low`; a smaller one is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -660,21 +667,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", nargs="?", default=None, help="monge: a line instance file")
     p.add_argument("--instances", type=int, default=300, help="sweep size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-max", type=int, default=12, help="monge sweep: voters")
-    p.add_argument("--m-max", type=int, default=6, help="sweep: candidates")
-    p.add_argument("--n1-max", type=int, default=4, help="conjecture sweep: rows")
-    p.add_argument("--n2-max", type=int, default=5, help="conjecture sweep: columns")
-    p.add_argument("--k-max", type=int, default=5, help="conjecture sweep: committee bound")
+    p.add_argument("--n-max", type=_at_least(3), default=12, help="monge sweep: voters")
+    p.add_argument("--m-max", type=_at_least(2), default=6, help="sweep: candidates")
+    p.add_argument("--n1-max", type=_at_least(1), default=4, help="conjecture sweep: rows")
+    p.add_argument("--n2-max", type=_at_least(1), default=5, help="conjecture sweep: columns")
+    p.add_argument("--k-max", type=_at_least(1), default=5, help="conjecture sweep: committee bound")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers for the sweep")
     p.add_argument("--out", default=None, help="conjecture: CSV report path")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bench", help="doubling sweeps with log-log slopes")
     p.add_argument("--suite", choices=("line", "tree", "grid"), required=True)
-    p.add_argument("--points", type=int, default=4, help="doublings per parameter")
-    p.add_argument("--base-n", type=int, default=None)
-    p.add_argument("--base-m", type=int, default=None)
-    p.add_argument("--base-k", type=int, default=None)
+    p.add_argument("--points", type=_at_least(2), default=4, help="doublings per parameter")
+    p.add_argument("--base-n", type=_at_least(1), default=None)
+    p.add_argument("--base-m", type=_at_least(1), default=None)
+    p.add_argument("--base-k", type=_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="JSON report path")
     p.set_defaults(func=cmd_bench)

@@ -9,8 +9,9 @@ Three routes to the optimum:
   are concave Monge, so unconstrained penalized optima come from a
   totally-monotone matrix search and the link budget is enforced by a
   Lagrangian search on the penalty;
-* ``solve_line_egal_threshold`` -- egalitarian via binary search on the
-  bottleneck value, each feasibility probe a 0/1 utilitarian DP.
+* ``solve_line_egal_threshold`` -- egalitarian as a bottleneck value: one
+  max-objective DP finds the least feasible threshold, one 0/1 utilitarian
+  DP at that threshold gives the witness.
 
 Everything here works on the normalized scaled rows of the instance
 (candidates relabeled so the first voter in line order ranks them 0, 1, 2,
@@ -598,47 +599,29 @@ def solve_line_klink(profile: PreferenceProfile, order, k: int) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# egalitarian threshold search
+# egalitarian threshold
 
 
 def solve_line_egal_threshold(profile: PreferenceProfile, order, k: int) -> SolveResult:
-    """Egalitarian optimum by binary search on the bottleneck value.
+    """Egalitarian optimum as the least feasible bottleneck value, with its 0/1 witness.
 
-    Feasibility of threshold t replaces rho with 0 where rho <= t and 1
-    above; rankings are untouched, so the probe instance is exactly as
-    single-crossing as the input, and t is achievable iff the utilitarian
-    optimum of the probe is 0. The answer is the least feasible t among the
-    distinct rho values. Each probe is one mask of the normalized scaled
-    rows and one DP run; ``threshold`` is reported in rho units.
+    Threshold t is feasible when some monotone assignment of at most
+    min(k, n) blocks pays rho <= t everywhere, that is, when the utilitarian
+    optimum of the 0/1 profile (rho > t) is 0. One max-objective DP finds
+    the least such t: the largest scaled value its assignment pays. One 0/1
+    DP at that t gives the witness; its tie-breaks, not the max-objective
+    DP's, choose among the assignments that meet t. Both DPs range over the
+    same block assignments, so t and the witness are those of a search over
+    every threshold. ``threshold`` is reported in rho units.
     """
     if k < 1:
         raise InvalidK(f"committee bound must be at least 1, got {k}")
     line = _line(profile, order)
     rows, inverse = _normalized_rows(profile, line)
-    values = np.unique(rows).tolist()
     planes = min(k, profile.n)
-    everyone = np.arange(profile.n)
-    over = np.empty(rows.shape, dtype=np.int64)  # one 0/1 buffer serves every probe
-    calls = 0
-
-    def probe(t) -> Optional[list]:
-        nonlocal calls
-        calls += 1
-        np.greater(rows, t, out=over)
-        rep_pos = _dp_engine(over, planes, False)[0]
-        return None if over[everyone, rep_pos].any() else rep_pos
-
-    lo, hi = 0, len(values) - 1
-    rep_pos = None  # the witness of the last feasible probe, which is at values[hi]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        got = probe(values[mid])
-        if got is not None:
-            hi, rep_pos = mid, got
-        else:
-            lo = mid + 1
-    if rep_pos is None:  # hi never moved: the top value, feasible with any k
-        rep_pos = probe(values[lo])
+    rep_pos = _dp_engine(rows, planes, True)[0]
+    t = int(rows[np.arange(profile.n), rep_pos].max())
+    rep_pos = _dp_engine(rows > t, planes, False)[0]
     witness = _from_line_positions(profile, line, inverse, rep_pos)
-    stats = {"threshold": to_rho_units(values[lo], profile.scale), "dp_calls": calls}
+    stats = {"threshold": to_rho_units(t, profile.scale), "dp_calls": 2}
     return SolveResult.from_assignment(profile, witness, "line-egal-threshold", stats)

@@ -330,7 +330,6 @@ def line_routes(profile, line, k):
 
 
 def test_merged_line_routes_return_the_unmerged_answers():
-    merged_calls = unmerged_calls = 0
     for seed in range(1000):
         profile, line, k = tie_heavy_line(seed)
         for algorithm, objective, want in line_routes(profile, line, k):
@@ -344,12 +343,7 @@ def test_merged_line_routes_return_the_unmerged_answers():
                 assert got.stats.get(key) == want.stats.get(key), (where, key)
             assert got.stats["compressed_n"] <= profile.n
             if "dp_calls" in want.stats:
-                # the merged search bisects the merged rows' distinct values, a
-                # subset; a shorter list can still take one more probe
-                assert got.stats["dp_calls"] <= want.stats["dp_calls"] + 1, where
-                merged_calls += got.stats["dp_calls"]
-                unmerged_calls += want.stats["dp_calls"]
-    assert merged_calls < unmerged_calls
+                assert got.stats["dp_calls"] == want.stats["dp_calls"] == 2, where
 
 
 def test_merged_line_routes_on_rational_rho_match_the_oracle():
@@ -503,6 +497,26 @@ def test_bench_report(tmp_path, capsys):
     for sweep in doc["sweeps"].values():
         assert len(sweep["points"]) == 2
         assert "slope_states" in sweep and "slope_time" in sweep
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--suite", "line", "--points", "1"],
+        ["bench", "--suite", "line", "--base-n", "0"],
+        ["bench", "--suite", "line", "--base-m", "0"],
+        ["bench", "--suite", "line", "--base-k", "0"],
+        ["check", "--mode", "monge", "--n-max", "2"],
+        ["check", "--mode", "monge", "--m-max", "1"],
+        ["check", "--mode", "conjecture", "--n1-max", "0"],
+        ["check", "--mode", "conjecture", "--n2-max", "0"],
+        ["check", "--mode", "conjecture", "--k-max", "0"],
+        ["check", "--mode", "conjecture", "--m-max", "1"],
+    ],
+)
+def test_sweep_bounds_below_their_range_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    assert "expected an integer >=" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
