@@ -356,7 +356,7 @@ def _solve_merged(profile, line, objective: Objective, solve, *args) -> SolveRes
     return SolveResult.from_assignment(profile, assignment, inner.algorithm, stats)
 
 
-def _dispatch(profile, structure, algorithm: str, objective: Objective, k: int):
+def _dispatch(profile, structure, algorithm: str, objective: Objective, k: int) -> SolveResult:
     if algorithm == "auto":
         if isinstance(structure, Line):
             algorithm = "line-dp"
@@ -373,28 +373,30 @@ def _dispatch(profile, structure, algorithm: str, objective: Objective, k: int):
 
     if algorithm == "line-dp":
         need(Line, "line")
-        return _solve_merged(profile, structure, objective, solve_line_dp, k, objective), None
+        return _solve_merged(profile, structure, objective, solve_line_dp, k, objective)
     if algorithm == "line-klink":
         need(Line, "line")
         if objective is Objective.EGALITARIAN:
             # no egalitarian k-link route exists; threshold search is the
             # egalitarian line algorithm, so hand over rather than refuse
-            return _solve_merged(profile, structure, objective, solve_line_egal_threshold, k), None
-        return _solve_merged(profile, structure, objective, solve_line_klink, k), None
+            return _solve_merged(profile, structure, objective, solve_line_egal_threshold, k)
+        return _solve_merged(profile, structure, objective, solve_line_klink, k)
     if algorithm == "tree-dp":
         need(RootedTree, "tree")
-        return solve_tree_dp(profile, structure, k, objective), None
+        return solve_tree_dp(profile, structure, k, objective)
     if algorithm in ("grid-laminar", "grid-bicriterial"):
         need(Grid, "grid")
         if objective is Objective.EGALITARIAN:
             raise AlgorithmStructureMismatch(
                 "egalitarian grid solving is not offered; use --objective utilitarian"
             )
-        if algorithm == "grid-laminar":
-            return solve_grid_laminar(profile, structure, k)
-        return solve_grid_bicriterial(profile, structure, k), None
-    result = brute_force(profile, k, objective, budget=_env_budget() or 10**7)
-    return result, None
+        if algorithm == "grid-bicriterial":
+            return solve_grid_bicriterial(profile, structure, k)
+        result, tiling = solve_grid_laminar(profile, structure, k)
+        result.stats["tiling"] = tuple((r.i0, r.i1, r.j0, r.j1) for r in tiling.rects)
+        result.stats["reps"] = tiling.reps
+        return result
+    return brute_force(profile, k, objective, budget=_env_budget() or 10**7)
 
 
 def cmd_solve(args) -> int:
@@ -417,10 +419,7 @@ def cmd_solve(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    result, tiling = _dispatch(profile, structure, args.algorithm, objective, k)
-    if tiling is not None:
-        result.stats["tiling"] = tuple((r.i0, r.i1, r.j0, r.j1) for r in tiling.rects)
-        result.stats["reps"] = tiling.reps
+    result = _dispatch(profile, structure, args.algorithm, objective, k)
     doc = result_to_doc(result, k, objective)
     committee = ",".join(str(c) for c in doc["committee"])
     print(
@@ -586,6 +585,10 @@ def cmd_bench(args) -> int:
         "m": default_m if args.base_m is None else args.base_m,
         "k": default_k if args.base_k is None else args.base_k,
     }
+    if args.suite == "tree" and base["k"] * 2 ** (args.points - 1) >= base["n"]:
+        # at k >= n the tree DP returns everyone's top choice and counts no states
+        print("bench --suite tree: needs base-k * 2^(points-1) < base-n", file=sys.stderr)
+        return 2
     sweeps = _sweep(run, args.seed, base, args.points)
     report = {"schema_version": SCHEMA_VERSION, "suite": args.suite, "sweeps": {}}
     for param, rows in sweeps.items():

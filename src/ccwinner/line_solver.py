@@ -3,15 +3,16 @@
 Three routes to the optimum:
 
 * ``solve_line_dp`` -- the O(nmk) dynamic program over (voter, committee
-  budget, candidate) states, for both objectives;
+  budget, candidate) states, for both objectives: one step per voter, last
+  to first, from the empty state past the last voter;
 * ``solve_line_klink`` -- the reduction to a k-link shortest path in a DAG
   whose arc weights are cheapest-single-candidate segment sums. The weights
   are concave Monge, so unconstrained penalized optima come from a
   totally-monotone matrix search and the link budget is enforced by a
   Lagrangian search on the penalty;
-* ``solve_line_egal_threshold`` -- egalitarian as a bottleneck value: one
-  max-objective DP finds the least feasible threshold, one 0/1 utilitarian
-  DP at that threshold gives the witness.
+* ``solve_line_egal_threshold`` -- egalitarian as a bottleneck value: the
+  value sweep of the max-objective DP finds the least feasible threshold,
+  one 0/1 utilitarian DP at that threshold gives the witness.
 
 Everything here works on the normalized scaled rows of the instance
 (candidates relabeled so the first voter in line order ranks them 0, 1, 2,
@@ -394,15 +395,9 @@ def _exact_k_path(klink: KLinkInstance, lam, k: int) -> tuple[int, ...]:
 # inf, chosen per instance above every finite total, and the recurrences
 # propagate it, so no explicit bound of t against m is needed. Values are
 # int64 when inf plus any entry fits, otherwise Python ints in object arrays;
-# the same array code runs on both.
-
-
-def _dp_base(rho_last: np.ndarray, planes: int, inf):
-    m = rho_last.shape[0]
-    d1 = np.full((planes, m), inf, dtype=rho_last.dtype)
-    d1[0] = rho_last
-    d0 = np.minimum.accumulate(d1[:, ::-1], axis=1)[:, ::-1]
-    return d1, d0
+# the same array code runs on both. Every sweep starts past the last voter,
+# where dyp1 row 0 is zero and all else is inf: an empty suffix costs nothing
+# and opens no candidate. So every voter, the last one included, is one step.
 
 
 def _dp_step(rho_i: np.ndarray, next1: np.ndarray, next0: np.ndarray, egal: bool, inf):
@@ -424,24 +419,40 @@ def _bit(packed: np.ndarray, idx: int) -> int:
     return (int(packed[idx >> 3]) >> (7 - (idx & 7))) & 1
 
 
-def _record_segment(rho, planes, egal, inf, a, b, checkpoints):
+def _dp_sweep(rho: np.ndarray, planes: int, egal: bool):
+    """Value sweep over scaled integer rows in line order, last voter first.
+
+    Returns the rows in the sweep's dtype, the sentinel inf, the spacing B
+    and the planes (dyp1, dyp0) at n and at each index divisible by B; the
+    first voter's dyp0, ``checkpoints[0][1]``, holds the optimum per size.
+    """
+    n, m = rho.shape
+    top = int(rho.max())
+    inf = n * top + 1  # above every finite total and every finite maximum
+    dtype = int_dtype(inf + top)
+    rho = rho.astype(dtype, copy=False)
+    spacing = max(1, int(8 * math.sqrt(n)))
+    d1 = np.full((planes, m), inf, dtype=dtype)
+    d1[0] = 0
+    d0 = np.full((planes, m), inf, dtype=dtype)
+    checkpoints = {n: (d1, d0)}
+    for i in range(n - 1, -1, -1):
+        d1, d0, _ = _dp_step(rho[i], d1, d0, egal, inf)  # fresh arrays: no copy needed
+        if i % spacing == 0:
+            checkpoints[i] = (d1, d0)
+    return rho, inf, spacing, checkpoints
+
+
+def _record_segment(rho, egal, inf, a, b, checkpoints):
     """Re-run the DP for voters b..a, packing choice and take bits per voter.
 
     take[t, c] says dyp1 attains dyp0 at (t, c); choice[t, c] says opening a
     fresh candidate strictly beats staying on c.
     """
-    n, m = rho.shape
-    nbytes = (planes * m + 7) // 8
+    d1, d0 = checkpoints[b + 1]
     choice_bits: list = [None] * (b - a + 1)
     take_bits: list = [None] * (b - a + 1)
-    if b == n - 1:
-        d1, d0 = _dp_base(rho[b], planes, inf)
-        choice_bits[b - a] = np.zeros(nbytes, dtype=np.uint8)
-    else:
-        d1, d0, ch = _dp_step(rho[b], *checkpoints[b + 1], egal, inf)
-        choice_bits[b - a] = np.packbits(ch.ravel())
-    take_bits[b - a] = np.packbits((d1 == d0).ravel())
-    for i in range(b - 1, a - 1, -1):
+    for i in range(b, a - 1, -1):
         d1, d0, ch = _dp_step(rho[i], d1, d0, egal, inf)
         choice_bits[i - a] = np.packbits(ch.ravel())
         take_bits[i - a] = np.packbits((d1 == d0).ravel())
@@ -458,30 +469,16 @@ def _dp_engine(rho: np.ndarray, planes: int, egal: bool):
     dtype the sweep ran in).
     """
     n, m = rho.shape
-    top = int(rho.max())
-    inf = n * top + 1  # above every finite total and every finite maximum
-    dtype = int_dtype(inf + top)
-    rho = rho.astype(dtype, copy=False)
-    spacing = max(1, int(8 * math.sqrt(n)))
-    checkpoints = {}
-    d1, d0 = _dp_base(rho[n - 1], planes, inf)
-    if n - 1 > 0 and (n - 1) % spacing == 0:
-        checkpoints[n - 1] = (d1.copy(), d0.copy())
-    for i in range(n - 2, -1, -1):
-        d1, d0, _ = _dp_step(rho[i], d1, d0, egal, inf)
-        if i > 0 and i % spacing == 0:
-            checkpoints[i] = (d1.copy(), d0.copy())
-    first = d0[:, 0]
-    t = int(first.argmin())  # smallest committee size among optima
+    rho, inf, spacing, checkpoints = _dp_sweep(rho, planes, egal)
+    t = int(checkpoints[0][1][:, 0].argmin())  # smallest committee size among optima
     l_star = t + 1
 
     rep: list[int] = []
     c = 0
     resolving = True  # current state is a dyp0 state until take says stop
-    a = 0
-    while a < n:
+    for a in range(0, n, spacing):
         b = min(a + spacing - 1, n - 1)
-        choice_bits, take_bits = _record_segment(rho, planes, egal, inf, a, b, checkpoints)
+        choice_bits, take_bits = _record_segment(rho, egal, inf, a, b, checkpoints)
         for i in range(a, b + 1):
             if resolving:
                 idx = t * m + c
@@ -489,15 +486,13 @@ def _dp_engine(rho: np.ndarray, planes: int, egal: bool):
                     c += 1
                     idx += 1
             rep.append(c)
-            if i < n - 1:
-                if _bit(choice_bits[i - a], t * m + c):
-                    t -= 1
-                    c += 1
-                    resolving = True
-                else:
-                    resolving = False
-        a = b + 1
-    return rep, l_star, np.dtype(dtype).name
+            if _bit(choice_bits[i - a], t * m + c):
+                t -= 1
+                c += 1
+                resolving = True
+            else:
+                resolving = False
+    return rep, l_star, rho.dtype.name
 
 
 def solve_line_dp(
@@ -607,20 +602,21 @@ def solve_line_egal_threshold(profile: PreferenceProfile, order, k: int) -> Solv
 
     Threshold t is feasible when some monotone assignment of at most
     min(k, n) blocks pays rho <= t everywhere, that is, when the utilitarian
-    optimum of the 0/1 profile (rho > t) is 0. One max-objective DP finds
-    the least such t: the largest scaled value its assignment pays. One 0/1
-    DP at that t gives the witness; its tie-breaks, not the max-objective
-    DP's, choose among the assignments that meet t. Both DPs range over the
-    same block assignments, so t and the witness are those of a search over
-    every threshold. ``threshold`` is reported in rho units.
+    optimum of the 0/1 profile (rho > t) is 0. The value sweep of the
+    max-objective DP finds the least such t: the minimum over committee
+    sizes of the first voter's dyp0 at candidate 0. One 0/1 DP at that t
+    gives the witness; its tie-breaks choose among the assignments that meet
+    t. Both DPs range over the same block assignments, so t and the witness
+    are those of a search over every threshold. ``threshold`` is reported
+    in rho units.
     """
     if k < 1:
         raise InvalidK(f"committee bound must be at least 1, got {k}")
     line = _line(profile, order)
     rows, inverse = _normalized_rows(profile, line)
     planes = min(k, profile.n)
-    rep_pos = _dp_engine(rows, planes, True)[0]
-    t = int(rows[np.arange(profile.n), rep_pos].max())
+    checkpoints = _dp_sweep(rows, planes, True)[3]
+    t = int(checkpoints[0][1][:, 0].min())
     rep_pos = _dp_engine(rows > t, planes, False)[0]
     witness = _from_line_positions(profile, line, inverse, rep_pos)
     stats = {"threshold": to_rho_units(t, profile.scale), "dp_calls": 2}

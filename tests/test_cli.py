@@ -333,7 +333,7 @@ def test_merged_line_routes_return_the_unmerged_answers():
     for seed in range(1000):
         profile, line, k = tie_heavy_line(seed)
         for algorithm, objective, want in line_routes(profile, line, k):
-            got, _ = cli._dispatch(profile, line, algorithm, objective, k)
+            got = cli._dispatch(profile, line, algorithm, objective, k)
             where = (seed, algorithm, objective)
             assert got.assignment == want.assignment, where
             assert (got.total_cost, got.egal_cost, got.k_used) == (
@@ -355,7 +355,7 @@ def test_merged_line_routes_on_rational_rho_match_the_oracle():
                                                     for _ in range(m)])
         best = {o: brute_force(profile, k, o) for o in Objective}
         for algorithm, objective, _ in line_routes(profile, line, k):
-            got, _ = cli._dispatch(profile, line, algorithm, objective, k)
+            got = cli._dispatch(profile, line, algorithm, objective, k)
             key = "egal_cost" if objective is Objective.EGALITARIAN else "total_cost"
             assert getattr(got, key) == getattr(best[objective], key), (seed, algorithm, objective)
             assert got.k_used <= k
@@ -370,7 +370,7 @@ def test_merged_line_routes_stay_exact_past_int64(shift):
     line = Line(tuple(range(len(runs))))
     for k in (1, 2):
         for algorithm, objective, want in line_routes(profile, line, k):
-            got, _ = cli._dispatch(profile, line, algorithm, objective, k)
+            got = cli._dispatch(profile, line, algorithm, objective, k)
             assert got.assignment == want.assignment, (k, algorithm, objective)
             assert type(got.total_cost) is int and got.total_cost == want.total_cost
             assert got.egal_cost == want.egal_cost
@@ -517,6 +517,17 @@ def test_bench_report(tmp_path, capsys):
 def test_sweep_bounds_below_their_range_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     assert "expected an integer >=" in capsys.readouterr().err
+
+
+def test_tree_bench_with_k_reaching_n_is_a_usage_error(capsys):
+    # the k sweep's last point, 1 * 2^1, meets n = 2, where the tree DP counts no states
+    argv = ["bench", "--suite", "tree", "--points", "2", "--base-n", "2", "--base-k", "1"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert "base-k * 2^(points-1) < base-n" in out.err
+    assert out.out == ""  # refused before any sweep ran
+    assert main(["bench", "--suite", "tree", "--points", "2", "--base-n", "3", "--base-m", "2",
+                 "--base-k", "1"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,212 @@
+"""The line DP engine against the engine it replaced.
+
+``reference_dp_step``, ``reference_dp_base``, ``reference_record_segment``
+and ``reference_dp_engine`` are the earlier implementation, kept as it was:
+the last voter is a base case with zero choice bits, and the walk skips the
+choice bits of the last voter. Starting every sweep from the state past the
+last voter must give the same representatives, committee size and engine on
+every input, ties included, for both objectives; the egalitarian threshold
+read from the value sweep must equal the largest value the max-objective
+walk pays.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from ccwinner.core import Line, PreferenceProfile, int_dtype, to_rho_units
+from ccwinner.generators import gen_sc_line
+from ccwinner.line_solver import (
+    _dp_engine,
+    _from_line_positions,
+    _normalized_rows,
+    solve_line_dp,
+    solve_line_egal_threshold,
+)
+
+
+def reference_dp_base(rho_last, planes, inf):
+    m = rho_last.shape[0]
+    d1 = np.full((planes, m), inf, dtype=rho_last.dtype)
+    d1[0] = rho_last
+    d0 = np.minimum.accumulate(d1[:, ::-1], axis=1)[:, ::-1]
+    return d1, d0
+
+
+def reference_dp_step(rho_i, next1, next0, egal, inf):
+    planes, m = next1.shape
+    new = np.full((planes, m), inf, dtype=next1.dtype)
+    new[1:, : m - 1] = next0[:-1, 1:]
+    choice = new < next1
+    inner = np.minimum(next1, new)
+    if egal:
+        cur1 = np.maximum(rho_i, inner)
+    else:
+        cur1 = rho_i + inner
+        np.minimum(cur1, inf, out=cur1)
+    cur0 = np.minimum.accumulate(cur1[:, ::-1], axis=1)[:, ::-1]
+    return cur1, cur0, choice
+
+
+def reference_bit(packed, idx):
+    return (int(packed[idx >> 3]) >> (7 - (idx & 7))) & 1
+
+
+def reference_record_segment(rho, planes, egal, inf, a, b, checkpoints):
+    n, m = rho.shape
+    nbytes = (planes * m + 7) // 8
+    choice_bits = [None] * (b - a + 1)
+    take_bits = [None] * (b - a + 1)
+    if b == n - 1:
+        d1, d0 = reference_dp_base(rho[b], planes, inf)
+        choice_bits[b - a] = np.zeros(nbytes, dtype=np.uint8)
+    else:
+        d1, d0, ch = reference_dp_step(rho[b], *checkpoints[b + 1], egal, inf)
+        choice_bits[b - a] = np.packbits(ch.ravel())
+    take_bits[b - a] = np.packbits((d1 == d0).ravel())
+    for i in range(b - 1, a - 1, -1):
+        d1, d0, ch = reference_dp_step(rho[i], d1, d0, egal, inf)
+        choice_bits[i - a] = np.packbits(ch.ravel())
+        take_bits[i - a] = np.packbits((d1 == d0).ravel())
+    return choice_bits, take_bits
+
+
+def reference_dp_engine(rho, planes, egal):
+    n, m = rho.shape
+    top = int(rho.max())
+    inf = n * top + 1
+    dtype = int_dtype(inf + top)
+    rho = rho.astype(dtype, copy=False)
+    spacing = max(1, int(8 * math.sqrt(n)))
+    checkpoints = {}
+    d1, d0 = reference_dp_base(rho[n - 1], planes, inf)
+    if n - 1 > 0 and (n - 1) % spacing == 0:
+        checkpoints[n - 1] = (d1.copy(), d0.copy())
+    for i in range(n - 2, -1, -1):
+        d1, d0, _ = reference_dp_step(rho[i], d1, d0, egal, inf)
+        if i > 0 and i % spacing == 0:
+            checkpoints[i] = (d1.copy(), d0.copy())
+    first = d0[:, 0]
+    t = int(first.argmin())
+    l_star = t + 1
+
+    rep = []
+    c = 0
+    resolving = True
+    a = 0
+    while a < n:
+        b = min(a + spacing - 1, n - 1)
+        choice_bits, take_bits = reference_record_segment(
+            rho, planes, egal, inf, a, b, checkpoints
+        )
+        for i in range(a, b + 1):
+            if resolving:
+                idx = t * m + c
+                while not reference_bit(take_bits[i - a], idx):
+                    c += 1
+                    idx += 1
+            rep.append(c)
+            if i < n - 1:
+                if reference_bit(choice_bits[i - a], t * m + c):
+                    t -= 1
+                    c += 1
+                    resolving = True
+                else:
+                    resolving = False
+        a = b + 1
+    return rep, l_star, np.dtype(dtype).name
+
+
+def reference_egal_threshold(profile, line, k):
+    """The earlier threshold solver: the max-objective walk's largest paid value, then a 0/1 DP."""
+    rows, inverse = _normalized_rows(profile, line)
+    planes = min(k, profile.n)
+    rep_pos = reference_dp_engine(rows, planes, True)[0]
+    t = int(rows[np.arange(profile.n), rep_pos].max())
+    rep_pos = reference_dp_engine(rows > t, planes, False)[0]
+    return to_rho_units(t, profile.scale), _from_line_positions(profile, line, inverse, rep_pos)
+
+
+DRAWS = ("zero", "step", "borda", "rational", "huge")
+
+
+def line_instance(seed, n, m, draw):
+    """A line whose rho rows follow `draw`; every third is single-crossing, the rest random."""
+    rng = random.Random(seed)
+    if seed % 3 == 0:
+        profile, line = gen_sc_line(seed, n, m, max_swaps=rng.randint(0, 2 * n))
+        rankings = profile.rankings
+    else:  # random rankings: not single-crossing on the line, as a rule
+        rankings = [tuple(rng.sample(range(m), m)) for _ in range(n)]
+        line = Line(tuple(rng.sample(range(n), n)))
+    values = {
+        "zero": lambda: [0] * m,
+        "step": lambda: [rng.choice((0, 0, 1, 3)) for _ in range(m)],
+        "borda": lambda: range(m),
+        "rational": lambda: [Fraction(rng.randint(0, 20), rng.choice((3, 7, 11))) for _ in range(m)],
+        "huge": lambda: [rng.randint(0, 5) << 70 for _ in range(m)],  # object engine
+    }[draw]
+    rho = []
+    for ranking in rankings:
+        ordered = sorted(values())
+        row = [0] * m
+        for p, c in enumerate(ranking):
+            row[c] = ordered[p]
+        rho.append(row)
+    return PreferenceProfile(rankings, rho), line
+
+
+def small_cases():
+    for seed in range(400):
+        rng = random.Random(seed)
+        n, m, k = rng.randint(1, 30), rng.randint(1, 7), rng.randint(1, 12)
+        yield seed, n, m, k, DRAWS[seed % len(DRAWS)]
+    for seed, (n, m, k) in enumerate([(1, 1, 1), (1, 5, 3), (7, 1, 2), (4, 3, 9), (1, 4, 1)]):
+        for draw in DRAWS:
+            yield 1000 + seed, n, m, k, draw
+
+
+def large_cases():
+    # n >= 600 gives at least three checkpoint segments of 8 * sqrt(n) voters
+    for seed, (n, m, k) in enumerate([(600, 5, 4), (700, 3, 9), (900, 6, 2)]):
+        for draw in DRAWS:
+            yield 2000 + seed, n, m, k, draw
+
+
+def assert_engines_agree(seed, n, m, k, draw):
+    profile, line = line_instance(seed, n, m, draw)
+    rows = _normalized_rows(profile, line)[0]
+    planes = min(k, n)
+    for egal in (False, True):
+        assert _dp_engine(rows, planes, egal) == reference_dp_engine(rows, planes, egal), (
+            seed, draw, egal)
+    for cut in sorted({int(x) for x in rows.ravel()})[:3]:  # 0/1 rows, as the witness DP sees them
+        binary = rows > cut
+        assert _dp_engine(binary, planes, False) == reference_dp_engine(binary, planes, False), (
+            seed, draw, cut)
+    got = solve_line_egal_threshold(profile, line, k)
+    threshold, witness = reference_egal_threshold(profile, line, k)
+    assert got.stats["threshold"] == threshold, (seed, draw)
+    assert got.assignment == witness, (seed, draw)
+
+
+def test_engine_matches_the_base_case_engine_on_small_lines():
+    for case in small_cases():
+        assert_engines_agree(*case)
+
+
+@pytest.mark.parametrize("draw", DRAWS)
+def test_engine_matches_the_base_case_engine_across_checkpoint_segments(draw):
+    for seed, n, m, k, d in large_cases():
+        if d == draw:
+            assert_engines_agree(seed, n, m, k, d)
+
+
+def test_engine_reports_the_object_dtype_past_int64():
+    profile, line = line_instance(1, 12, 4, "huge")
+    assert solve_line_dp(profile, line, 3).stats["engine"] == "object"
+    rows = _normalized_rows(profile, line)[0]
+    assert reference_dp_engine(rows, 3, False)[2] == "object"
