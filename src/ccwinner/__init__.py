@@ -24,6 +24,8 @@ from .errors import (
     AlgorithmStructureMismatch,
     BudgetExceeded,
     CCWinnerError,
+    IncompleteTilings,
+    InconsistentTables,
     InvalidK,
     InvalidN,
     InvalidTiling,
@@ -99,6 +101,8 @@ __all__ = [
     "AlgorithmStructureMismatch",
     "BudgetExceeded",
     "CCWinnerError",
+    "IncompleteTilings",
+    "InconsistentTables",
     "InvalidK",
     "InvalidN",
     "InvalidTiling",

@@ -25,6 +25,10 @@ class InvalidTiling(CCWinnerError, ValueError):
     """Rectangles overlap, leave gaps, or fall outside the grid."""
 
 
+class IncompleteTilings(CCWinnerError, ValueError):
+    """A tiling list is empty or misses a tiling the laminar DP reaches."""
+
+
 class BudgetExceeded(CCWinnerError, RuntimeError):
     """An enumeration would exceed the configured work budget."""
 
@@ -39,3 +43,7 @@ class AlgorithmStructureMismatch(CCWinnerError, ValueError):
 
 class ParseError(CCWinnerError, ValueError):
     """Instance or result file is malformed."""
+
+
+class InconsistentTables(CCWinnerError, RuntimeError):
+    """A backtracking walk found DP tables that do not reproduce their own values."""

@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .core import Assignment, Grid, PreferenceProfile, SolveResult, int_dtype, to_rho_units
-from .errors import BudgetExceeded, InvalidK, InvalidTiling
+from .errors import BudgetExceeded, IncompleteTilings, InvalidK, InvalidTiling
 
 __all__ = [
     "Rect",
@@ -389,7 +389,8 @@ def check_laminar_conjecture(
     the laminar optimum matches the unrestricted optimum and otherwise the
     strictly cheaper non-laminar tiling (with its representatives filled in).
     `tilings` may supply a pre-enumerated list to share across instances on
-    the same grid.
+    the same grid; an empty list, or one whose best tiling costs more than
+    the laminar optimum, raises `IncompleteTilings`.
     """
     laminar_cost = solve_grid_laminar(profile, grid, k)[0].total_cost
     prefix = build_grid_prefix(profile, grid)
@@ -411,7 +412,11 @@ def check_laminar_conjecture(
         if best_cost is None or total < best_cost:
             best_cost = total
             best = Tiling(tiling.rects, tuple(reps))
-    assert best_cost is not None
+    if best_cost is None:
+        raise IncompleteTilings("no tilings to compare with the laminar DP")
     best_cost = to_rho_units(best_cost, prefix.scale)
-    assert best_cost <= laminar_cost
+    if best_cost > laminar_cost:
+        raise IncompleteTilings(
+            f"the best of the tilings costs {best_cost}, above the laminar DP's {laminar_cost}"
+        )
     return best if best_cost < laminar_cost else None

@@ -17,10 +17,13 @@ Children are folded one at a time into a transient plane (the ``dyp2``
 tier); the fold at child u considers splitting l between u's subtree and
 the part already folded, either keeping u on its own candidate (DIFF,
 budget t goes to u with candidates above c) or sharing v's candidate c
-(SAME, u's piece and v's piece merge into one subtree). For a fixed child
-budget the affected budgets l form one contiguous block of rows, and the
-better of the two branches' child pieces can be taken first, so the fold
-is one slice operation per child budget over every l and c at once.
+(SAME, u's piece and v's piece merge into one subtree). The better of the
+two branches' child pieces can be taken first, and for a fixed child budget
+the affected budgets l form one contiguous block of rows (as they do for a
+fixed plane row), so the fold is one slice operation over every l and c per
+row of the plane or of the pieces, whichever has fewer: a single one for
+the first child folded into a vertex, whose plane is one row. Children are
+folded last to first, so the walk never refolds the first child.
 Infeasible states hold an integer sentinel chosen per instance above every
 finite value (the scaled rows are exact ints of any size, so a float
 infinity cannot be added to them); tables are int64, or object arrays of
@@ -45,7 +48,7 @@ from .core import (
     reference_ranking,
     relabel_assignment,
 )
-from .errors import InvalidK
+from .errors import InconsistentTables, InvalidK
 
 __all__ = ["subtree_sizes", "merge_child_plane", "solve_tree_dp"]
 
@@ -97,11 +100,15 @@ def merge_child_plane(
     extended (bound, m) plane plus the number of (l, t) splits examined,
     which the caller sums into its work counter.
 
-    The two branches share one slice operation per child budget: row
-    l - 1 of the new plane pairs plane row r with the child's piece at
+    Row l - 1 of the new plane pairs plane row r with the child's piece at
     index i = l - 1 - r, which is SAME with budget t = i + 1 or DIFF with
     t = i, and since the add (or max) distributes over min, the better of
     the two pieces can be chosen before combining it with the plane rows.
+    The add (or max) is also symmetric, so the fold loops over whichever of
+    the plane and the pieces has fewer rows and meets each of those rows
+    with a block of the other in one slice operation: a one-row plane (the
+    first child folded into a vertex) costs one operation, not one per
+    child budget.
     """
     plane = np.asarray(plane)
     d0 = np.asarray(child_dyp0)
@@ -118,13 +125,15 @@ def merge_child_plane(
     piece[:same_hi] = d1[:same_hi]
     np.minimum(piece[1:, : m - 1], d0[:diff_hi, 1:], out=piece[1:, : m - 1])
     new = np.full((bound, m), inf, dtype=dtype)
-    iterations = 0
-    for i in range(diff_hi + 1):
-        span = min(rows, bound - i)
+    short, long = (plane, piece) if rows <= diff_hi + 1 else (piece, plane)
+    for i in range(len(short)):
+        span = min(len(long), bound - i)
         block = new[i : i + span]
-        np.minimum(block, op(piece[i], plane[:span]), out=block)
-        # the (l, t) splits of both branches, as counted one branch at a time
-        iterations += span * ((i < same_hi) + (i > 0))
+        np.minimum(block, op(short[i], long[:span]), out=block)
+    # the (l, t) splits of both branches, as counted one branch at a time
+    iterations = sum(
+        min(rows, bound - i) * ((i < same_hi) + (i > 0)) for i in range(diff_hi + 1)
+    )
     return new, iterations
 
 
@@ -205,10 +214,15 @@ def _reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, in
     """Walk the tables back into per-voter representatives.
 
     dyp2 planes were dropped after the sweep, so per visited vertex the
-    child-fold value vectors are rebuilt at the single candidate the vertex
-    ended up with, from each child's two table columns read as Python lists.
-    Ties prefer SAME over DIFF, then the smallest child budget; dyp0 states
-    resolve to the smallest attaining candidate.
+    value vectors of the partial folds without its first child are rebuilt
+    at the single candidate the vertex ended up with, from each child's two
+    table columns read as Python lists; a vertex with one child needs no
+    fold. Child by child, the walk scans the child's SAME and DIFF splits
+    against the rest of the fold and takes the first minimum: SAME before
+    DIFF, then the smallest child budget. That minimum must equal the value
+    the walk carries (the vertex's table entry for its first child, then the
+    rest entry the previous split chose), or the tables are inconsistent.
+    dyp0 states resolve to the smallest attaining candidate.
     """
     egal = objective is Objective.EGALITARIAN
     m = rows.shape[1]
@@ -236,7 +250,7 @@ def _reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, in
         # and DIFF with budget i enters before the rest of the fold
         vectors = [[int(rows[v, c])]]
         upper = 1
-        for u in reversed(children):
+        for u in reversed(children[1:]):
             prev = vectors[-1]
             piece = list(map(min, same[u] + [inf], [inf] + diff[u]))
             bound = min(k, upper + size[u])
@@ -251,28 +265,33 @@ def _reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, in
             # slower than the forward sweep's all-c fold, but runs once per vertex
             vectors.append(vec)
             upper += size[u]
-        vectors.reverse()  # vectors[i] now covers children i+1.. plus v
+        vectors.reverse()  # vectors[i] now covers the children after child i, plus v
+        carried = int(dyp1[v][l - 1, c])
         for i, u in enumerate(children):
             upper = partial[v][i + 1]
-            target = vectors[i][l - 1]
-            rest = vectors[i + 1]
+            rest = vectors[i]
             d0, d1 = diff[u], same[u]
-            chosen = None
-            for t in range(max(1, l + 1 - upper), min(l, size[u]) + 1):
-                got = max(d1[t - 1], rest[l - t]) if egal else d1[t - 1] + rest[l - t]
-                if got == target:
-                    chosen = (u, t, c, False)
-                    l = l - t + 1
-                    break
-            if chosen is None:
-                for t in range(max(1, l - upper), min(l - 1, size[u]) + 1):
-                    side = d0[t - 1]
-                    got = max(side, rest[l - t - 1]) if egal else side + rest[l - t - 1]
-                    if got == target:
-                        chosen = (u, t, c + 1, True)
-                        l = l - t
-                        break
-            if chosen is None:
-                raise AssertionError("no branch reproduces the table value")
-            stack.append(chosen)
+            same_ts = range(max(1, l + 1 - upper), min(l, size[u]) + 1)
+            diff_ts = range(max(1, l - upper), min(l - 1, size[u]) + 1)
+            if egal:
+                got = [max(d1[t - 1], rest[l - t]) for t in same_ts]
+                got += [max(d0[t - 1], rest[l - t - 1]) for t in diff_ts]
+            else:
+                got = [d1[t - 1] + rest[l - t] for t in same_ts]
+                got += [d0[t - 1] + rest[l - t - 1] for t in diff_ts]
+            best = min(got)
+            if best != carried:
+                raise InconsistentTables(
+                    f"vertex {v}, child {u}: the splits reach {best}, the table holds {carried}"
+                )
+            j = got.index(best)
+            if j < len(same_ts):
+                t = same_ts[j]
+                stack.append((u, t, c, False))
+                l = l - t + 1
+            else:
+                t = diff_ts[j - len(same_ts)]
+                stack.append((u, t, c + 1, True))
+                l = l - t
+            carried = rest[l - 1]
     return rep

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ccwinner.core import Grid, Line, PreferenceProfile, canonicalize
-from ccwinner.errors import BudgetExceeded, InvalidK, InvalidTiling
+from ccwinner.errors import BudgetExceeded, IncompleteTilings, InvalidK, InvalidTiling
 from ccwinner.generators import gen_sc_grid, gen_sc_line
 from ccwinner.grid_solver import (
     Rect,
@@ -346,6 +346,20 @@ def test_conjecture_checker_reuses_cached_tilings():
     profile, grid = gen_sc_grid(8, 2, 3, 4)
     cache = list(enumerate_tilings(grid, 3))
     assert check_laminar_conjecture(profile, grid, 3, tilings=cache) is None
+
+
+def test_conjecture_checker_rejects_an_empty_tiling_list():
+    profile, grid = gen_sc_grid(8, 2, 3, 4)
+    with pytest.raises(IncompleteTilings, match="no tilings"):
+        check_laminar_conjecture(profile, grid, 3, tilings=[])
+
+
+def test_conjecture_checker_rejects_tilings_that_miss_the_laminar_optimum():
+    profile, grid = gen_sc_grid(0, 2, 3, 4)
+    # the whole grid costs 3 as one rectangle, the laminar 3-tiling costs 0
+    whole = list(enumerate_tilings(grid, 1))
+    with pytest.raises(IncompleteTilings, match="above the laminar DP"):
+        check_laminar_conjecture(profile, grid, 3, tilings=whole)
 
 
 def test_tiling_oracle_matches_committee_oracle_on_sc_grids():

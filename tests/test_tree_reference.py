@@ -12,6 +12,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ccwinner.cli import instance_to_doc, main
@@ -219,6 +220,33 @@ def path_tree(n):
     return RootedTree.from_parent((None,) + tuple(range(n - 1)), 0)
 
 
+def caterpillar_tree(rng, n):
+    """A spine of about n / 3 vertices with every other vertex a leaf on it."""
+    spine = max(1, n // 3)
+    legs = tuple(rng.randrange(spine) for _ in range(n - spine))
+    return RootedTree.from_parent((None,) + tuple(range(spine - 1)) + legs, 0)
+
+
+def lift_branch_instance(rng, n, m):
+    """The root votes the identity and a path per candidate j lifts j to the top;
+    every other vertex copies one of the 8 newest vertices (90%) or any vertex."""
+    parent, rankings = [None], [tuple(range(m))]
+    for j in range(1, m):
+        prev = 0
+        for d in range(1, j + 1):
+            lifted = [c for c in range(m) if c != j]
+            lifted.insert(j - d, j)
+            parent.append(prev)
+            rankings.append(tuple(lifted))
+            prev = len(parent) - 1
+    while len(parent) < n:
+        size = len(parent)
+        u = size - 1 - rng.randrange(min(8, size)) if rng.random() < 0.9 else rng.randrange(size)
+        parent.append(u)
+        rankings.append(rankings[u])
+    return PreferenceProfile.from_rankings(tuple(rankings)), RootedTree.from_parent(tuple(parent), 0)
+
+
 def with_rho(profile, rho_of):
     """Same rankings; rho[v] nondecreasing along voter v's ranking."""
     rows = []
@@ -302,6 +330,67 @@ def test_merge_returns_the_reference_planes():
         assert new.shape == (min(k, s + szu), m)
         assert new.tolist() == want and its == want_its, trial
         assert type(its) is int
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("big", [1, 2**70], ids=["int64", "object"])
+@pytest.mark.parametrize("side", ["plane-shorter", "equal", "plane-longer"])
+def test_merge_folds_along_either_side(side, big, objective):
+    """The fold loops over the plane or the child's pieces, whichever is shorter."""
+    rng = random.Random(239)
+    inf = (7 * 20 + 1) * big
+    trials = 0
+    while trials < 60:
+        m, k = rng.randint(1, 6), rng.randint(1, 14)
+        s, szu = rng.randint(1, 15), rng.randint(1, 15)
+        rows, pieces = min(k, s), min(szu, min(k, s + szu) - 1) + 1
+        if side != ("plane-shorter" if rows < pieces else "equal" if rows == pieces else "plane-longer"):
+            continue
+        trials += 1
+
+        def table(n_rows):
+            # finite values up to 20 (times big) with some infeasible states
+            return [[inf if rng.random() < 0.15 else big * rng.randint(0, 20) for _ in range(m)]
+                    for _ in range(n_rows)]
+
+        plane = table(rows)
+        child_dyp1 = table(min(k, szu))
+        child_dyp0 = reference_suffix_min_rows(child_dyp1, m)
+        dtype = np.int64 if big == 1 else object
+        tables = [np.array(t, dtype=dtype) for t in (plane, child_dyp0, child_dyp1)]
+        new, its = merge_child_plane(*tables, s, szu, k, objective, inf=inf)
+        want, want_its = reference_merge_child_plane(
+            plane, child_dyp0, child_dyp1, s, szu, k, objective, inf=inf
+        )
+        assert new.dtype == dtype
+        assert new.tolist() == want and its == want_its, (m, k, s, szu)
+        assert type(its) is int
+
+
+@pytest.mark.parametrize("shape", ["path", "star", "caterpillar", "lift-branch"])
+def test_shaped_trees_return_the_scalar_answers(shape):
+    rng = random.Random(241)
+    for trial in range(12):
+        n, m = rng.randint(25, 60), rng.randint(2, 7)
+        if shape == "lift-branch":
+            profile, tree = lift_branch_instance(rng, n, m)
+        else:
+            pool = [shuffled(rng, m) for _ in range(3)]
+            profile = PreferenceProfile.from_rankings(tuple(rng.choice(pool) for _ in range(n)))
+            if shape == "path":
+                tree = path_tree(n)
+            elif shape == "star":
+                tree = star_tree(n)
+            else:
+                tree = caterpillar_tree(rng, n)
+        if trial % 3 == 1:  # ties everywhere
+            profile = with_rho(profile, lambda v, p: 0)
+        elif trial % 3 == 2:  # few distinct steps
+            steps = [sorted(rng.randint(0, 2) for _ in range(m)) for _ in range(n)]
+            profile = with_rho(profile, lambda v, p: steps[v][p])
+        k = rng.randint(1, min(12, n - 1))
+        for objective in Objective:
+            assert_matches_reference(profile, tree, k, objective)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from ccwinner.core import (
     cost,
     normalize_to_root_order,
 )
-from ccwinner.errors import InvalidK
+from ccwinner import tree_solver
+from ccwinner.errors import InconsistentTables, InvalidK
 from ccwinner.generators import gen_sc_line, gen_sc_tree, gen_star_instance
 from ccwinner.line_solver import solve_line_dp
 from ccwinner.oracle import brute_force
@@ -255,3 +256,19 @@ def test_deterministic():
     a = solve_tree_dp(profile, tree, 3)
     b = solve_tree_dp(profile, tree, 3)
     assert a.assignment == b.assignment and a.stats == b.stats
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_walk_rejects_a_tampered_table(monkeypatch, objective):
+    profile, tree = gen_sc_tree(48, 20, 5)
+    walk = tree_solver._reconstruct
+
+    def tampered(rows, tree, k, objective, dyp0, dyp1, *rest):
+        # every root entry one above what its children's tables reach
+        root = tree.root
+        dyp0[root], dyp1[root] = dyp0[root] + 1, dyp1[root] + 1
+        return walk(rows, tree, k, objective, dyp0, dyp1, *rest)
+
+    monkeypatch.setattr(tree_solver, "_reconstruct", tampered)
+    with pytest.raises(InconsistentTables, match="the table holds"):
+        solve_tree_dp(profile, tree, 3, objective)
