@@ -24,6 +24,15 @@ fixed plane row), so the fold is one slice operation over every l and c per
 row of the plane or of the pieces, whichever has fewer: a single one for
 the first child folded into a vertex, whose plane is one row. Children are
 folded last to first, so the walk never refolds the first child.
+
+The sweep runs one height level at a time (0 for a leaf, else 1 + the
+largest child height), since vertices of one height never depend on each
+other. Per level, the leaves' tables come from one gather, the first folds
+of all vertices whose last children have equal table shapes are one
+batched fold over a (vertices, rows, m) stack, and the level's dyp0 tables
+are one suffix-minimum pass over its dyp1 tables laid end to end; each
+vertex keeps views of its own rows. Only the later children of vertices
+with several are folded vertex by vertex.
 Infeasible states hold an integer sentinel chosen per instance above every
 finite value (the scaled rows are exact ints of any size, so a float
 infinity cannot be added to them); tables are int64, or object arrays of
@@ -80,6 +89,22 @@ def subtree_sizes(tree: RootedTree):
     return size, tuple(partial)
 
 
+def _merge_iterations(rows: int, bound: int, same_hi: int, diff_hi: int) -> int:
+    """The (l, t) splits of one fold, as counted one branch at a time.
+
+    Piece i (i = 0..diff_hi) meets min(rows, bound - i) plane rows and
+    stands for two splits (SAME with budget i + 1, DIFF with budget i) when
+    0 < i < same_hi, else one. Closed form of that sum: the span is ``rows``
+    up to i = bound - rows and ``bound - i`` after it.
+    """
+
+    def spans(last):  # sum of min(rows, bound - i) over i = 0..last
+        flat = min(last, bound - rows) + 1
+        return flat * rows + (last + 1 - flat) * (rows - 1 + bound - last) // 2
+
+    return spans(diff_hi) + spans(min(same_hi - 1, diff_hi)) - rows
+
+
 def merge_child_plane(
     plane,
     child_dyp0,
@@ -100,6 +125,10 @@ def merge_child_plane(
     extended (bound, m) plane plus the number of (l, t) splits examined,
     which the caller sums into its work counter.
 
+    Leading axes are a batch: a (g, rows, m) plane and (g, rows_u, m) child
+    tables fold g parents at once, all with these sizes (up to k), and the
+    count is that of one fold.
+
     Row l - 1 of the new plane pairs plane row r with the child's piece at
     index i = l - 1 - r, which is SAME with budget t = i + 1 or DIFF with
     t = i, and since the add (or max) distributes over min, the better of
@@ -114,32 +143,116 @@ def merge_child_plane(
     d0 = np.asarray(child_dyp0)
     d1 = np.asarray(child_dyp1)
     op = np.maximum if objective is Objective.EGALITARIAN else np.add
-    rows, m = plane.shape
+    *batch, rows, m = plane.shape
     bound = min(k, upper_size + child_size)
     dtype = np.result_type(plane, d0, d1)
     same_hi = min(child_size, bound)  # SAME budgets t = 1..same_hi
     diff_hi = min(child_size, bound - 1)  # DIFF budgets t = 1..diff_hi
     # piece[i, c]: the better of SAME with budget i + 1 (child on c) and DIFF
     # with budget i (child above c, so never for c = m - 1)
-    piece = np.full((diff_hi + 1, m), inf, dtype=dtype)
-    piece[:same_hi] = d1[:same_hi]
-    np.minimum(piece[1:, : m - 1], d0[:diff_hi, 1:], out=piece[1:, : m - 1])
-    new = np.full((bound, m), inf, dtype=dtype)
+    piece = np.full((*batch, diff_hi + 1, m), inf, dtype=dtype)
+    piece[..., :same_hi, :] = d1[..., :same_hi, :]
+    np.minimum(piece[..., 1:, : m - 1], d0[..., :diff_hi, 1:], out=piece[..., 1:, : m - 1])
+    new = np.full((*batch, bound, m), inf, dtype=dtype)
     short, long = (plane, piece) if rows <= diff_hi + 1 else (piece, plane)
-    for i in range(len(short)):
-        span = min(len(long), bound - i)
-        block = new[i : i + span]
-        np.minimum(block, op(short[i], long[:span]), out=block)
-    # the (l, t) splits of both branches, as counted one branch at a time
-    iterations = sum(
-        min(rows, bound - i) * ((i < same_hi) + (i > 0)) for i in range(diff_hi + 1)
-    )
-    return new, iterations
+    for i in range(short.shape[-2]):
+        span = min(long.shape[-2], bound - i)
+        block = new[..., i : i + span, :]
+        np.minimum(block, op(short[..., i : i + 1, :], long[..., :span, :]), out=block)
+    return new, _merge_iterations(rows, bound, same_hi, diff_hi)
 
 
 def _suffix_min_rows(plane):
     """dyp0 rows (suffix minima over the candidate axis) from dyp1 rows."""
-    return np.ascontiguousarray(np.minimum.accumulate(plane[:, ::-1], axis=1)[:, ::-1])
+    out = np.empty_like(plane)
+    np.minimum.accumulate(plane[:, ::-1], axis=1, out=out[:, ::-1])
+    return out
+
+
+def _batch(tables):
+    """Equal-shape tables as one (len, rows, m) array; a lone table is not copied."""
+    if len(tables) == 1:
+        return tables[0][None]
+    return np.concatenate(tables).reshape(len(tables), *tables[0].shape)
+
+
+def _height_levels(tree: RootedTree) -> list[list[int]]:
+    """Vertices by height: 0 for a leaf, else 1 + the largest child height."""
+    post: list[int] = []
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        post.append(v)
+        stack.extend(tree.child_order[v])
+    height = [0] * tree.n
+    for v in reversed(post):  # children before their parent
+        p = tree.parent[v]
+        if p is not None and height[p] <= height[v]:
+            height[p] = height[v] + 1
+    levels: list[list[int]] = [[] for _ in range(height[tree.root] + 1)]
+    for v in reversed(post):
+        levels[height[v]].append(v)
+    return levels
+
+
+def _dp_tables(rows, tree: RootedTree, size, k: int, objective: Objective, inf: int):
+    """Every vertex's dyp0 and dyp1 table, plus the merge counter.
+
+    The sweep runs one height level at a time, since vertices of one height
+    never depend on each other. Leaves take their one-row tables with one
+    gather. Every other vertex first folds its last child into its one-row
+    plane, batched over the vertices of the level whose last children have
+    the same size up to k (so the same table shapes); its other children
+    follow one fold at a time, last to first. The level's dyp1 tables are
+    then laid end to end in one array, whose suffix minima are its dyp0
+    tables, and each vertex keeps its own rows of both as views.
+    """
+    n = tree.n
+    dyp0: list = [None] * n
+    dyp1: list = [None] * n
+    merges = 0
+    for height, level in enumerate(_height_levels(tree)):
+        if height == 0:  # leaves: dyp1 is the voter's own row
+            for v, row0 in zip(level, _suffix_min_rows(rows[level])):
+                dyp1[v], dyp0[v] = rows[v : v + 1], row0[None]
+            continue
+        first = {}
+        groups: dict[int, list[int]] = {}
+        for v in level:
+            groups.setdefault(min(k, size[tree.child_order[v][-1]]), []).append(v)
+        for child_size, vs in groups.items():
+            last = [tree.child_order[v][-1] for v in vs]
+            new, its = merge_child_plane(
+                rows[vs][:, None],
+                _batch([dyp0[u] for u in last]),
+                _batch([dyp1[u] for u in last]),
+                1,
+                child_size,
+                k,
+                objective,
+                inf=inf,
+            )
+            merges += its * len(vs)
+            first.update(zip(vs, new))
+        planes = []
+        for v in level:
+            children = tree.child_order[v]
+            plane, upper = first.pop(v), 1 + size[children[-1]]
+            for u in reversed(children[:-1]):
+                plane, its = merge_child_plane(
+                    plane, dyp0[u], dyp1[u], upper, size[u], k, objective, inf=inf
+                )
+                merges += its
+                upper += size[u]
+            planes.append(plane)
+        level_dyp1 = np.concatenate(planes)
+        level_dyp0 = _suffix_min_rows(level_dyp1)
+        start = 0
+        for v in level:
+            stop = start + min(k, size[v])
+            dyp1[v], dyp0[v] = level_dyp1[start:stop], level_dyp0[start:stop]
+            start = stop
+    return dyp0, dyp1, merges
 
 
 def solve_tree_dp(
@@ -173,32 +286,12 @@ def solve_tree_dp(
     # a fold adds two table values, each at most inf
     rows = profile.scaled[:, list(inverse)].astype(int_dtype(2 * inf), copy=False)
     size, partial = subtree_sizes(tree)
-
-    dyp0: list = [None] * n
-    dyp1: list = [None] * n
-    merges = 0
-
-    post: list[int] = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        post.append(v)
-        stack.extend(tree.child_order[v])
-    for v in reversed(post):
-        plane = rows[v : v + 1]
-        upper = 1
-        for u in reversed(tree.child_order[v]):
-            plane, its = merge_child_plane(
-                plane, dyp0[u], dyp1[u], upper, size[u], k, objective, inf=inf
-            )
-            merges += its
-            upper += size[u]
-        dyp1[v] = plane
-        dyp0[v] = _suffix_min_rows(plane)
+    dyp0, dyp1, merges = _dp_tables(rows, tree, size, k, objective, inf)
 
     l_star = int(np.argmin(dyp0[tree.root][:, 0])) + 1  # first minimum
 
     rep = _reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, inf)
+    del dyp0, dyp1  # freed before the costs are computed, which lowers the peak
     assignment = relabel_assignment(Assignment(tuple(rep)), inverse)
     assignment = canonicalize(profile, assignment)
     cells = 2 * m * sum(min(k, size[v]) for v in range(n))

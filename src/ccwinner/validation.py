@@ -123,36 +123,33 @@ def check_sc_tree(profile: PreferenceProfile, tree: RootedTree) -> Optional[Cros
 
     Checked per candidate pair on both preference sides; equivalent to the
     path formulation (no path may read c, c_other, c) and O(n) per pair.
-    One pass per candidate a counts members and induced edges for both
-    sides of every pair (a, b > a); the witness search runs on the first
-    failing side only.
+    Both sides of a pair induce subtrees exactly when the pair flips across
+    at most one tree edge (cutting e edges leaves e + 1 one-sided parts), so
+    one pass per candidate a counts the flipped edges of every pair
+    (a, b > a); the side test and witness search run on the first failing
+    pair only.
     """
     if tree.n != profile.n:
         raise ValueError("tree and profile disagree on the number of voters")
     n, m = profile.n, profile.m
-    # row c: candidate c's rank position at each voter
-    pos = np.ascontiguousarray(rank_positions(profile).T)
+    # row c: candidate c's rank position at each voter, in the narrowest
+    # dtype that holds positions < m
+    pos = np.ascontiguousarray(rank_positions(profile).T, dtype=np.min_scalar_type(m - 1))
     child = np.array([v for v in range(n) if v != tree.root], dtype=np.int64)
     parent = np.array([tree.parent[v] for v in child.tolist()], dtype=np.int64)
+    at_child, at_parent = pos[:, child], pos[:, parent]
     for a in range(m - 1):
-        prefers_a = pos[a] < pos[a + 1 :]  # row b - a - 1 is the pair (a, b)
-        at_child, at_parent = prefers_a[:, child], prefers_a[:, parent]
-        # a side is connected iff it is empty or spans one edge fewer than members
-        members = np.count_nonzero(prefers_a, axis=1)
-        edges = np.count_nonzero(at_child & at_parent, axis=1)
-        # the other side induces the edges with no endpoint on this side
-        edges_b = n - 1 - np.count_nonzero(at_child | at_parent, axis=1)
-        bad_a = (members > 0) & (edges != members - 1)
-        bad_b = (members < n) & (edges_b != n - members - 1)
-        failing = np.flatnonzero(np.stack((bad_a, bad_b), axis=1))
+        # row b - a - 1: the edges whose endpoints disagree on the pair (a, b)
+        flipped = (at_child[a] < at_child[a + 1 :]) ^ (at_parent[a] < at_parent[a + 1 :])
+        failing = np.flatnonzero(np.count_nonzero(flipped, axis=1) >= 2)
         if len(failing) == 0:
             continue
-        row, flip = divmod(int(failing[0]), 2)
-        b = a + 1 + row
-        inside = prefers_a[row] if flip == 0 else ~prefers_a[row]
-        witness = _tree_side_violation(tree, inside, child, parent)
-        c, c_other = (a, b) if flip == 0 else (b, a)
-        return CrossingViolation(c, c_other, *witness)
+        b = a + 1 + int(failing[0])
+        prefers_a = pos[a] < pos[b]
+        for c, c_other, inside in ((a, b, prefers_a), (b, a, ~prefers_a)):
+            witness = _tree_side_violation(tree, inside, child, parent)
+            if witness is not None:
+                return CrossingViolation(c, c_other, *witness)
     return None
 
 

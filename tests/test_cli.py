@@ -276,6 +276,42 @@ def test_solve_usage_errors(tmp_path):
     assert main(["solve", gpath, "--k", "2", "--objective", "egalitarian"]) == 2
 
 
+def test_repeated_main_calls_keep_exit_codes_and_output(tmp_path, capsys, monkeypatch):
+    """One parser serves every call: help, usage errors and subcommands repeat exactly."""
+    path = write(tmp_path, THREE)
+    fresh_help = cli.build_parser().format_help()
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    calls = [
+        ["--help"],
+        ["solve", "--help"],
+        ["solve", path, "--k", "1", "--algorithm", "line-dp"],
+        ["solve", path, "--k", "one"],
+        ["frobnicate"],
+        ["validate", path],
+        ["bench", "--suite", "tree", "--points", "1"],
+        ["solve", path, "--k", "0"],
+        [],
+    ]
+
+    def run(order):
+        got = {}
+        for i in order:
+            code = main(calls[i])
+            out, err = capsys.readouterr()
+            got[i] = (code, out, err)
+        return got
+
+    first = run(range(len(calls)))
+    assert [first[i][0] for i in range(len(calls))] == [0, 0, 0, 2, 2, 0, 2, 2, 2]
+    assert first[0][1] == fresh_help
+    assert "invalid int value: 'one'" in first[3][2] and "expected an integer >= 2" in first[6][2]
+    assert run(reversed(range(len(calls)))) == first
+    assert run(range(len(calls))) == first
+    assert len(built) <= 1  # built at most once, by the first call in the process
+
+
 def test_solve_refuses_non_single_crossing(tmp_path, capsys):
     doc = {
         "schema_version": 1,

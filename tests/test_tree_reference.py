@@ -1,11 +1,12 @@
 """The array tree DP against the scalar DP it replaced.
 
 ``reference_merge_child_plane``, ``reference_suffix_min_rows``,
-``reference_reconstruct`` and ``reference_tree_dp`` are the earlier
-list-and-loop implementation, kept as it was: tables are lists of rows of
-Python ints, the fold runs an (l, t, c) triple loop.  The array DP must
-return the same planes, counters, assignment and costs on every instance,
-ties included, and stay exact on rational and huge rho.
+``reference_tables``, ``reference_reconstruct`` and ``reference_tree_dp``
+are the earlier list-and-loop implementation, kept as it was: tables are
+lists of rows of Python ints, built one vertex at a time in post order, and
+the fold runs an (l, t, c) triple loop.  The array DP must return the same
+planes, tables, counters, assignment and costs on every instance, ties
+included, and stay exact on rational and huge rho.
 """
 
 import json
@@ -23,12 +24,19 @@ from ccwinner.core import (
     RootedTree,
     SolveResult,
     canonicalize,
+    int_dtype,
     reference_ranking,
     relabel_assignment,
 )
 from ccwinner.generators import gen_sc_tree
 from ccwinner.oracle import brute_force
-from ccwinner.tree_solver import merge_child_plane, solve_tree_dp, subtree_sizes
+from ccwinner.tree_solver import (
+    _dp_tables,
+    _merge_iterations,
+    merge_child_plane,
+    solve_tree_dp,
+    subtree_sizes,
+)
 
 
 def reference_merge_child_plane(plane, child_dyp0, child_dyp1, upper_size, child_size, k,
@@ -85,6 +93,19 @@ def reference_tree_dp(profile, tree, k, objective=Objective.UTILITARIAN):
     rows = profile.scaled[:, list(inverse)].tolist()
     inf = n * int(profile.scaled.max()) + 1
     size, partial = subtree_sizes(tree)
+    dyp0, dyp1, merges = reference_tables(rows, tree, size, k, objective, inf)
+    root = tree.root
+    first = [dyp0[root][l - 1][0] for l in range(1, min(k, n) + 1)]
+    l_star = first.index(min(first)) + 1
+    rep = reference_reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, inf)
+    assignment = canonicalize(profile, relabel_assignment(Assignment(tuple(rep)), inverse))
+    cells = 2 * m * sum(min(k, size[v]) for v in range(n))
+    stats = {"merge_iterations": merges, "states": m * merges + cells, "l_star": l_star}
+    return SolveResult.from_assignment(profile, assignment, "tree-dp", stats)
+
+
+def reference_tables(rows, tree, size, k, objective, inf):
+    n, m = tree.n, len(rows[0])
     dyp0 = [None] * n
     dyp1 = [None] * n
     merges = 0
@@ -105,14 +126,7 @@ def reference_tree_dp(profile, tree, k, objective=Objective.UTILITARIAN):
             upper += size[u]
         dyp1[v] = plane
         dyp0[v] = reference_suffix_min_rows(plane, m)
-    root = tree.root
-    first = [dyp0[root][l - 1][0] for l in range(1, min(k, n) + 1)]
-    l_star = first.index(min(first)) + 1
-    rep = reference_reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, inf)
-    assignment = canonicalize(profile, relabel_assignment(Assignment(tuple(rep)), inverse))
-    cells = 2 * m * sum(min(k, size[v]) for v in range(n))
-    stats = {"merge_iterations": merges, "states": m * merges + cells, "l_star": l_star}
-    return SolveResult.from_assignment(profile, assignment, "tree-dp", stats)
+    return dyp0, dyp1, merges
 
 
 def reference_reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, inf):
@@ -227,6 +241,23 @@ def caterpillar_tree(rng, n):
     return RootedTree.from_parent((None,) + tuple(range(spine - 1)) + legs, 0)
 
 
+def hairy_caterpillar_tree(rng, n):
+    """A spine of about n / 3 vertices with hanging paths of 1-4 vertices,
+    so every height level past the leaves mixes spine and hair vertices."""
+    spine = max(1, n // 3)
+    parent = [None] + list(range(spine - 1))
+    while len(parent) < n:
+        prev = rng.randrange(spine)
+        for _ in range(min(rng.randint(1, 4), n - len(parent))):
+            parent.append(prev)
+            prev = len(parent) - 1
+    return RootedTree.from_parent(tuple(parent), 0)
+
+
+def complete_binary_tree(n):
+    return RootedTree.from_parent((None,) + tuple((v - 1) // 2 for v in range(1, n)), 0)
+
+
 def lift_branch_instance(rng, n, m):
     """The root votes the identity and a path per candidate j lifts j to the top;
     every other vertex copies one of the 8 newest vertices (90%) or any vertex."""
@@ -332,6 +363,22 @@ def test_merge_returns_the_reference_planes():
         assert type(its) is int
 
 
+def test_merge_iterations_closed_form_matches_the_generator_sum():
+    """Every (rows, bound, same_hi, diff_hi) a fold reaches with k <= 12."""
+    reached = set()
+    for k in range(1, 13):
+        for upper in range(1, k + 2):  # sizes past k + 1 clip to the same tuple
+            for child in range(1, k + 2):
+                bound = min(k, upper + child)
+                reached.add((min(k, upper), bound, min(child, bound), min(child, bound - 1)))
+    for rows, bound, same_hi, diff_hi in reached:
+        old = sum(
+            min(rows, bound - i) * ((i < same_hi) + (i > 0)) for i in range(diff_hi + 1)
+        )
+        assert _merge_iterations(rows, bound, same_hi, diff_hi) == old, (rows, bound, same_hi, diff_hi)
+    assert len(reached) > 300
+
+
 @pytest.mark.parametrize("objective", list(Objective))
 @pytest.mark.parametrize("big", [1, 2**70], ids=["int64", "object"])
 @pytest.mark.parametrize("side", ["plane-shorter", "equal", "plane-longer"])
@@ -391,6 +438,56 @@ def test_shaped_trees_return_the_scalar_answers(shape):
         k = rng.randint(1, min(12, n - 1))
         for objective in Objective:
             assert_matches_reference(profile, tree, k, objective)
+
+
+def assert_tables_match_reference(profile, tree, k, objective):
+    """Every vertex's dyp0 and dyp1 table equals the vertex-by-vertex sweep's."""
+    n, m = profile.n, profile.m
+    inverse = reference_ranking(profile, tree)
+    inf = n * int(profile.scaled.max()) + 1
+    rows = profile.scaled[:, list(inverse)].astype(int_dtype(2 * inf), copy=False)
+    size, _ = subtree_sizes(tree)
+    dyp0, dyp1, merges = _dp_tables(rows, tree, size, k, objective, inf)
+    want0, want1, want_merges = reference_tables(rows.tolist(), tree, size, k, objective, inf)
+    assert merges == want_merges
+    for v in range(n):
+        for got, want in ((dyp0[v], want0[v]), (dyp1[v], want1[v])):
+            assert got.shape == (min(k, size[v]), m) and got.dtype == rows.dtype, v
+            assert got.tolist() == want, v
+    assert_matches_reference(profile, tree, k, objective)
+
+
+@pytest.mark.parametrize("rho", ["zero", "steps", "borda", "rational", "2^70"])
+@pytest.mark.parametrize("shape", ["hairy-caterpillar", "star", "complete-binary", "lift-branch"])
+def test_level_sweep_tables_equal_the_reference(shape, rho):
+    """Levels that mix table heights: every table, not only the answers."""
+    rng = random.Random(251)
+    for trial in range(3):
+        n, m = rng.randint(12, 36), rng.randint(2, 6)
+        if shape == "lift-branch":
+            profile, tree = lift_branch_instance(rng, n, m)
+            n = profile.n
+        else:
+            pool = [shuffled(rng, m) for _ in range(3)]
+            profile = PreferenceProfile.from_rankings(tuple(rng.choice(pool) for _ in range(n)))
+            tree = {
+                "hairy-caterpillar": lambda: hairy_caterpillar_tree(rng, n),
+                "star": lambda: star_tree(n),
+                "complete-binary": lambda: complete_binary_tree(n),
+            }[shape]()
+        if rho == "zero":
+            profile = with_rho(profile, lambda v, p: 0)
+        elif rho == "steps":
+            steps = [sorted(rng.randint(0, 2) for _ in range(m)) for _ in range(n)]
+            profile = with_rho(profile, lambda v, p: steps[v][p])
+        elif rho == "rational":
+            denominators = [rng.choice((3, 7, 11)) for _ in range(n)]
+            profile = with_rho(profile, lambda v, p: Fraction(p, denominators[v]))
+        elif rho == "2^70":
+            profile = with_rho(profile, lambda v, p: p * 2**70)
+        k = (2, rng.randint(3, 8), n - 1)[trial]
+        for objective in Objective:
+            assert_tables_match_reference(profile, tree, k, objective)
 
 
 # ---------------------------------------------------------------------------

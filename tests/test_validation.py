@@ -16,6 +16,7 @@ from ccwinner.validation import (
     check_sc_tree,
     check_structure,
     rank_positions,
+    _tree_side_violation,
 )
 
 
@@ -507,3 +508,51 @@ def test_tree_checker_matches_the_per_pair_reference():
             verify_tree_witness(profile, tree, got)
             violations += 1
     assert violations > 180
+
+
+def members_and_edges_check_sc_tree(profile, tree):
+    """The array tree checker as it was before it counted flipped edges."""
+    n, m = profile.n, profile.m
+    pos = np.ascontiguousarray(rank_positions(profile).T)
+    child = np.array([v for v in range(n) if v != tree.root], dtype=np.int64)
+    parent = np.array([tree.parent[v] for v in child.tolist()], dtype=np.int64)
+    for a in range(m - 1):
+        prefers_a = pos[a] < pos[a + 1 :]
+        at_child, at_parent = prefers_a[:, child], prefers_a[:, parent]
+        members = np.count_nonzero(prefers_a, axis=1)
+        edges = np.count_nonzero(at_child & at_parent, axis=1)
+        edges_b = n - 1 - np.count_nonzero(at_child | at_parent, axis=1)
+        bad_a = (members > 0) & (edges != members - 1)
+        bad_b = (members < n) & (edges_b != n - members - 1)
+        failing = np.flatnonzero(np.stack((bad_a, bad_b), axis=1))
+        if len(failing) == 0:
+            continue
+        row, flip = divmod(int(failing[0]), 2)
+        b = a + 1 + row
+        inside = prefers_a[row] if flip == 0 else ~prefers_a[row]
+        witness = _tree_side_violation(tree, inside, child, parent)
+        c, c_other = (a, b) if flip == 0 else (b, a)
+        return CrossingViolation(c, c_other, *witness)
+    return None
+
+
+def test_flipped_edge_count_matches_the_members_and_edges_checker():
+    """Same pair, side and witness vertices on seeded non-single-crossing trees."""
+    rng = random.Random(131)
+    sides = set()
+    for trial in range(300):
+        n, m = rng.randint(3, 60), rng.randint(2, 8)
+        base, tree = gen_sc_tree(52_000 + trial, n, m)
+        if trial % 3 == 0:
+            rankings = [tuple(rng.sample(range(m), m)) for _ in range(n)]
+        else:
+            rankings = list(base.rankings)
+            for _ in range(trial % 3):
+                rankings = perturbed(rng, rankings)
+        profile = PreferenceProfile.from_rankings(rankings)
+        got = check_sc_tree(profile, tree)
+        assert got == members_and_edges_check_sc_tree(profile, tree), trial
+        if got is not None:
+            verify_tree_witness(profile, tree, got)
+            sides.add(got.c < got.c_other)
+    assert sides == {True, False}
