@@ -123,6 +123,14 @@ def _index(value, n: int, where: str) -> int:
     return value - 1
 
 
+def _all_indices(values: list, n: int) -> bool:
+    """Whether every entry is a plain int in 1..n, checked by whole-list passes."""
+    return set(map(type, values)) <= {int} and (not values or 1 <= min(values) <= max(values) <= n)
+
+
+_zero_based = (-1).__add__  # a 1-based index as 0-based, mapped at C speed
+
+
 def _parse_structure(doc: dict, n: int):
     kind = _field(doc, "type", str, "structure")
     if kind == "line":
@@ -130,24 +138,32 @@ def _parse_structure(doc: dict, n: int):
         if len(order) != n:
             raise ParseError(f"structure.order: expected {n} voters, got {len(order)}")
         try:
-            return Line(tuple(_index(v, n, f"structure.order[{t}]") for t, v in enumerate(order)))
+            if not _all_indices(order, n):  # the per-entry pass names the first bad entry
+                for t, v in enumerate(order):
+                    _index(v, n, f"structure.order[{t}]")
+            return Line(tuple(map(_zero_based, order)))
         except ValueError as exc:
             raise ParseError(f"structure.order: {exc}") from None
     if kind == "tree":
         parent_raw = _field(doc, "parent", list, "structure")
         if len(parent_raw) != n:
             raise ParseError(f"structure.parent: expected {n} entries, got {len(parent_raw)}")
-        parent = tuple(
-            None if p is None else _index(p, n, f"structure.parent[{v}]")
-            for v, p in enumerate(parent_raw)
-        )
+        if not _all_indices([p for p in parent_raw if p is not None], n):
+            for v, p in enumerate(parent_raw):
+                if p is not None:
+                    _index(p, n, f"structure.parent[{v}]")
+        parent = tuple(None if p is None else p - 1 for p in parent_raw)
         root = _index(_field(doc, "root", int, "structure"), n, "structure.root")
         try:
             if "child_order" in doc:
-                child_order = tuple(
-                    tuple(_index(u, n, f"structure.child_order[{v}]") for u in row)
-                    for v, row in enumerate(_field(doc, "child_order", list, "structure"))
-                )
+                rows = _field(doc, "child_order", list, "structure")
+                if not set(map(type, rows)) <= {list} or not _all_indices(
+                    list(chain.from_iterable(rows)), n
+                ):
+                    for v, row in enumerate(rows):
+                        for u in row:
+                            _index(u, n, f"structure.child_order[{v}]")
+                child_order = tuple(tuple(map(_zero_based, row)) for row in rows)
                 return RootedTree(parent, root, child_order)
             return RootedTree.from_parent(parent, root)
         except (ValueError, CCWinnerError) as exc:
@@ -190,10 +206,11 @@ def _int_rows(rows: list, width: int):
     """`rows` as an int64 array if each is a list of `width` plain ints that fit, else None."""
     if not rows or not all(type(row) is list and len(row) == width for row in rows):
         return None
-    if set(map(type, chain.from_iterable(rows))) != {int}:
+    flat = list(chain.from_iterable(rows))
+    if set(map(type, flat)) != {int}:
         return None
     try:
-        return np.array(rows, dtype=np.int64)
+        return np.fromiter(flat, np.int64, len(flat)).reshape(len(rows), width)
     except OverflowError:
         return None
 

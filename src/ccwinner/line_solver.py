@@ -4,7 +4,9 @@ Three routes to the optimum:
 
 * ``solve_line_dp`` -- the O(nmk) dynamic program over (voter, committee
   budget, candidate) states, for both objectives: one step per voter, last
-  to first, from the empty state past the last voter;
+  to first, from the empty state past the last voter. It runs in one sweep
+  when the walk's packed bits fit ``_BIT_BUDGET``, else checkpointed, with
+  O(sqrt(n)) voters' bits held at a time;
 * ``solve_line_klink`` -- the reduction to a k-link shortest path in a DAG
   whose arc weights are cheapest-single-candidate segment sums. The weights
   are concave Monge, so unconstrained penalized optima come from a
@@ -415,84 +417,108 @@ def _dp_step(rho_i: np.ndarray, next1: np.ndarray, next0: np.ndarray, egal: bool
     return cur1, cur0, choice
 
 
-def _bit(packed: np.ndarray, idx: int) -> int:
-    return (int(packed[idx >> 3]) >> (7 - (idx & 7))) & 1
+_BIT_BUDGET = 32 << 20  # bytes of packed walk bits a single sweep may keep
 
 
-def _dp_sweep(rho: np.ndarray, planes: int, egal: bool):
+def _bit(bits: memoryview, base: int, idx: int) -> int:
+    """Bit idx of the packed row that starts at byte ``base`` of ``bits``."""
+    return (bits[base + (idx >> 3)] >> (7 - (idx & 7))) & 1
+
+
+def _dp_sweep(rho: np.ndarray, planes: int, egal: bool, record: bool = True):
     """Value sweep over scaled integer rows in line order, last voter first.
 
-    Returns the rows in the sweep's dtype, the sentinel inf, the spacing B
-    and the planes (dyp1, dyp0) at n and at each index divisible by B; the
-    first voter's dyp0, ``checkpoints[0][1]``, holds the optimum per size.
+    The spacing B is n when the packed choice and take bits of every voter,
+    ``2 * n * ceil(planes * m / 8)`` bytes, fit ``_BIT_BUDGET``, else
+    8 * sqrt(n). The sweep keeps the planes (dyp1, dyp0) at n and at each
+    index divisible by B; the first voter's dyp0, ``checkpoints[0][1]``,
+    holds the optimum per size. With ``record`` it also packs the bits of
+    the segment it ends in, voters 0..B-1, into rows of two (B, bytes) uint8
+    arrays (see ``_record_segment``), so a walk within the budget needs no
+    second sweep.
+
+    Returns the rows in the sweep's dtype, the sentinel inf, B, the
+    checkpoints and the choice and take bit arrays (no rows without ``record``).
     """
     n, m = rho.shape
     top = int(rho.max())
     inf = n * top + 1  # above every finite total and every finite maximum
     dtype = int_dtype(inf + top)
     rho = rho.astype(dtype, copy=False)
-    spacing = max(1, int(8 * math.sqrt(n)))
+    nbytes = (planes * m + 7) // 8
+    spacing = n if 2 * n * nbytes <= _BIT_BUDGET else max(1, int(8 * math.sqrt(n)))
+    recorded = min(spacing, n) if record else 0
+    choice = np.empty((recorded, nbytes), dtype=np.uint8)
+    take = np.empty_like(choice)
     d1 = np.full((planes, m), inf, dtype=dtype)
     d1[0] = 0
     d0 = np.full((planes, m), inf, dtype=dtype)
     checkpoints = {n: (d1, d0)}
     for i in range(n - 1, -1, -1):
-        d1, d0, _ = _dp_step(rho[i], d1, d0, egal, inf)  # fresh arrays: no copy needed
+        d1, d0, ch = _dp_step(rho[i], d1, d0, egal, inf)  # fresh arrays: no copy needed
+        if i < recorded:
+            choice[i] = np.packbits(ch)
+            take[i] = np.packbits(d1 == d0)
         if i % spacing == 0:
             checkpoints[i] = (d1, d0)
-    return rho, inf, spacing, checkpoints
+    return rho, inf, spacing, checkpoints, choice, take
 
 
-def _record_segment(rho, egal, inf, a, b, checkpoints):
-    """Re-run the DP for voters b..a, packing choice and take bits per voter.
+def _record_segment(rho, egal, inf, a, b, checkpoints, choice, take):
+    """Re-sweep voters b-1..a from the checkpoint at b, packing voter i's bits into row i - a.
 
     take[t, c] says dyp1 attains dyp0 at (t, c); choice[t, c] says opening a
-    fresh candidate strictly beats staying on c.
+    fresh candidate strictly beats staying on c. Rows are the (t, c) states
+    in row-major order, packed most significant bit first.
     """
-    d1, d0 = checkpoints[b + 1]
-    choice_bits: list = [None] * (b - a + 1)
-    take_bits: list = [None] * (b - a + 1)
-    for i in range(b, a - 1, -1):
+    d1, d0 = checkpoints[b]
+    for i in range(b - 1, a - 1, -1):
         d1, d0, ch = _dp_step(rho[i], d1, d0, egal, inf)
-        choice_bits[i - a] = np.packbits(ch.ravel())
-        take_bits[i - a] = np.packbits((d1 == d0).ravel())
-    return choice_bits, take_bits
+        choice[i - a] = np.packbits(ch)
+        take[i - a] = np.packbits(d1 == d0)
 
 
 def _dp_engine(rho: np.ndarray, planes: int, egal: bool):
-    """Two-phase DP over scaled integer rows in line order: value sweep with
-    plane checkpoints every B voters, then per-segment re-sweeps recording
-    packed choice bits for the walk. Memory is O(sqrt(n) * planes * m)
-    instead of the full O(n * planes * m).
+    """The line DP over scaled integer rows in line order, then the walk.
+
+    One sweep within the bit budget, else checkpointed: the value sweep
+    records the bits of the segment it ends in, and each later segment of B
+    voters is re-swept from its checkpoint into the same two arrays, so
+    memory is O(B * planes * m).
 
     Returns (representative per line position, optimal committee size, the
-    dtype the sweep ran in).
+    dtype the sweep ran in, the number of sweeps: 1, or 2 when segments are
+    re-swept).
     """
     n, m = rho.shape
-    rho, inf, spacing, checkpoints = _dp_sweep(rho, planes, egal)
+    rho, inf, spacing, checkpoints, choice, take = _dp_sweep(rho, planes, egal)
     t = int(checkpoints[0][1][:, 0].argmin())  # smallest committee size among optima
     l_star = t + 1
+    nbytes = choice.shape[1]
+    choice_bits = memoryview(choice).cast("B")
+    take_bits = memoryview(take).cast("B")
 
     rep: list[int] = []
     c = 0
     resolving = True  # current state is a dyp0 state until take says stop
     for a in range(0, n, spacing):
-        b = min(a + spacing - 1, n - 1)
-        choice_bits, take_bits = _record_segment(rho, egal, inf, a, b, checkpoints)
-        for i in range(a, b + 1):
+        b = min(a + spacing, n)
+        if a:
+            _record_segment(rho, egal, inf, a, b, checkpoints, choice, take)
+        for base in range(0, (b - a) * nbytes, nbytes):
             if resolving:
                 idx = t * m + c
-                while not _bit(take_bits[i - a], idx):
+                while not _bit(take_bits, base, idx):
                     c += 1
                     idx += 1
             rep.append(c)
-            if _bit(choice_bits[i - a], t * m + c):
+            if _bit(choice_bits, base, t * m + c):
                 t -= 1
                 c += 1
                 resolving = True
             else:
                 resolving = False
-    return rep, l_star, rho.dtype.name
+    return rep, l_star, rho.dtype.name, 1 if spacing >= n else 2
 
 
 def solve_line_dp(
@@ -516,9 +542,9 @@ def solve_line_dp(
     n, m = profile.n, profile.m
     planes = min(k, n)
     egal = objective is Objective.EGALITARIAN
-    rep_pos, l_star, engine = _dp_engine(rows, planes, egal)
+    rep_pos, l_star, engine, sweeps = _dp_engine(rows, planes, egal)
     assignment = _from_line_positions(profile, line, inverse, rep_pos)
-    stats = {"engine": engine, "states": 2 * n * planes * m, "l_star": l_star}
+    stats = {"engine": engine, "states": 2 * n * planes * m, "l_star": l_star, "sweeps": sweeps}
     return SolveResult.from_assignment(profile, assignment, "line-dp", stats)
 
 
@@ -615,7 +641,7 @@ def solve_line_egal_threshold(profile: PreferenceProfile, order, k: int) -> Solv
     line = _line(profile, order)
     rows, inverse = _normalized_rows(profile, line)
     planes = min(k, profile.n)
-    checkpoints = _dp_sweep(rows, planes, True)[3]
+    checkpoints = _dp_sweep(rows, planes, True, record=False)[3]
     t = int(checkpoints[0][1][:, 0].min())
     rep_pos = _dp_engine(rows > t, planes, False)[0]
     witness = _from_line_positions(profile, line, inverse, rep_pos)

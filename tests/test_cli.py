@@ -28,6 +28,7 @@ THREE = {
     "m": 3,
     "rankings": [[1, 2, 3], [2, 1, 3], [2, 3, 1]],
 }
+TREE = {"type": "tree", "parent": [None, 1, 1], "root": 1, "child_order": [[2, 3], [], []]}
 
 
 def write(tmp_path, doc, name="instance.json"):
@@ -115,6 +116,40 @@ def test_float_rho_rejected(tmp_path):
          "rankings: rho row of voter 1 has a negative entry"),
         ({"rho": [[0, 1, 2], [1, 0], [2, 0, 1]]}, "rho[1]: expected a list of 3 values"),
         ({"rho": [[0, 1, 2], [1, 0, 2]]}, "rho: one row per voter required"),
+        ({"structure": {"type": "line", "order": [1, True, 3]}},
+         "structure.order: structure.order[1]: expected an integer in 1..3, got True"),
+        ({"structure": {"type": "line", "order": [1, 2.0, 3]}},
+         "structure.order: structure.order[1]: expected an integer in 1..3, got 2.0"),
+        ({"structure": {"type": "line", "order": [0, 2, 3]}},
+         "structure.order: structure.order[0]: expected an integer in 1..3, got 0"),
+        ({"structure": {"type": "line", "order": [1, 2, 4]}},
+         "structure.order: structure.order[2]: expected an integer in 1..3, got 4"),
+        ({"structure": {"type": "line", "order": [1, 2, None]}},
+         "structure.order: structure.order[2]: expected an integer in 1..3, got None"),
+        ({"structure": {"type": "line", "order": [1, 2, 2]}},
+         "structure.order: order must be a non-empty permutation of the voters"),
+        ({"structure": {"type": "line", "order": [1, 2]}},
+         "structure.order: expected 3 voters, got 2"),
+        ({"structure": {**TREE, "parent": [None, False, 1]}},
+         "structure.parent[1]: expected an integer in 1..3, got False"),
+        ({"structure": {**TREE, "parent": [None, 1, 4]}},
+         "structure.parent[2]: expected an integer in 1..3, got 4"),
+        ({"structure": {**TREE, "parent": [None, 1.0, 1]}},
+         "structure.parent[1]: expected an integer in 1..3, got 1.0"),
+        ({"structure": {**TREE, "parent": [None, None, 1]}},
+         "structure: vertex 1 needs a parent inside the tree"),
+        ({"structure": {**TREE, "root": 4}}, "structure.root: expected an integer in 1..3, got 4"),
+        ({"structure": {**TREE, "root": True}}, "structure.root: expected an integer"),
+        ({"structure": {**TREE, "root": 2}},
+         "structure: root must be the unique vertex without a parent"),
+        ({"structure": {**TREE, "child_order": [[2, 4], [], []]}},
+         "structure: structure.child_order[0]: expected an integer in 1..3, got 4"),
+        ({"structure": {**TREE, "child_order": [[2, True], [], []]}},
+         "structure: structure.child_order[0]: expected an integer in 1..3, got True"),
+        ({"structure": {**TREE, "child_order": [[2, 2], [], []]}},
+         "structure: child_order of vertex 0 does not match the parent links"),
+        ({"structure": {**TREE, "child_order": [[2, 3], []]}},
+         "structure: child_order must have one entry per vertex"),
     ],
 )
 def test_parse_errors_keep_their_messages(tmp_path, patch, message):

@@ -7,7 +7,9 @@ choice bits of the last voter. Starting every sweep from the state past the
 last voter must give the same representatives, committee size and engine on
 every input, ties included, for both objectives; the egalitarian threshold
 read from the value sweep must equal the largest value the max-objective
-walk pays.
+walk pays. Both sides of the bit budget are checked: one sweep that records
+every voter's walk bits, and checkpoint segments re-swept one at a time
+(``_BIT_BUDGET`` patched to 0).
 """
 
 import math
@@ -17,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ccwinner import line_solver
 from ccwinner.core import Line, PreferenceProfile, int_dtype, to_rho_units
 from ccwinner.generators import gen_sc_line
 from ccwinner.line_solver import (
@@ -170,8 +173,10 @@ def small_cases():
 
 
 def large_cases():
-    # n >= 600 gives at least three checkpoint segments of 8 * sqrt(n) voters
-    for seed, (n, m, k) in enumerate([(600, 5, 4), (700, 3, 9), (900, 6, 2)]):
+    # past n = 64 a checkpointed sweep has segments of 8 * sqrt(n) < n voters:
+    # three at n = 300, four or more from n = 600
+    cases = [(150, 4, 3), (300, 5, 6), (600, 5, 4), (700, 3, 9), (900, 6, 2)]
+    for seed, (n, m, k) in enumerate(cases):
         for draw in DRAWS:
             yield 2000 + seed, n, m, k, draw
 
@@ -181,12 +186,12 @@ def assert_engines_agree(seed, n, m, k, draw):
     rows = _normalized_rows(profile, line)[0]
     planes = min(k, n)
     for egal in (False, True):
-        assert _dp_engine(rows, planes, egal) == reference_dp_engine(rows, planes, egal), (
+        assert _dp_engine(rows, planes, egal)[:3] == reference_dp_engine(rows, planes, egal), (
             seed, draw, egal)
     for cut in sorted({int(x) for x in rows.ravel()})[:3]:  # 0/1 rows, as the witness DP sees them
         binary = rows > cut
-        assert _dp_engine(binary, planes, False) == reference_dp_engine(binary, planes, False), (
-            seed, draw, cut)
+        assert _dp_engine(binary, planes, False)[:3] == reference_dp_engine(
+            binary, planes, False), (seed, draw, cut)
     got = solve_line_egal_threshold(profile, line, k)
     threshold, witness = reference_egal_threshold(profile, line, k)
     assert got.stats["threshold"] == threshold, (seed, draw)
@@ -199,10 +204,28 @@ def test_engine_matches_the_base_case_engine_on_small_lines():
 
 
 @pytest.mark.parametrize("draw", DRAWS)
-def test_engine_matches_the_base_case_engine_across_checkpoint_segments(draw):
+def test_engine_matches_the_base_case_engine_across_checkpoint_segments(draw, monkeypatch):
+    monkeypatch.setattr(line_solver, "_BIT_BUDGET", 0)
     for seed, n, m, k, d in large_cases():
         if d == draw:
             assert_engines_agree(seed, n, m, k, d)
+
+
+@pytest.mark.parametrize("draw", DRAWS)
+def test_engine_matches_the_base_case_engine_in_one_sweep(draw):
+    for seed, n, m, k, d in large_cases():
+        if d == draw:
+            assert_engines_agree(seed, n, m, k, d)
+
+
+def test_sweeps_stat_counts_the_segment_re_sweep(monkeypatch):
+    profile, line = gen_sc_line(3, 300, 6)
+    one = solve_line_dp(profile, line, 4)
+    monkeypatch.setattr(line_solver, "_BIT_BUDGET", 0)
+    two = solve_line_dp(profile, line, 4)
+    assert (one.stats["sweeps"], two.stats["sweeps"]) == (1, 2)
+    assert one.assignment == two.assignment
+    assert {**one.stats, "sweeps": 2} == two.stats
 
 
 def test_engine_reports_the_object_dtype_past_int64():
