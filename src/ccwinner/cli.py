@@ -161,6 +161,11 @@ def _parse_structure(doc: dict, n: int):
                     list(chain.from_iterable(rows)), n
                 ):
                     for v, row in enumerate(rows):
+                        if type(row) is not list:
+                            raise ParseError(
+                                f"structure.child_order[{v}]: expected a list of child vertices, "
+                                f"got {row!r}"
+                            )
                         for u in row:
                             _index(u, n, f"structure.child_order[{v}]")
                 child_order = tuple(tuple(map(_zero_based, row)) for row in rows)

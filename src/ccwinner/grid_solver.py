@@ -151,90 +151,92 @@ def rect_cost(prefix2d: GridPrefix, rect: Rect):
     return to_rho_units(int(sums[cand]), prefix2d.scale), cand
 
 
-def _shape_minima(prefix: GridPrefix, h: int, w: int):
-    """Cheapest scaled cost and candidate of every h x w rectangle, ties to smallest.
+def _layout(n1: int, n2: int):
+    """(row, i0, j0, h, w, ends): one flat row for each sub-rectangle of the grid.
 
-    Two (n1-h+1, n2-w+1) arrays; entry [i0, j0] is the rectangle whose top-left
-    cell is (i0, j0).
+    ``row[h, w, i0, j0]`` numbers the h x w rectangle at top-left cell (i0,
+    j0); rows run by anti-diagonal s = h + w, then h, then (i0, j0)
+    row-major, so diagonal s is rows ``ends[s-1]:ends[s]`` of i0, j0, h, w.
     """
-    t = prefix.table
-    p1, p2 = prefix.n1 - h + 1, prefix.n2 - w + 1
-    sums = t[:, h:, w:] - t[:, :p1, w:] - t[:, h:, :p2] + t[:, :p1, :p2]
-    return sums.min(axis=0), sums.argmin(axis=0)
+    h, w, i0, j0 = np.ogrid[: n1 + 1, : n2 + 1, :n1, :n2]
+    cells = np.array(np.nonzero((h >= 1) & (w >= 1) & (i0 + h <= n1) & (j0 + w <= n2)))
+    h, w, i0, j0 = cells[:, np.argsort(cells[0] + cells[1], kind="stable")]
+    row = np.zeros((n1 + 1, n2 + 1, n1, n2), dtype=np.intp)
+    row[h, w, i0, j0] = np.arange(len(h))
+    return row, i0, j0, h, w, np.searchsorted(h + w, np.arange(n1 + n2 + 1), side="right")
+
+
+def _rect_minima(prefix: GridPrefix, i0, j0, h, w):
+    """Cheapest scaled cost and candidate of each rectangle (flat arrays), ties to smallest."""
+    table = prefix.table.reshape(prefix.m, -1)
+    top = i0 * (prefix.n2 + 1) + j0
+    low = top + h * (prefix.n2 + 1)
+    sums = table.take(low + w, 1) - table.take(top + w, 1) - table.take(low, 1) + table.take(top, 1)
+    cand = sums.argmin(axis=0)
+    return sums[cand, np.arange(len(cand))], cand
 
 
 def _solve_laminar(profile: PreferenceProfile, grid: Grid, budget: int, algorithm: str):
-    """The laminar DP, one rectangle shape (h, w) at a time.
+    """The laminar DP, one anti-diagonal s = h + w of rectangle shapes at a time.
 
-    For each shape, ``value[h, w][i0, j0, l-1]`` is the cheapest laminar
-    tiling with at most l rectangles of the h x w rectangle at (i0, j0), in
-    scaled units.  ``cut[h, w]`` records how it was reached: -1 uncut, a-1
-    for a vertical cut after a columns, w-2+b for a horizontal cut after b
-    rows; ``split[h, w]`` holds the budget l1 of the left or top half.  The
-    candidates of each l are stacked cut by cut (vertical cuts, then
-    horizontal, each ascending), l1 ascending within a cut, so the first
-    argmin is the earliest of the scalar scan, and it replaces the uncut
-    rectangle only when strictly cheaper.
+    ``value[l-1, row]`` is the cheapest laminar tiling with at most l
+    rectangles of the rectangle that `_layout` numbers ``row``, in scaled units.
+    A rectangle on diagonal s has s-2 cuts, a-1 after a columns (vertical)
+    then w-2+b after b rows (horizontal), and their halves lie on earlier
+    diagonals.  For each l, one argmin per rectangle scans the uncut cost,
+    then (cut, l1) cut-major with l1 ascending, l1 the budget of the left or
+    top half: as in the scalar scan, a cut wins only when strictly cheaper.
+    ``choice[l-1, row]`` keeps the argmin, 0 uncut, else 1 + cut*(l-1) + l1-1.
+    Transients hold one diagonal: O(rows x cuts x budget).
     """
     n1, n2 = grid.n1, grid.n2
     kk = min(budget, n1 * n2)
     prefix = build_grid_prefix(profile, grid)
+    row, i0, j0, h, w, ends = _layout(n1, n2)
+    value = np.empty((kk, len(h)), dtype=prefix.table.dtype)
+    choice = np.zeros((kk, len(h)), dtype=np.int32)
+    cand = np.empty(len(h), dtype=np.intp)
+    for s in range(2, n1 + n2 + 1):
+        d = slice(ends[s - 1], ends[s])
+        hh, ww, ii, jj = h[d], w[d], i0[d], j0[d]
+        const, cand[d] = _rect_minima(prefix, ii, jj, hh, ww)
+        value[0, d] = const
+        c = np.arange(s - 2)[:, None]
+        dx = np.where(c < ww - 1, c + 1, 0)  # columns left of a vertical cut
+        dy = np.where(c < ww - 1, 0, c - ww + 2)  # rows above a horizontal cut
+        # (kk-1, cuts, rows): the value of each half at budgets 1..kk-1
+        first = value[: kk - 1].take(row[np.where(dy, dy, hh), np.where(dx, dx, ww), ii, jj], 1)
+        second = value[: kk - 1].take(row[hh - dy, ww - dx, ii + dy, jj + dx], 1)
+        cuts, rows = dx.shape
+        sums = np.empty((1 + cuts * (kk - 1), rows), dtype=value.dtype)
+        sums[0] = const
+        at = np.arange(rows)
+        for l in range(2, kk + 1):
+            live = sums[: 1 + cuts * (l - 1)]
+            by_l1 = live[1:].reshape(cuts, l - 1, rows).transpose(1, 0, 2)
+            np.add(first[: l - 1], second[l - 2 :: -1], out=by_l1)
+            live.argmin(axis=0, out=choice[l - 1, d])
+            value[l - 1, d] = live[choice[l - 1, d], at]
 
-    value: dict = {}
-    cut: dict = {}
-    split: dict = {}
-    cand: dict = {}
-    # increasing height + width guarantees both halves of any cut are ready
-    for size in range(2, n1 + n2 + 1):
-        for h in range(max(1, size - n2), min(n1, size - 1) + 1):
-            w = size - h
-            p1, p2 = n1 - h + 1, n2 - w + 1
-            const, cand[h, w] = _shape_minima(prefix, h, w)
-            val = np.repeat(const[:, :, None], kk, axis=2)
-            how = np.full((p1, p2, kk), -1, dtype=np.int32)
-            l1s = np.zeros((p1, p2, kk), dtype=np.int32)
-            halves = [(value[h, a][:, :p2], value[h, w - a][:, a : a + p2]) for a in range(1, w)]
-            halves += [(value[b, w][:p1], value[h - b, w][b : b + p1]) for b in range(1, h)]
-            if halves and kk > 1:
-                first = np.stack([x for x, _ in halves], axis=2)  # (p1, p2, cuts, kk)
-                second = np.stack([y for _, y in halves], axis=2)
-                for l in range(2, kk + 1):
-                    # entry (cut, l1): l1 rectangles in the first half, l - l1 in the second
-                    sums = (first[..., : l - 1] + second[..., l - 2 :: -1]).reshape(p1, p2, -1)
-                    best = sums.argmin(axis=2)
-                    got = sums.min(axis=2)
-                    win = got < const
-                    val[..., l - 1] = np.where(win, got, const)
-                    how[..., l - 1] = np.where(win, best // (l - 1), -1)
-                    l1s[..., l - 1] = best % (l - 1) + 1
-            value[h, w], cut[h, w], split[h, w] = val, how, l1s
-
-    rects = []
-    reps = []
-    stack = [(0, 0, n1, n2, kk)]
+    rects, reps, stack = [], [], [(0, 0, n1, n2, kk)]
     while stack:
         i0, j0, h, w, l = stack.pop()
-        c = int(cut[h, w][i0, j0, l - 1])
-        if c < 0:
+        r = row[h, w, i0, j0]
+        best = int(choice[l - 1, r])
+        if best == 0:
             rects.append(Rect(i0, i0 + h - 1, j0, j0 + w - 1))
-            reps.append(int(cand[h, w][i0, j0]))
+            reps.append(int(cand[r]))
             continue
-        l1 = int(split[h, w][i0, j0, l - 1])
-        if c < w - 1:
-            a = c + 1
-            stack.append((i0, j0, h, a, l1))
-            stack.append((i0, j0 + a, h, w - a, l - l1))
-        else:
-            b = c - w + 2
-            stack.append((i0, j0, b, w, l1))
-            stack.append((i0 + b, j0, h - b, w, l - l1))
+        c, l1 = divmod(best - 1, l - 1)
+        dx, dy = (c + 1, 0) if c < w - 1 else (0, c - w + 2)
+        stack.append((i0, j0, dy or h, dx or w, l1 + 1))
+        stack.append((i0 + dy, j0 + dx, h - dy, w - dx, l - l1 - 1))
     tiling = Tiling(tuple(rects), tuple(reps))
 
     rep = np.empty((n1, n2), dtype=np.int64)
     for r, c in zip(tiling.rects, tiling.reps):
         rep[r.i0 : r.i1 + 1, r.j0 : r.j1 + 1] = c
-    n_rects = n1 * (n1 + 1) // 2 * (n2 * (n2 + 1) // 2)  # every sub-rectangle has a table row
-    stats = {"rects": len(tiling.rects), "budget": kk, "dp_cells": n_rects * kk}
+    stats = {"rects": len(tiling.rects), "budget": kk, "dp_cells": value.size}
     assignment = Assignment(rep.ravel().tolist())
     result = SolveResult.from_assignment(profile, assignment, algorithm, stats)
     return result, tiling
@@ -394,7 +396,8 @@ def check_laminar_conjecture(
     """
     laminar_cost = solve_grid_laminar(profile, grid, k)[0].total_cost
     prefix = build_grid_prefix(profile, grid)
-    minima = {}  # (h, w) -> nested lists of scaled costs and candidates
+    row, *rects, _ = _layout(grid.n1, grid.n2)
+    row, costs, cands = (a.tolist() for a in (row, *_rect_minima(prefix, *rects)))
     best_cost = None
     best: Optional[Tiling] = None
     if tilings is None:
@@ -403,12 +406,9 @@ def check_laminar_conjecture(
         total = 0
         reps = []
         for r in tiling.rects:
-            shape = (r.i1 - r.i0 + 1, r.j1 - r.j0 + 1)
-            if shape not in minima:
-                minima[shape] = tuple(a.tolist() for a in _shape_minima(prefix, *shape))
-            costs, cands = minima[shape]
-            total += costs[r.i0][r.j0]
-            reps.append(cands[r.i0][r.j0])
+            at = row[r.i1 - r.i0 + 1][r.j1 - r.j0 + 1][r.i0][r.j0]
+            total += costs[at]
+            reps.append(cands[at])
         if best_cost is None or total < best_cost:
             best_cost = total
             best = Tiling(tiling.rects, tuple(reps))

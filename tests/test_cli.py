@@ -150,6 +150,14 @@ def test_float_rho_rejected(tmp_path):
          "structure: child_order of vertex 0 does not match the parent links"),
         ({"structure": {**TREE, "child_order": [[2, 3], []]}},
          "structure: child_order must have one entry per vertex"),
+        ({"structure": {**TREE, "child_order": [[2, 3], 5, []]}},
+         "structure: structure.child_order[1]: expected a list of child vertices, got 5"),
+        ({"structure": {**TREE, "child_order": [[2, 3], "", []]}},
+         "structure: structure.child_order[1]: expected a list of child vertices, got ''"),
+        ({"structure": {**TREE, "child_order": [[2, 3], [], {}]}},
+         "structure: structure.child_order[2]: expected a list of child vertices, got {}"),
+        ({"structure": {**TREE, "child_order": ["23", [], []]}},
+         "structure: structure.child_order[0]: expected a list of child vertices, got '23'"),
     ],
 )
 def test_parse_errors_keep_their_messages(tmp_path, patch, message):
@@ -299,6 +307,14 @@ def test_solver_detected_crossing_exits_1(tmp_path, monkeypatch, capsys):
     doc["m"] = 2
     assert main(["solve", write(tmp_path, doc), "--k", "2", "--algorithm", "line-klink"]) == 1
     assert "not concave Monge" in capsys.readouterr().err
+
+
+def test_solve_reports_a_non_list_child_order_row(tmp_path, capsys):
+    doc = {**THREE, "structure": {**TREE, "child_order": [[2, 3], 5, []]}}
+    assert main(["solve", write(tmp_path, doc), "--k", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: structure: structure.child_order[1]: expected a list of child vertices, got 5\n"
+    )
 
 
 def test_solve_usage_errors(tmp_path):

@@ -1,4 +1,4 @@
-"""The shape-batched laminar grid DP against the scalar DP it replaced.
+"""The diagonal-batched laminar grid DP against the scalar DP it replaced.
 
 ``reference_laminar`` is the earlier dict-and-loop implementation, kept
 as it was except that it builds its own prefix lists: one rectangle at a
@@ -256,3 +256,36 @@ def test_rect_cost_returns_python_numbers():
             got, cand = rect_cost(prefix, rect)
             assert is_exact_number(got) and type(cand) is int
             assert (got, cand) == reference_rect_cost(table, profile.scale, rect)
+
+
+# ---------------------------------------------------------------------------
+# thin and single-cell grids
+
+# (n1, n2, gen_sc_grid seed, m): seeds whose optimum at budget 3 is positive
+THIN_GRIDS = ((1, 9, 40_071, 5), (9, 1, 40_078, 5), (2, 7, 40_011, 7), (7, 2, 40_133, 5),
+              (1, 1, 40_000, 5))
+
+
+def test_thin_and_single_cell_grids_match_the_scalar_dp():
+    """Grids whose cuts all run one way, or that have none: the edges of the cut indexing."""
+    rng = random.Random(127)
+    for n1, n2, seed, m in THIN_GRIDS:
+        borda, grid = gen_sc_grid(seed, n1, n2, m)
+        profiles = (
+            borda,
+            tie_heavy_profile(rng, "zero", grid.n, m),
+            tie_heavy_profile(rng, "repeated", grid.n, m),
+        )
+        for profile in profiles:
+            for budget in (1, 3, grid.n):
+                assert_matches_reference(profile, grid, budget)
+
+
+def test_thin_grid_past_int64_matches_the_scalar_dp():
+    base, grid = gen_sc_grid(40_133, 7, 2, 5)
+    profile = with_rho(base, lambda v, p: p * 2**70)
+    assert build_grid_prefix(profile, grid).table.dtype == object
+    for budget in (1, 3, grid.n):
+        result = assert_matches_reference(profile, grid, budget)
+        assert type(result.total_cost) is int
+        assert result.total_cost > 0 or budget == grid.n

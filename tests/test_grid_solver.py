@@ -330,6 +330,61 @@ def test_bicriterial_sandwich():
 
 
 # ---------------------------------------------------------------------------
+# pinned tilings of larger grids
+
+# (rects as "i0,i1,j0,j1|...", reps, total_cost) of each instance at budgets 6
+# (solve_grid_laminar, k = 6) and 16 (solve_grid_bicriterial, k = 4), recorded
+# from the one-shape-at-a-time DP.  The gen_sc_grid instances have at most 7
+# distinct top choices, so their costs are mostly 0 and they pin tie-breaks;
+# the random-ranking grid pins a positive optimum.
+LARGE_TILINGS = {
+    ("sc", 10, 12, 24, 9, 6): (
+        "0,0,0,11|1,2,0,11|3,5,0,11|6,6,0,11|7,8,0,11|9,9,0,11", "0,1,6,8,12,13", 0
+    ),
+    ("sc", 10, 12, 24, 9, 16): (
+        "0,0,0,0|0,0,1,11|1,2,0,0|1,1,1,11|2,2,1,11|3,5,0,0|3,3,1,11|4,4,1,11|5,5,1,11"
+        "|6,6,0,0|6,6,1,11|7,8,0,0|7,7,1,11|8,8,1,11|9,9,0,0|9,9,1,11",
+        "0,0,1,1,1,6,6,6,6,8,8,12,12,12,13,13",
+        0,
+    ),
+    ("sc", 12, 12, 24, 35, 6): (
+        "0,0,0,11|1,1,0,11|2,2,0,11|3,5,0,11|6,8,0,11|9,11,0,11", "0,1,3,5,8,11", 12
+    ),
+    ("sc", 12, 12, 24, 35, 16): (
+        "0,0,0,0|0,0,1,11|1,1,0,0|1,1,1,11|2,2,0,0|2,2,1,11|3,5,0,0|3,3,1,11|4,4,1,11"
+        "|5,5,1,11|6,8,0,0|6,8,1,11|9,10,0,0|9,10,1,11|11,11,0,0|11,11,1,11",
+        "0,0,1,1,3,3,5,5,5,5,8,8,11,11,16,16",
+        0,
+    ),
+    ("random", 12, 12, 8, 41, 6): (
+        "0,11,0,0|0,0,1,11|1,11,1,3|1,11,4,4|1,5,5,11|6,11,5,11", "4,2,1,5,7,3", 357
+    ),
+    ("random", 12, 12, 8, 41, 16): (
+        "0,1,0,2|0,0,3,11|1,3,3,3|1,11,4,4|1,11,5,5|1,8,6,6|1,8,7,7|1,2,8,10|1,11,11,11"
+        "|2,11,0,0|2,6,1,2|3,5,8,10|4,11,3,3|6,11,8,10|7,11,1,2|9,11,6,7",
+        "0,2,1,5,7,2,6,3,4,4,5,4,3,3,1,5",
+        245,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_TILINGS))
+def test_large_grid_tilings_are_pinned(case):
+    kind, n1, n2, m, seed, budget = case
+    if kind == "sc":
+        profile, grid = gen_sc_grid(seed, n1, n2, m)
+    else:
+        profile, grid = random_profile(random.Random(seed), n1 * n2, m), Grid(n1, n2)
+    result, tiling = solve_grid_laminar(profile, grid, budget)
+    rects = "|".join(f"{r.i0},{r.i1},{r.j0},{r.j1}" for r in tiling.rects)
+    assert (rects, ",".join(map(str, tiling.reps)), result.total_cost) == LARGE_TILINGS[case]
+    if budget == 16:
+        bicriterial = solve_grid_bicriterial(profile, grid, 4)
+        assert bicriterial.assignment == result.assignment
+        assert bicriterial.total_cost == result.total_cost
+
+
+# ---------------------------------------------------------------------------
 # the conjecture checker and cross-oracle ties
 
 
