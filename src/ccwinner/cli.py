@@ -505,10 +505,10 @@ def _check_monge(args) -> int:
 def _conjecture_worker(task):
     seed, n1, n2, k, m, budget = task
     profile, grid = gen_sc_grid(seed, n1, n2, m)
-    laminar = solve_grid_laminar(profile, grid, k)[0].total_cost
     counterexample = check_laminar_conjecture(profile, grid, k, budget=budget)
     if counterexample is None:
         return seed, n1, n2, k, m, True, 0, None
+    laminar = solve_grid_laminar(profile, grid, k)[0].total_cost
     prefix = build_grid_prefix(profile, grid)
     best = sum(rect_cost(prefix, r)[0] for r in counterexample.rects)
     witness = {
@@ -534,7 +534,9 @@ def _check_conjecture(args) -> int:
             )
         )
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # under the fork start method the pool starts every worker at its first
+        # submit, so it gets no more workers than there are tasks
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_conjecture_worker, tasks))
     else:
         rows = [_conjecture_worker(t) for t in tasks]
@@ -691,14 +693,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="monge property or the laminar-tiling conjecture")
     p.add_argument("--mode", choices=("monge", "conjecture"), required=True)
     p.add_argument("path", nargs="?", default=None, help="monge: a line instance file")
-    p.add_argument("--instances", type=int, default=300, help="sweep size")
+    p.add_argument("--instances", type=_at_least(1), default=300, help="sweep size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-max", type=_at_least(3), default=12, help="monge sweep: voters")
     p.add_argument("--m-max", type=_at_least(2), default=6, help="sweep: candidates")
     p.add_argument("--n1-max", type=_at_least(1), default=4, help="conjecture sweep: rows")
     p.add_argument("--n2-max", type=_at_least(1), default=5, help="conjecture sweep: columns")
     p.add_argument("--k-max", type=_at_least(1), default=5, help="conjecture sweep: committee bound")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the sweep")
+    p.add_argument("--jobs", type=_at_least(1), default=1, help="parallel workers for the sweep")
     p.add_argument("--out", default=None, help="conjecture: CSV report path")
     p.set_defaults(func=cmd_check)
 

@@ -27,12 +27,12 @@ folded last to first, so the walk never refolds the first child.
 
 The sweep runs one height level at a time (0 for a leaf, else 1 + the
 largest child height), since vertices of one height never depend on each
-other. Per level, the leaves' tables come from one gather, the first folds
-of all vertices whose last children have equal table shapes are one
-batched fold over a (vertices, rows, m) stack, and the level's dyp0 tables
-are one suffix-minimum pass over its dyp1 tables laid end to end; each
-vertex keeps views of its own rows. Only the later children of vertices
-with several are folded vertex by vertex.
+other. Per level, round j folds the j-th child from the last of every vertex
+that has one, one batched fold over a (vertices, rows, m) stack per group of
+equal plane and child table shapes, and the level's dyp0 tables are one
+suffix-minimum pass over its dyp1 tables laid end to end; each vertex keeps
+views of its own rows. Sizes are read from table shapes, min(k, |T_v|),
+which is all the fold's bounds and the walk's budget ranges need.
 Infeasible states hold an integer sentinel chosen per instance above every
 finite value (the scaled rows are exact ints of any size, so a float
 infinity cannot be added to them); tables are int64, or object arrays of
@@ -62,11 +62,13 @@ from .errors import InconsistentTables, InvalidK
 __all__ = ["subtree_sizes", "merge_child_plane", "solve_tree_dp"]
 
 def subtree_sizes(tree: RootedTree):
-    """Sizes |T_v| plus the partial sizes |T_{v,i}| used by the child sweep.
+    """Sizes |T_v| plus the partial sizes |T_{v,i}|.
 
     partial[v][i-1] counts v together with the subtrees of its children
     i, i+1, ..., so partial[v][0] == size[v] and the last entry is 1 (the
-    singleton v once every child has been peeled off).
+    singleton v once every child has been peeled off). The products
+    |T_u| * |T_{v,i+1}| over all children, the terms of the pair-count
+    identity behind the merge bound, sum to n(n-1)/2.
     """
     n = tree.n
     size = [1] * n
@@ -97,12 +99,11 @@ def _merge_iterations(rows: int, bound: int, same_hi: int, diff_hi: int) -> int:
     0 < i < same_hi, else one. Closed form of that sum: the span is ``rows``
     up to i = bound - rows and ``bound - i`` after it.
     """
-
-    def spans(last):  # sum of min(rows, bound - i) over i = 0..last
+    total = -rows
+    for last in (diff_hi, min(same_hi - 1, diff_hi)):  # sum of min(rows, bound - i), i = 0..last
         flat = min(last, bound - rows) + 1
-        return flat * rows + (last + 1 - flat) * (rows - 1 + bound - last) // 2
-
-    return spans(diff_hi) + spans(min(same_hi - 1, diff_hi)) - rows
+        total += flat * rows + (last + 1 - flat) * (rows - 1 + bound - last) // 2
+    return total
 
 
 def merge_child_plane(
@@ -149,11 +150,14 @@ def merge_child_plane(
     same_hi = min(child_size, bound)  # SAME budgets t = 1..same_hi
     diff_hi = min(child_size, bound - 1)  # DIFF budgets t = 1..diff_hi
     # piece[i, c]: the better of SAME with budget i + 1 (child on c) and DIFF
-    # with budget i (child above c, so never for c = m - 1)
-    piece = np.full((*batch, diff_hi + 1, m), inf, dtype=dtype)
+    # with budget i (child above c, so never for c = m - 1); empty + fill is
+    # cheaper than np.full on the small arrays most folds meet
+    piece = np.empty((*batch, diff_hi + 1, m), dtype=dtype)
+    piece.fill(inf)
     piece[..., :same_hi, :] = d1[..., :same_hi, :]
     np.minimum(piece[..., 1:, : m - 1], d0[..., :diff_hi, 1:], out=piece[..., 1:, : m - 1])
-    new = np.full((*batch, bound, m), inf, dtype=dtype)
+    new = np.empty((*batch, bound, m), dtype=dtype)
+    new.fill(inf)
     short, long = (plane, piece) if rows <= diff_hi + 1 else (piece, plane)
     for i in range(short.shape[-2]):
         span = min(long.shape[-2], bound - i)
@@ -169,11 +173,12 @@ def _suffix_min_rows(plane):
     return out
 
 
-def _batch(tables):
-    """Equal-shape tables as one (len, rows, m) array; a lone table is not copied."""
-    if len(tables) == 1:
-        return tables[0][None]
-    return np.concatenate(tables).reshape(len(tables), *tables[0].shape)
+def _batch(tables, keys):
+    """The equal-shape tables at ``keys`` as one (len(keys), rows, m) array, a lone one uncopied."""
+    first = tables[keys[0]]
+    if len(keys) == 1:
+        return first[None]
+    return np.concatenate([tables[key] for key in keys]).reshape(len(keys), *first.shape)
 
 
 def _height_levels(tree: RootedTree) -> list[list[int]]:
@@ -195,61 +200,55 @@ def _height_levels(tree: RootedTree) -> list[list[int]]:
     return levels
 
 
-def _dp_tables(rows, tree: RootedTree, size, k: int, objective: Objective, inf: int):
+def _dp_tables(rows, tree: RootedTree, k: int, objective: Objective, inf: int):
     """Every vertex's dyp0 and dyp1 table, plus the merge counter.
 
     The sweep runs one height level at a time, since vertices of one height
-    never depend on each other. Leaves take their one-row tables with one
-    gather. Every other vertex first folds its last child into its one-row
-    plane, batched over the vertices of the level whose last children have
-    the same size up to k (so the same table shapes); its other children
-    follow one fold at a time, last to first. The level's dyp1 tables are
-    then laid end to end in one array, whose suffix minima are its dyp0
-    tables, and each vertex keeps its own rows of both as views.
+    never depend on each other. Every vertex of a level starts from its own
+    one-row plane, and round j folds the j-th child from the last of every
+    vertex that has one, with one ``merge_child_plane`` call per group of
+    vertices whose planes and children have equal table shapes; a leaf takes
+    no round. The level's dyp1 tables are then laid end to end in one array,
+    whose suffix minima are its dyp0 tables, and each vertex keeps its own
+    rows of both as views.
     """
-    n = tree.n
-    dyp0: list = [None] * n
-    dyp1: list = [None] * n
+    children = tree.child_order
+    dyp0: list = [None] * tree.n
+    dyp1: list = [None] * tree.n
     merges = 0
-    for height, level in enumerate(_height_levels(tree)):
-        if height == 0:  # leaves: dyp1 is the voter's own row
-            for v, row0 in zip(level, _suffix_min_rows(rows[level])):
-                dyp1[v], dyp0[v] = rows[v : v + 1], row0[None]
-            continue
-        first = {}
-        groups: dict[int, list[int]] = {}
-        for v in level:
-            groups.setdefault(min(k, size[tree.child_order[v][-1]]), []).append(v)
-        for child_size, vs in groups.items():
-            last = [tree.child_order[v][-1] for v in vs]
-            new, its = merge_child_plane(
-                rows[vs][:, None],
-                _batch([dyp0[u] for u in last]),
-                _batch([dyp1[u] for u in last]),
-                1,
-                child_size,
-                k,
-                objective,
-                inf=inf,
-            )
-            merges += its * len(vs)
-            first.update(zip(vs, new))
-        planes = []
-        for v in level:
-            children = tree.child_order[v]
-            plane, upper = first.pop(v), 1 + size[children[-1]]
-            for u in reversed(children[:-1]):
-                plane, its = merge_child_plane(
-                    plane, dyp0[u], dyp1[u], upper, size[u], k, objective, inf=inf
+    for level in _height_levels(tree):
+        for v in level:  # dyp1[v] holds v's plane until the level is done
+            dyp1[v] = rows[v : v + 1]
+        active = [v for v in level if children[v]]
+        j = 1
+        while active:
+            groups: dict[tuple[int, int], tuple[list, list]] = {}
+            for v in active:
+                u = children[v][-j]
+                vs, us = groups.setdefault((len(dyp1[v]), len(dyp1[u])), ([], []))
+                vs.append(v)
+                us.append(u)
+            for (upper, child), (vs, us) in groups.items():
+                new, its = merge_child_plane(
+                    _batch(dyp1, vs),
+                    _batch(dyp0, us),
+                    _batch(dyp1, us),
+                    upper,
+                    child,
+                    k,
+                    objective,
+                    inf=inf,
                 )
-                merges += its
-                upper += size[u]
-            planes.append(plane)
-        level_dyp1 = np.concatenate(planes)
+                merges += its * len(vs)
+                for v, p in zip(vs, new):
+                    dyp1[v] = p
+            j += 1
+            active = [v for v in active if len(children[v]) >= j]
+        level_dyp1 = np.concatenate([dyp1[v] for v in level])
         level_dyp0 = _suffix_min_rows(level_dyp1)
         start = 0
         for v in level:
-            stop = start + min(k, size[v])
+            stop = start + len(dyp1[v])
             dyp1[v], dyp0[v] = level_dyp1[start:stop], level_dyp0[start:stop]
             start = stop
     return dyp0, dyp1, merges
@@ -285,16 +284,15 @@ def solve_tree_dp(
     inf = n * int(profile.scaled.max()) + 1  # above every finite total and maximum
     # a fold adds two table values, each at most inf
     rows = profile.scaled[:, list(inverse)].astype(int_dtype(2 * inf), copy=False)
-    size, partial = subtree_sizes(tree)
-    dyp0, dyp1, merges = _dp_tables(rows, tree, size, k, objective, inf)
+    dyp0, dyp1, merges = _dp_tables(rows, tree, k, objective, inf)
 
     l_star = int(np.argmin(dyp0[tree.root][:, 0])) + 1  # first minimum
 
-    rep = _reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, inf)
+    rep = _reconstruct(rows, tree, k, objective, dyp0, dyp1, l_star, inf)
+    cells = 2 * sum(table.size for table in dyp1)
     del dyp0, dyp1  # freed before the costs are computed, which lowers the peak
     assignment = relabel_assignment(Assignment(tuple(rep)), inverse)
     assignment = canonicalize(profile, assignment)
-    cells = 2 * m * sum(min(k, size[v]) for v in range(n))
     stats = {
         "merge_iterations": merges,
         "states": m * merges + cells,
@@ -303,7 +301,7 @@ def solve_tree_dp(
     return SolveResult.from_assignment(profile, assignment, "tree-dp", stats)
 
 
-def _reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, inf):
+def _reconstruct(rows, tree, k, objective, dyp0, dyp1, l_star, inf):
     """Walk the tables back into per-voter representatives.
 
     dyp2 planes were dropped after the sweep, so per visited vertex the
@@ -342,30 +340,29 @@ def _reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, in
         # as in merge_child_plane, the better piece of SAME with budget i + 1
         # and DIFF with budget i enters before the rest of the fold
         vectors = [[int(rows[v, c])]]
-        upper = 1
         for u in reversed(children[1:]):
             prev = vectors[-1]
             piece = list(map(min, same[u] + [inf], [inf] + diff[u]))
-            bound = min(k, upper + size[u])
+            upper, child = len(prev), len(same[u])
+            bound = min(k, upper + child)
             vec = [inf] * bound
             for l2 in range(1, bound + 1):
                 best = inf
-                for i in range(max(0, l2 - upper), min(l2 - 1, size[u]) + 1):
+                for i in range(max(0, l2 - upper), min(l2 - 1, child) + 1):
                     got = max(piece[i], prev[l2 - 1 - i]) if egal else piece[i] + prev[l2 - 1 - i]
                     if got < best:
                         best = got
                 vec[l2 - 1] = best
             # slower than the forward sweep's all-c fold, but runs once per vertex
             vectors.append(vec)
-            upper += size[u]
         vectors.reverse()  # vectors[i] now covers the children after child i, plus v
         carried = int(dyp1[v][l - 1, c])
         for i, u in enumerate(children):
-            upper = partial[v][i + 1]
             rest = vectors[i]
             d0, d1 = diff[u], same[u]
-            same_ts = range(max(1, l + 1 - upper), min(l, size[u]) + 1)
-            diff_ts = range(max(1, l - upper), min(l - 1, size[u]) + 1)
+            upper, child = len(rest), len(d1)
+            same_ts = range(max(1, l + 1 - upper), min(l, child) + 1)
+            diff_ts = range(max(1, l - upper), min(l - 1, child) + 1)
             if egal:
                 got = [max(d1[t - 1], rest[l - t]) for t in same_ts]
                 got += [max(d0[t - 1], rest[l - t - 1]) for t in diff_ts]

@@ -19,6 +19,7 @@ from ccwinner.cli import (
 from ccwinner.core import Assignment, Line, Objective, PreferenceProfile, cost
 from ccwinner.errors import ParseError
 from ccwinner.generators import gen_sc_grid, gen_sc_line, gen_sc_tree, gen_star_instance
+from ccwinner.grid_solver import Rect, Tiling
 from ccwinner.line_solver import solve_line_dp, solve_line_egal_threshold, solve_line_klink
 from ccwinner.oracle import brute_force
 
@@ -562,6 +563,48 @@ def test_check_conjecture_sweep_writes_sorted_csv(tmp_path, capsys):
     assert all(r.split(",")[5] == "True" for r in rows[1:])
 
 
+def test_conjecture_pool_has_no_more_workers_than_instances(monkeypatch, capsys):
+    created = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in this process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    argv = ["check", "--mode", "conjecture", "--n1-max", "2", "--n2-max", "2", "--k-max", "2"]
+    assert main(argv + ["--instances", "3", "--jobs", "64"]) == 0
+    assert main(argv + ["--instances", "5", "--jobs", "2"]) == 0
+    assert created == [3, 2]
+    assert "conjecture sweep: 3 instances, 0 counterexamples" in capsys.readouterr().out
+
+
+def test_conjecture_worker_solves_only_for_a_counterexample(monkeypatch):
+    solves = []
+    solve = cli.solve_grid_laminar
+    monkeypatch.setattr(cli, "solve_grid_laminar", lambda *a: solves.append(1) or solve(*a))
+    task = (5, 2, 3, 2, 4, None)
+    assert cli._conjecture_worker(task)[5:] == (True, 0, None)
+    assert solves == []  # the conjecture check solves the laminar DP itself
+    # a made-up counterexample, the whole grid on candidate 0, takes the gap branch
+    whole = Tiling((Rect(0, 1, 0, 2),), (0,))
+    monkeypatch.setattr(cli, "check_laminar_conjecture", lambda *a, **kw: whole)
+    seed, n1, n2, k, m, holds, gap, witness = cli._conjecture_worker(task)
+    assert not holds and solves == [1]
+    assert witness == {"rects": [[1, 2, 1, 3]], "reps": [1]}
+    assert gap <= 0  # one rectangle on candidate 0 never beats the laminar optimum
+
+
 def test_budget_exceeded_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("CC_BUDGET", "1")
     argv = [
@@ -599,6 +642,11 @@ def test_bench_report(tmp_path, capsys):
         ["check", "--mode", "conjecture", "--n2-max", "0"],
         ["check", "--mode", "conjecture", "--k-max", "0"],
         ["check", "--mode", "conjecture", "--m-max", "1"],
+        ["check", "--mode", "conjecture", "--instances", "0"],
+        ["check", "--mode", "conjecture", "--instances", "-2"],
+        ["check", "--mode", "conjecture", "--jobs", "0"],
+        ["check", "--mode", "monge", "--instances", "0"],
+        ["check", "--mode", "monge", "--jobs", "-1"],
     ],
 )
 def test_sweep_bounds_below_their_range_are_usage_errors(argv, capsys):

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ccwinner import tree_solver
 from ccwinner.cli import instance_to_doc, main
 from ccwinner.core import (
     Assignment,
@@ -258,6 +259,21 @@ def complete_binary_tree(n):
     return RootedTree.from_parent((None,) + tuple((v - 1) // 2 for v in range(1, n)), 0)
 
 
+def hub_tree(n):
+    """Root children of height 1: a hub with n // 3 leaves, two hubs with two
+    leaves each and one-leaf stems (n >= 12), so one level has many one-child
+    vertices and rounds past the first batch several vertices' later children."""
+    parent = [None]
+    for leaves in (n // 3, 2, 2):
+        parent.append(0)
+        parent.extend([len(parent) - 1] * leaves)
+    while len(parent) < n:
+        parent.append(0)
+        if len(parent) < n:
+            parent.append(len(parent) - 1)
+    return RootedTree.from_parent(tuple(parent), 0)
+
+
 def lift_branch_instance(rng, n, m):
     """The root votes the identity and a path per candidate j lifts j to the top;
     every other vertex copies one of the 8 newest vertices (90%) or any vertex."""
@@ -447,7 +463,7 @@ def assert_tables_match_reference(profile, tree, k, objective):
     inf = n * int(profile.scaled.max()) + 1
     rows = profile.scaled[:, list(inverse)].astype(int_dtype(2 * inf), copy=False)
     size, _ = subtree_sizes(tree)
-    dyp0, dyp1, merges = _dp_tables(rows, tree, size, k, objective, inf)
+    dyp0, dyp1, merges = _dp_tables(rows, tree, k, objective, inf)
     want0, want1, want_merges = reference_tables(rows.tolist(), tree, size, k, objective, inf)
     assert merges == want_merges
     for v in range(n):
@@ -458,7 +474,9 @@ def assert_tables_match_reference(profile, tree, k, objective):
 
 
 @pytest.mark.parametrize("rho", ["zero", "steps", "borda", "rational", "2^70"])
-@pytest.mark.parametrize("shape", ["hairy-caterpillar", "star", "complete-binary", "lift-branch"])
+@pytest.mark.parametrize(
+    "shape", ["hairy-caterpillar", "star", "complete-binary", "hub", "lift-branch"]
+)
 def test_level_sweep_tables_equal_the_reference(shape, rho):
     """Levels that mix table heights: every table, not only the answers."""
     rng = random.Random(251)
@@ -474,6 +492,7 @@ def test_level_sweep_tables_equal_the_reference(shape, rho):
                 "hairy-caterpillar": lambda: hairy_caterpillar_tree(rng, n),
                 "star": lambda: star_tree(n),
                 "complete-binary": lambda: complete_binary_tree(n),
+                "hub": lambda: hub_tree(n),
             }[shape]()
         if rho == "zero":
             profile = with_rho(profile, lambda v, p: 0)
@@ -488,6 +507,30 @@ def test_level_sweep_tables_equal_the_reference(shape, rho):
         k = (2, rng.randint(3, 8), n - 1)[trial]
         for objective in Objective:
             assert_tables_match_reference(profile, tree, k, objective)
+
+
+@pytest.mark.parametrize("height", [2, 3, 5])
+def test_rounds_fold_a_perfect_binary_level_in_two_calls(monkeypatch, height):
+    """Round j folds every vertex's j-th child from the last in one call per
+    table shape, and all vertices of one level of a perfect binary tree share
+    their shapes: two calls per internal level."""
+    rng = random.Random(263)
+    n = 2**height - 1
+    pool = [shuffled(rng, 4) for _ in range(3)]
+    profile = PreferenceProfile.from_rankings(tuple(rng.choice(pool) for _ in range(n)))
+    calls = []
+    merge = tree_solver.merge_child_plane
+
+    def counted(plane, *rest, **kw):
+        calls.append(np.shape(plane)[0])
+        return merge(plane, *rest, **kw)
+
+    monkeypatch.setattr(tree_solver, "merge_child_plane", counted)
+    for objective in Objective:
+        calls.clear()
+        assert_matches_reference(profile, complete_binary_tree(n), 2, objective)
+        assert len(calls) == 2 * (height - 1)
+        assert sum(calls) == n - 1  # every vertex but the root folded once
 
 
 # ---------------------------------------------------------------------------
