@@ -25,7 +25,6 @@ from itertools import chain
 import numpy as np
 
 from .core import (
-    Assignment,
     Grid,
     Line,
     Objective,
@@ -137,10 +136,10 @@ def _parse_structure(doc: dict, n: int):
         order = _field(doc, "order", list, "structure")
         if len(order) != n:
             raise ParseError(f"structure.order: expected {n} voters, got {len(order)}")
+        if not _all_indices(order, n):  # the per-entry pass names the first bad entry
+            for t, v in enumerate(order):
+                _index(v, n, f"structure.order[{t}]")
         try:
-            if not _all_indices(order, n):  # the per-entry pass names the first bad entry
-                for t, v in enumerate(order):
-                    _index(v, n, f"structure.order[{t}]")
             return Line(tuple(map(_zero_based, order)))
         except ValueError as exc:
             raise ParseError(f"structure.order: {exc}") from None
@@ -154,23 +153,25 @@ def _parse_structure(doc: dict, n: int):
                     _index(p, n, f"structure.parent[{v}]")
         parent = tuple(None if p is None else p - 1 for p in parent_raw)
         root = _index(_field(doc, "root", int, "structure"), n, "structure.root")
+        child_order = None
+        if "child_order" in doc:
+            rows = _field(doc, "child_order", list, "structure")
+            if not set(map(type, rows)) <= {list} or not _all_indices(
+                list(chain.from_iterable(rows)), n
+            ):
+                for v, row in enumerate(rows):
+                    if type(row) is not list:
+                        raise ParseError(
+                            f"structure.child_order[{v}]: expected a list of child vertices, "
+                            f"got {row!r}"
+                        )
+                    for u in row:
+                        _index(u, n, f"structure.child_order[{v}]")
+            child_order = tuple(tuple(map(_zero_based, row)) for row in rows)
         try:
-            if "child_order" in doc:
-                rows = _field(doc, "child_order", list, "structure")
-                if not set(map(type, rows)) <= {list} or not _all_indices(
-                    list(chain.from_iterable(rows)), n
-                ):
-                    for v, row in enumerate(rows):
-                        if type(row) is not list:
-                            raise ParseError(
-                                f"structure.child_order[{v}]: expected a list of child vertices, "
-                                f"got {row!r}"
-                            )
-                        for u in row:
-                            _index(u, n, f"structure.child_order[{v}]")
-                child_order = tuple(tuple(map(_zero_based, row)) for row in rows)
-                return RootedTree(parent, root, child_order)
-            return RootedTree.from_parent(parent, root)
+            if child_order is None:
+                return RootedTree.from_parent(parent, root)
+            return RootedTree(parent, root, child_order)
         except (ValueError, CCWinnerError) as exc:
             raise ParseError(f"structure: {exc}") from None
     if kind == "grid":
@@ -367,16 +368,16 @@ def cmd_validate(args) -> int:
 def _solve_merged(profile, line, objective: Objective, solve, *args) -> SolveResult:
     """Run a line solver on the profile with adjacent identical voters merged.
 
-    The merged instance's answer gives every voter of a run that run's
-    representative; both costs are recomputed on the full profile, since the
-    maximum of a summed row is no single voter's misrepresentation.
+    Only the merged answer's committee carries over: identical voters share
+    their favorite member, so the full profile's canonical assignment for it
+    gives every voter of a run the run's representative. Both costs are
+    computed on the full profile, since the maximum of a summed row is no
+    single voter's misrepresentation.
     """
-    merged, block = merge_identical_voters(profile, line, objective)
+    merged = merge_identical_voters(profile, line, objective)
     inner = solve(merged, Line(tuple(range(merged.n))), *args)
-    rep = np.asarray(inner.assignment.rep)[block]
     stats = {**inner.stats, "compressed_n": merged.n}
-    assignment = Assignment(tuple(rep.tolist()))
-    return SolveResult.from_assignment(profile, assignment, inner.algorithm, stats)
+    return SolveResult.from_committee(profile, inner.assignment.committee, inner.algorithm, stats)
 
 
 def _dispatch(profile, structure, algorithm: str, objective: Objective, k: int) -> SolveResult:

@@ -417,16 +417,20 @@ class Assignment:
         return len(self.committee)
 
 
+def _favorites(profile: PreferenceProfile, committee) -> Assignment:
+    """Every voter on their most-preferred member of the committee."""
+    members = np.fromiter(committee, np.int64, len(committee))
+    first = profile.pos[:, members].argmin(axis=1)  # the member ranked highest
+    return Assignment(tuple(members[first].tolist()))
+
+
 def canonicalize(profile: PreferenceProfile, assignment: Assignment) -> Assignment:
     """Reassign every voter to their most-preferred committee member.
 
-    The committee shrinks to the members that remain in use; the cost under
-    any consistent rho weakly decreases.  Idempotent.
+    Only the committee is read.  It shrinks to the members that remain in
+    use; the cost under any consistent rho weakly decreases.  Idempotent.
     """
-    member = np.zeros(profile.m, dtype=bool)
-    member[list(assignment.committee)] = True
-    first = member[profile.rank].argmax(axis=1)
-    return Assignment(tuple(profile.rank[np.arange(profile.n), first].tolist()))
+    return _favorites(profile, assignment.committee)
 
 
 def cost(profile: PreferenceProfile, assignment: Assignment, objective: Objective) -> Rational:
@@ -473,11 +477,6 @@ def normalize_to_root_order(
     return PreferenceProfile._from_parts(forward[profile.rank], pos, scaled, profile.scale), inverse
 
 
-def relabel_assignment(assignment: Assignment, new_to_old: Sequence[int]) -> Assignment:
-    """Translate an assignment expressed in relabeled candidates back to the originals."""
-    return Assignment(tuple(new_to_old[c] for c in assignment.rep))
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """A solver's answer: the assignment plus both cost readings and run metadata."""
@@ -505,3 +504,18 @@ class SolveResult:
             algorithm=algorithm,
             stats=dict(stats or {}),
         )
+
+    @classmethod
+    def from_committee(
+        cls,
+        profile: PreferenceProfile,
+        committee,
+        algorithm: str,
+        stats: Optional[dict] = None,
+    ) -> "SolveResult":
+        """The canonical answer for a committee: every voter on their most-preferred member.
+
+        Members nobody prefers drop out, so ``k_used`` may be smaller than
+        the committee.
+        """
+        return cls.from_assignment(profile, _favorites(profile, committee), algorithm, stats)

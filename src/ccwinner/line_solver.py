@@ -18,8 +18,10 @@ Three routes to the optimum:
 
 Everything here works on the normalized scaled rows of the instance
 (candidates relabeled so the first voter in line order ranks them 0, 1, 2,
-..., voters in line order), taken from the profile in one gather;
-assignments are mapped back before returning.
+..., voters in line order), taken from the profile in one gather. A route
+maps only the committee its walk found back to the original labels;
+``SolveResult.from_committee`` then puts every voter on their favorite
+member.
 """
 
 from __future__ import annotations
@@ -31,15 +33,12 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    Assignment,
     Line,
     Objective,
     PreferenceProfile,
     SolveResult,
-    canonicalize,
     int_dtype,
     reference_ranking,
-    relabel_assignment,
     to_rho_units,
 )
 from .errors import InvalidK, NotSingleCrossing
@@ -67,15 +66,16 @@ def _line(profile: PreferenceProfile, order) -> Line:
 
 def merge_identical_voters(
     profile: PreferenceProfile, order, objective: Objective = Objective.UTILITARIAN
-) -> tuple[PreferenceProfile, np.ndarray]:
+) -> PreferenceProfile:
     """Merge each run of adjacent identical voters on the line into one voter.
 
     The merged voter keeps the run's ranking and carries the run's summed
     rho row (utilitarian) or its elementwise maximum (egalitarian), so every
     assignment that gives the run one representative costs the same on both
     profiles; canonical assignments do, because identical voters share
-    their favorite committee member. Returns the merged profile, whose line
-    is the identity order, and the merged voter of each original voter.
+    their favorite committee member. So a committee's canonical assignment
+    on the full profile is the merged one, read per run. Returns the merged
+    profile, whose line is the identity order.
     """
     line = _line(profile, order)
     voters = np.asarray(line.order)
@@ -84,8 +84,6 @@ def merge_identical_voters(
         col = profile.rank[voters, c]
         cut |= col[1:] != col[:-1]
     starts = np.concatenate(([0], np.flatnonzero(cut) + 1))
-    block = np.empty(profile.n, dtype=np.int64)
-    block[voters] = np.concatenate(([0], np.cumsum(cut)))
     # gather the full rows inside the call, so they are freed before the merged rankings exist
     if objective is Objective.EGALITARIAN:
         scaled = np.maximum.reduceat(profile.scaled[voters], starts)
@@ -94,7 +92,7 @@ def merge_identical_voters(
         scaled = np.add.reduceat(profile.scaled[voters], starts, dtype=dtype)
     heads = voters[starts]
     rank, pos = profile.rank[heads], profile.pos[heads]
-    return PreferenceProfile._from_parts(rank, pos, scaled, profile.scale), block
+    return PreferenceProfile._from_parts(rank, pos, scaled, profile.scale)
 
 
 def _normalized_rows(profile: PreferenceProfile, line: Line):
@@ -543,17 +541,9 @@ def solve_line_dp(
     planes = min(k, n)
     egal = objective is Objective.EGALITARIAN
     rep_pos, l_star, engine, sweeps = _dp_engine(rows, planes, egal)
-    assignment = _from_line_positions(profile, line, inverse, rep_pos)
+    committee = {inverse[c] for c in set(rep_pos)}
     stats = {"engine": engine, "states": 2 * n * planes * m, "l_star": l_star, "sweeps": sweeps}
-    return SolveResult.from_assignment(profile, assignment, "line-dp", stats)
-
-
-def _from_line_positions(profile, line, inverse, rep_pos) -> Assignment:
-    """Canonical assignment from normalized representatives listed in line order."""
-    rep = [0] * profile.n
-    for v, c in zip(line.order, rep_pos):
-        rep[v] = c
-    return canonicalize(profile, relabel_assignment(Assignment(tuple(rep)), inverse))
+    return SolveResult.from_committee(profile, committee, "line-dp", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -603,12 +593,7 @@ def solve_line_klink(profile: PreferenceProfile, order, k: int) -> SolveResult:
                 )
             path = _exact_k_path(klink, lam, k)
 
-    rep_pos = [0] * n
-    for u, v in zip(path, path[1:]):
-        c = klink.cand(u, v)
-        for pos in range(u, v):
-            rep_pos[pos] = c
-    assignment = _from_line_positions(profile, line, inverse, rep_pos)
+    committee = {inverse[klink.cand(u, v)] for u, v in zip(path, path[1:])}
     stats = {
         "lambda": to_rho_units(lam, profile.scale),
         "links": len(path) - 1,
@@ -616,7 +601,7 @@ def solve_line_klink(profile: PreferenceProfile, order, k: int) -> SolveResult:
         # Lagrangian dual value: no path with at most k links weighs less
         "lower_bound": to_rho_units(total - lam * k, profile.scale),
     }
-    return SolveResult.from_assignment(profile, assignment, "line-klink", stats)
+    return SolveResult.from_committee(profile, committee, "line-klink", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +628,6 @@ def solve_line_egal_threshold(profile: PreferenceProfile, order, k: int) -> Solv
     planes = min(k, profile.n)
     checkpoints = _dp_sweep(rows, planes, True, record=False)[3]
     t = int(checkpoints[0][1][:, 0].min())
-    rep_pos = _dp_engine(rows > t, planes, False)[0]
-    witness = _from_line_positions(profile, line, inverse, rep_pos)
+    witness = {inverse[c] for c in set(_dp_engine(rows > t, planes, False)[0])}
     stats = {"threshold": to_rho_units(t, profile.scale), "dp_calls": 2}
-    return SolveResult.from_assignment(profile, witness, "line-egal-threshold", stats)
+    return SolveResult.from_committee(profile, witness, "line-egal-threshold", stats)

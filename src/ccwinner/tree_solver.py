@@ -47,15 +47,12 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    Assignment,
     Objective,
     PreferenceProfile,
     RootedTree,
     SolveResult,
-    canonicalize,
     int_dtype,
     reference_ranking,
-    relabel_assignment,
 )
 from .errors import InconsistentTables, InvalidK
 
@@ -110,8 +107,6 @@ def merge_child_plane(
     plane,
     child_dyp0,
     child_dyp1,
-    upper_size: int,
-    child_size: int,
     k: int,
     objective: Objective = Objective.UTILITARIAN,
     *,
@@ -120,14 +115,16 @@ def merge_child_plane(
     """Fold one child into a partial plane of its parent.
 
     ``plane[l-1, c]`` is the best cost for the already-folded part (parent v
-    plus previously folded children, ``upper_size`` voters) split into l
-    subtrees with representatives in [c:m] and v on c. ``inf`` marks
+    plus previously folded children) split into l subtrees with
+    representatives in [c:m] and v on c. The part's size and the child's
+    are read from the table lengths, min(k, size): every bound below is
+    the same for the capped sizes as for the exact ones. ``inf`` marks
     infeasible states and must exceed every finite value. Returns the
     extended (bound, m) plane plus the number of (l, t) splits examined,
     which the caller sums into its work counter.
 
     Leading axes are a batch: a (g, rows, m) plane and (g, rows_u, m) child
-    tables fold g parents at once, all with these sizes (up to k), and the
+    tables fold g parents at once, all with these table lengths, and the
     count is that of one fold.
 
     Row l - 1 of the new plane pairs plane row r with the child's piece at
@@ -145,10 +142,11 @@ def merge_child_plane(
     d1 = np.asarray(child_dyp1)
     op = np.maximum if objective is Objective.EGALITARIAN else np.add
     *batch, rows, m = plane.shape
-    bound = min(k, upper_size + child_size)
+    child = d1.shape[-2]
+    bound = min(k, rows + child)
     dtype = np.result_type(plane, d0, d1)
-    same_hi = min(child_size, bound)  # SAME budgets t = 1..same_hi
-    diff_hi = min(child_size, bound - 1)  # DIFF budgets t = 1..diff_hi
+    same_hi = min(child, bound)  # SAME budgets t = 1..same_hi
+    diff_hi = min(child, bound - 1)  # DIFF budgets t = 1..diff_hi
     # piece[i, c]: the better of SAME with budget i + 1 (child on c) and DIFF
     # with budget i (child above c, so never for c = m - 1); empty + fill is
     # cheaper than np.full on the small arrays most folds meet
@@ -228,16 +226,9 @@ def _dp_tables(rows, tree: RootedTree, k: int, objective: Objective, inf: int):
                 vs, us = groups.setdefault((len(dyp1[v]), len(dyp1[u])), ([], []))
                 vs.append(v)
                 us.append(u)
-            for (upper, child), (vs, us) in groups.items():
+            for vs, us in groups.values():
                 new, its = merge_child_plane(
-                    _batch(dyp1, vs),
-                    _batch(dyp0, us),
-                    _batch(dyp1, us),
-                    upper,
-                    child,
-                    k,
-                    objective,
-                    inf=inf,
+                    _batch(dyp1, vs), _batch(dyp0, us), _batch(dyp1, us), k, objective, inf=inf
                 )
                 merges += its * len(vs)
                 for v, p in zip(vs, new):
@@ -275,10 +266,9 @@ def solve_tree_dp(
 
     if k >= n:
         # one subtree per voter: everyone's top choice is attainable
-        assignment = Assignment(tuple(profile.rank[:, 0].tolist()))
-        return SolveResult.from_assignment(
-            profile, assignment, "tree-dp", {"shortcut": "tops", "merge_iterations": 0}
-        )
+        tops = set(profile.rank[:, 0].tolist())
+        stats = {"shortcut": "tops", "merge_iterations": 0}
+        return SolveResult.from_committee(profile, tops, "tree-dp", stats)
 
     inverse = reference_ranking(profile, tree)
     inf = n * int(profile.scaled.max()) + 1  # above every finite total and maximum
@@ -291,14 +281,12 @@ def solve_tree_dp(
     rep = _reconstruct(rows, tree, k, objective, dyp0, dyp1, l_star, inf)
     cells = 2 * sum(table.size for table in dyp1)
     del dyp0, dyp1  # freed before the costs are computed, which lowers the peak
-    assignment = relabel_assignment(Assignment(tuple(rep)), inverse)
-    assignment = canonicalize(profile, assignment)
     stats = {
         "merge_iterations": merges,
         "states": m * merges + cells,
         "l_star": l_star,
     }
-    return SolveResult.from_assignment(profile, assignment, "tree-dp", stats)
+    return SolveResult.from_committee(profile, {inverse[c] for c in set(rep)}, "tree-dp", stats)
 
 
 def _reconstruct(rows, tree, k, objective, dyp0, dyp1, l_star, inf):

@@ -54,11 +54,6 @@ def check_consistency(profile: PreferenceProfile) -> Optional[ConsistencyViolati
     return ConsistencyViolation(v, int(profile.rank[v, p]), int(profile.rank[v, p + 1]))
 
 
-def rank_positions(profile: PreferenceProfile) -> np.ndarray:
-    """(n, m) matrix of rank positions; row v maps candidate -> position."""
-    return profile.pos
-
-
 def check_sc_line(profile: PreferenceProfile, line: Line) -> Optional[CrossingViolation]:
     """Single-crossing on a line: every candidate pair flips at most once.
 
@@ -69,7 +64,7 @@ def check_sc_line(profile: PreferenceProfile, line: Line) -> Optional[CrossingVi
     m = profile.m
     # row c: candidate c's rank position at each voter in line order, in the
     # narrowest dtype that holds positions < m
-    pos = rank_positions(profile).astype(np.min_scalar_type(m - 1))[np.asarray(line.order)]
+    pos = profile.pos.astype(np.min_scalar_type(m - 1))[np.asarray(line.order)]
     pos = np.ascontiguousarray(pos.T)
     for a in range(m - 1):
         prefers_a = pos[a + 1 :] > pos[a]  # row b - a - 1 is the pair (a, b)
@@ -134,7 +129,7 @@ def check_sc_tree(profile: PreferenceProfile, tree: RootedTree) -> Optional[Cros
     n, m = profile.n, profile.m
     # row c: candidate c's rank position at each voter, in the narrowest
     # dtype that holds positions < m
-    pos = np.ascontiguousarray(rank_positions(profile).T, dtype=np.min_scalar_type(m - 1))
+    pos = np.ascontiguousarray(profile.pos.T, dtype=np.min_scalar_type(m - 1))
     child = np.array([v for v in range(n) if v != tree.root], dtype=np.int64)
     parent = np.array([tree.parent[v] for v in child.tolist()], dtype=np.int64)
     at_child, at_parent = pos[:, child], pos[:, parent]
@@ -209,7 +204,7 @@ def check_sc_grid(profile: PreferenceProfile, grid: Grid) -> Optional[CrossingVi
     """
     if grid.n != profile.n:
         raise ValueError("grid shape and profile disagree on the number of voters")
-    pos = rank_positions(profile).reshape(grid.n1, grid.n2, -1)
+    pos = profile.pos.reshape(grid.n1, grid.n2, -1)
     m = profile.m
     for a in range(m - 1):
         # sides[..., b - a - 1, 0] supports a over b, sides[..., b - a - 1, 1] b over a

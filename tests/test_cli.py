@@ -16,7 +16,7 @@ from ccwinner.cli import (
     load_instance,
     main,
 )
-from ccwinner.core import Assignment, Line, Objective, PreferenceProfile, cost
+from ccwinner.core import Assignment, Line, Objective, PreferenceProfile, canonicalize, cost
 from ccwinner.errors import ParseError
 from ccwinner.generators import gen_sc_grid, gen_sc_line, gen_sc_tree, gen_star_instance
 from ccwinner.grid_solver import Rect, Tiling
@@ -118,15 +118,15 @@ def test_float_rho_rejected(tmp_path):
         ({"rho": [[0, 1, 2], [1, 0], [2, 0, 1]]}, "rho[1]: expected a list of 3 values"),
         ({"rho": [[0, 1, 2], [1, 0, 2]]}, "rho: one row per voter required"),
         ({"structure": {"type": "line", "order": [1, True, 3]}},
-         "structure.order: structure.order[1]: expected an integer in 1..3, got True"),
+         "structure.order[1]: expected an integer in 1..3, got True"),
         ({"structure": {"type": "line", "order": [1, 2.0, 3]}},
-         "structure.order: structure.order[1]: expected an integer in 1..3, got 2.0"),
+         "structure.order[1]: expected an integer in 1..3, got 2.0"),
         ({"structure": {"type": "line", "order": [0, 2, 3]}},
-         "structure.order: structure.order[0]: expected an integer in 1..3, got 0"),
+         "structure.order[0]: expected an integer in 1..3, got 0"),
         ({"structure": {"type": "line", "order": [1, 2, 4]}},
-         "structure.order: structure.order[2]: expected an integer in 1..3, got 4"),
+         "structure.order[2]: expected an integer in 1..3, got 4"),
         ({"structure": {"type": "line", "order": [1, 2, None]}},
-         "structure.order: structure.order[2]: expected an integer in 1..3, got None"),
+         "structure.order[2]: expected an integer in 1..3, got None"),
         ({"structure": {"type": "line", "order": [1, 2, 2]}},
          "structure.order: order must be a non-empty permutation of the voters"),
         ({"structure": {"type": "line", "order": [1, 2]}},
@@ -144,21 +144,21 @@ def test_float_rho_rejected(tmp_path):
         ({"structure": {**TREE, "root": 2}},
          "structure: root must be the unique vertex without a parent"),
         ({"structure": {**TREE, "child_order": [[2, 4], [], []]}},
-         "structure: structure.child_order[0]: expected an integer in 1..3, got 4"),
+         "structure.child_order[0]: expected an integer in 1..3, got 4"),
         ({"structure": {**TREE, "child_order": [[2, True], [], []]}},
-         "structure: structure.child_order[0]: expected an integer in 1..3, got True"),
+         "structure.child_order[0]: expected an integer in 1..3, got True"),
         ({"structure": {**TREE, "child_order": [[2, 2], [], []]}},
          "structure: child_order of vertex 0 does not match the parent links"),
         ({"structure": {**TREE, "child_order": [[2, 3], []]}},
          "structure: child_order must have one entry per vertex"),
         ({"structure": {**TREE, "child_order": [[2, 3], 5, []]}},
-         "structure: structure.child_order[1]: expected a list of child vertices, got 5"),
+         "structure.child_order[1]: expected a list of child vertices, got 5"),
         ({"structure": {**TREE, "child_order": [[2, 3], "", []]}},
-         "structure: structure.child_order[1]: expected a list of child vertices, got ''"),
+         "structure.child_order[1]: expected a list of child vertices, got ''"),
         ({"structure": {**TREE, "child_order": [[2, 3], [], {}]}},
-         "structure: structure.child_order[2]: expected a list of child vertices, got {}"),
+         "structure.child_order[2]: expected a list of child vertices, got {}"),
         ({"structure": {**TREE, "child_order": ["23", [], []]}},
-         "structure: structure.child_order[0]: expected a list of child vertices, got '23'"),
+         "structure.child_order[0]: expected a list of child vertices, got '23'"),
     ],
 )
 def test_parse_errors_keep_their_messages(tmp_path, patch, message):
@@ -314,7 +314,7 @@ def test_solve_reports_a_non_list_child_order_row(tmp_path, capsys):
     doc = {**THREE, "structure": {**TREE, "child_order": [[2, 3], 5, []]}}
     assert main(["solve", write(tmp_path, doc), "--k", "1"]) == 1
     assert capsys.readouterr().err == (
-        "error: structure: structure.child_order[1]: expected a list of child vertices, got 5\n"
+        "error: structure.child_order[1]: expected a list of child vertices, got 5\n"
     )
 
 
@@ -391,19 +391,31 @@ def with_rho(profile, rng, draw):
     return PreferenceProfile(profile.rankings, rho)
 
 
+def tie_heavy_rho(seed, m):
+    """Zero, Borda, step or rational rho, chosen by seed, as a `with_rho` draw."""
+    return [
+        lambda r: [0] * m,
+        lambda r: range(m),
+        lambda r: [r.choice((0, 0, 1, 3)) for _ in range(m)],
+        lambda r: [Fraction(r.randint(0, 12), r.choice((1, 2, 3))) for _ in range(m)],
+    ][seed % 4]
+
+
 def tie_heavy_line(seed):
     """A short-word line (long runs of identical voters) with zero, Borda, step or rational rho."""
     rng = random.Random(seed)
     n, m, k = rng.randint(1, 30), rng.randint(1, 7), rng.randint(1, 9)
     shuffle = rng.random() < 0.5
     profile, line = gen_sc_line(seed, n, m, max_swaps=rng.randint(0, 4), shuffle_voters=shuffle)
-    draw = [
-        lambda r: [0] * m,
-        lambda r: range(m),
-        lambda r: [r.choice((0, 0, 1, 3)) for _ in range(m)],
-        lambda r: [Fraction(r.randint(0, 12), r.choice((1, 2, 3))) for _ in range(m)],
-    ][seed % 4]
-    return with_rho(profile, rng, draw), line, k
+    return with_rho(profile, rng, tie_heavy_rho(seed, m)), line, k
+
+
+def tie_heavy_tree(seed):
+    """A tree with at most two swaps per edge (many identical voters); k >= n takes the tops."""
+    rng = random.Random(seed)
+    n, m, k = rng.randint(1, 25), rng.randint(1, 7), rng.randint(1, 9)
+    profile, tree = gen_sc_tree(seed, n, m, max_edge_swaps=rng.randint(0, 2))
+    return with_rho(profile, rng, tie_heavy_rho(seed, m)), tree, k
 
 
 def line_routes(profile, line, k):
@@ -432,6 +444,21 @@ def test_merged_line_routes_return_the_unmerged_answers():
             assert got.stats["compressed_n"] <= profile.n
             if "dp_calls" in want.stats:
                 assert got.stats["dp_calls"] == want.stats["dp_calls"] == 2, where
+
+
+def test_line_and_tree_routes_return_canonical_assignments():
+    """Each line and tree answer is canonical for its committee, merged routes included."""
+    for seed in range(300):
+        profile, line, k = tie_heavy_line(seed)
+        for algorithm, objective, direct in line_routes(profile, line, k):
+            merged = cli._dispatch(profile, line, algorithm, objective, k)
+            where = (seed, algorithm, objective)
+            for got in (direct, merged):
+                assert canonicalize(profile, got.assignment) == got.assignment, where
+        profile, tree, k = tie_heavy_tree(seed)
+        for objective in Objective:
+            got = cli._dispatch(profile, tree, "tree-dp", objective, k)
+            assert canonicalize(profile, got.assignment) == got.assignment, (seed, objective)
 
 
 def test_merged_line_routes_on_rational_rho_match_the_oracle():

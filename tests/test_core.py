@@ -19,7 +19,6 @@ from ccwinner.core import (
     canonicalize,
     cost,
     normalize_to_root_order,
-    relabel_assignment,
 )
 from ccwinner.errors import NotATree
 
@@ -313,8 +312,8 @@ def test_normalize_to_root_order_line():
     for v in range(3):
         for c in range(3):
             assert norm.rho[v][c] == profile.rho[v][inverse[c]]
-    back = relabel_assignment(Assignment((0, 1, 2)), inverse)
-    assert back.rep == (2, 0, 1)
+    # inverse maps each relabeled ranking back to the voter's own
+    assert [tuple(inverse[c] for c in r) for r in norm.rankings] == list(profile.rankings)
 
 
 def test_normalize_reference_voter_per_structure():
@@ -336,3 +335,20 @@ def test_solve_result_factory():
     assert res.k_used == 2
     assert res.algorithm == "line-dp"
     assert res.stats == {"iterations": 7}
+
+
+def test_solve_result_from_committee_puts_voters_on_their_favorites():
+    profile = PreferenceProfile.from_rankings(THREE_VOTERS)
+    res = SolveResult.from_committee(profile, {2, 0}, "tree-dp", {"l_star": 2})
+    # voters 0 and 1 rank 0 above 2, voter 2 ranks 2 above 0
+    assert res.assignment.rep == (0, 0, 2)
+    assert res.assignment.committee == frozenset({0, 2}) and res.k_used == 2
+    assert res.algorithm == "tree-dp" and res.stats == {"l_star": 2}
+    assert res.total_cost == cost(profile, res.assignment, Objective.UTILITARIAN) == 2
+    assert res.egal_cost == cost(profile, res.assignment, Objective.EGALITARIAN) == 1
+    # a member nobody prefers drops out: every voter ranks 1 above 2
+    full = SolveResult.from_committee(profile, {0, 1, 2}, "line-dp")
+    assert full.assignment.rep == (0, 1, 1) and full.k_used == 2
+    assert (full.total_cost, full.egal_cost) == (0, 0)
+    assert SolveResult.from_committee(profile, {1, 2}, "line-dp").assignment.rep == (1, 1, 1)
+

@@ -20,11 +20,10 @@ import numpy as np
 import pytest
 
 from ccwinner import line_solver
-from ccwinner.core import Line, PreferenceProfile, int_dtype, to_rho_units
+from ccwinner.core import Assignment, Line, PreferenceProfile, canonicalize, int_dtype, to_rho_units
 from ccwinner.generators import gen_sc_line
 from ccwinner.line_solver import (
     _dp_engine,
-    _from_line_positions,
     _normalized_rows,
     solve_line_dp,
     solve_line_egal_threshold,
@@ -123,6 +122,14 @@ def reference_dp_engine(rho, planes, egal):
     return rep, l_star, np.dtype(dtype).name
 
 
+def reference_from_line_positions(profile, line, inverse, rep_pos):
+    """Canonical assignment from normalized representatives listed in line order."""
+    rep = [0] * profile.n
+    for v, c in zip(line.order, rep_pos):
+        rep[v] = inverse[c]
+    return canonicalize(profile, Assignment(tuple(rep)))
+
+
 def reference_egal_threshold(profile, line, k):
     """The earlier threshold solver: the max-objective walk's largest paid value, then a 0/1 DP."""
     rows, inverse = _normalized_rows(profile, line)
@@ -130,7 +137,8 @@ def reference_egal_threshold(profile, line, k):
     rep_pos = reference_dp_engine(rows, planes, True)[0]
     t = int(rows[np.arange(profile.n), rep_pos].max())
     rep_pos = reference_dp_engine(rows > t, planes, False)[0]
-    return to_rho_units(t, profile.scale), _from_line_positions(profile, line, inverse, rep_pos)
+    witness = reference_from_line_positions(profile, line, inverse, rep_pos)
+    return to_rho_units(t, profile.scale), witness
 
 
 DRAWS = ("zero", "step", "borda", "rational", "huge")

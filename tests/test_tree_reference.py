@@ -27,7 +27,6 @@ from ccwinner.core import (
     canonicalize,
     int_dtype,
     reference_ranking,
-    relabel_assignment,
 )
 from ccwinner.generators import gen_sc_tree
 from ccwinner.oracle import brute_force
@@ -99,7 +98,7 @@ def reference_tree_dp(profile, tree, k, objective=Objective.UTILITARIAN):
     first = [dyp0[root][l - 1][0] for l in range(1, min(k, n) + 1)]
     l_star = first.index(min(first)) + 1
     rep = reference_reconstruct(rows, tree, k, objective, dyp0, dyp1, size, partial, l_star, inf)
-    assignment = canonicalize(profile, relabel_assignment(Assignment(tuple(rep)), inverse))
+    assignment = canonicalize(profile, Assignment(tuple(inverse[c] for c in rep)))
     cells = 2 * m * sum(min(k, size[v]) for v in range(n))
     stats = {"merge_iterations": merges, "states": m * merges + cells, "l_star": l_star}
     return SolveResult.from_assignment(profile, assignment, "tree-dp", stats)
@@ -371,9 +370,10 @@ def test_merge_returns_the_reference_planes():
         plane = table(min(k, s))
         child_dyp1 = table(min(k, szu))
         child_dyp0 = reference_suffix_min_rows(child_dyp1, m)
-        args = (plane, child_dyp0, child_dyp1, s, szu, k, objective)
-        new, its = merge_child_plane(*args, inf=inf)
-        want, want_its = reference_merge_child_plane(*args, inf=inf)
+        new, its = merge_child_plane(plane, child_dyp0, child_dyp1, k, objective, inf=inf)
+        want, want_its = reference_merge_child_plane(
+            plane, child_dyp0, child_dyp1, s, szu, k, objective, inf=inf
+        )
         assert new.shape == (min(k, s + szu), m)
         assert new.tolist() == want and its == want_its, trial
         assert type(its) is int
@@ -421,7 +421,7 @@ def test_merge_folds_along_either_side(side, big, objective):
         child_dyp0 = reference_suffix_min_rows(child_dyp1, m)
         dtype = np.int64 if big == 1 else object
         tables = [np.array(t, dtype=dtype) for t in (plane, child_dyp0, child_dyp1)]
-        new, its = merge_child_plane(*tables, s, szu, k, objective, inf=inf)
+        new, its = merge_child_plane(*tables, k, objective, inf=inf)
         want, want_its = reference_merge_child_plane(
             plane, child_dyp0, child_dyp1, s, szu, k, objective, inf=inf
         )

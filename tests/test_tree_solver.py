@@ -74,9 +74,7 @@ def test_merge_single_leaf_child():
     child_dyp1 = [[2, 5, 0]]
     child_dyp0 = [[0, 0, 0]]  # suffix minima of the row above
     plane = [list(parent_rho)]
-    new, its = merge_child_plane(
-        plane, child_dyp0, child_dyp1, 1, 1, 2, Objective.UTILITARIAN, inf=INF
-    )
+    new, its = merge_child_plane(plane, child_dyp0, child_dyp1, 2, Objective.UTILITARIAN, inf=INF)
     # l=1 is SAME only: both voters on c
     assert new[0].tolist() == [5, 6, 4]
     # l=2 is DIFF only: child strictly above c, so dyp0[u][1][c+1] + rho(v, c)
@@ -86,9 +84,7 @@ def test_merge_single_leaf_child():
 
 def test_merge_egalitarian_uses_max():
     plane = [[3, 1, 4]]
-    new, _ = merge_child_plane(
-        plane, [[0, 0, 0]], [[2, 5, 0]], 1, 1, 2, Objective.EGALITARIAN, inf=INF
-    )
+    new, _ = merge_child_plane(plane, [[0, 0, 0]], [[2, 5, 0]], 2, Objective.EGALITARIAN, inf=INF)
     assert new[0].tolist() == [3, 5, 4]
     assert new[1].tolist() == [3, 1, INF]
 

@@ -15,7 +15,6 @@ from ccwinner.validation import (
     check_sc_line,
     check_sc_tree,
     check_structure,
-    rank_positions,
     _tree_side_violation,
 )
 
@@ -73,8 +72,8 @@ def sc_line_states(rng, m, swaps):
 
 def test_rank_positions():
     profile = PreferenceProfile.from_rankings(((2, 0, 1), (0, 1, 2)))
-    pos = rank_positions(profile)
-    assert pos.tolist() == [[1, 2, 0], [0, 1, 2]]
+    # row v maps candidate -> rank position, the inverse of the ranking
+    assert profile.pos.tolist() == [[1, 2, 0], [0, 1, 2]]
 
 
 def test_consistency_borda_ok():
@@ -374,7 +373,7 @@ def test_consistency_matches_the_per_element_reference(rows):
 
 def reference_check_sc_line(profile, line):
     """One pair at a time, as the line checker first did."""
-    pos = rank_positions(profile)[np.asarray(line.order)]
+    pos = profile.pos[np.asarray(line.order)]
     for a in range(profile.m):
         for b in range(a + 1, profile.m):
             prefers_a = pos[:, a] < pos[:, b]
@@ -417,7 +416,7 @@ def reference_grid_side(side):
 
 def reference_check_sc_grid(profile, grid):
     """One ordered pair at a time, as the grid checker first did."""
-    pos = rank_positions(profile)
+    pos = profile.pos
     for a in range(profile.m):
         for b in range(a + 1, profile.m):
             prefers_a = (pos[:, a] < pos[:, b]).reshape(grid.n1, grid.n2)
@@ -513,7 +512,7 @@ def test_tree_checker_matches_the_per_pair_reference():
 def members_and_edges_check_sc_tree(profile, tree):
     """The array tree checker as it was before it counted flipped edges."""
     n, m = profile.n, profile.m
-    pos = np.ascontiguousarray(rank_positions(profile).T)
+    pos = np.ascontiguousarray(profile.pos.T)
     child = np.array([v for v in range(n) if v != tree.root], dtype=np.int64)
     parent = np.array([tree.parent[v] for v in child.tolist()], dtype=np.int64)
     for a in range(m - 1):
