@@ -31,6 +31,7 @@ from .errors import (
     InvalidTiling,
     NotATree,
     NotSingleCrossing,
+    OutputError,
     ParseError,
     RejectionBudgetExceeded,
 )
@@ -108,6 +109,7 @@ __all__ = [
     "InvalidTiling",
     "NotATree",
     "NotSingleCrossing",
+    "OutputError",
     "ParseError",
     "RejectionBudgetExceeded",
 ]

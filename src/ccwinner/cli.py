@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import random
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -37,6 +39,7 @@ from .errors import (
     BudgetExceeded,
     CCWinnerError,
     NotSingleCrossing,
+    OutputError,
     ParseError,
 )
 from .generators import gen_sc_grid, gen_sc_line, gen_sc_tree, gen_star_instance
@@ -83,6 +86,12 @@ def encode_value(x):
     raise TypeError(f"cannot encode {type(x).__name__} exactly")
 
 
+# Fraction("1e<N>") expands 10**N, seconds of CPU once N reaches millions; an
+# exponent past 4300, Python's digit limit for int(str), is refused unexpanded
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+_MAX_EXPONENT = 4300
+
+
 def decode_value(x, where: str):
     if isinstance(x, bool):
         raise ParseError(f"{where}: booleans are not misrepresentation values")
@@ -91,6 +100,10 @@ def decode_value(x, where: str):
     if isinstance(x, float):
         raise ParseError(f"{where}: floats are inexact; use an integer or a 'p/q' string")
     if isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        digits = exponent[1].lstrip("+-").replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise ParseError(f"{where}: exponent past {_MAX_EXPONENT} in magnitude: {x!r}")
         try:
             value = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
@@ -190,7 +203,7 @@ def load_instance(path: str):
             doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also integers past the digit limit, deep nesting
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -296,10 +309,17 @@ def instance_to_doc(profile: PreferenceProfile, structure, k=None) -> dict:
     return doc
 
 
+def _write_text(text: str, path: str, newline=None):
+    """Write a whole output file; an OSError becomes an OutputError naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise OutputError(f"{path}: {exc}") from None
+
+
 def _write_json(doc: dict, path: str):
-    text = json.dumps(doc, indent=2) + "\n"  # encode first: a failure leaves no partial file
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _write_text(json.dumps(doc, indent=2) + "\n", path)  # encoded first: no partial file
 
 
 def result_to_doc(result, k: int, objective: Objective) -> dict:
@@ -476,6 +496,10 @@ def cmd_generate(args) -> int:
 def cmd_check(args) -> int:
     if args.mode == "monge":
         return _check_monge(args)
+    if args.path is not None:
+        print("check --mode conjecture: takes no instance file (PATH is for --mode monge)",
+              file=sys.stderr)
+        return 2
     return _check_conjecture(args)
 
 
@@ -544,11 +568,12 @@ def _check_conjecture(args) -> int:
     rows.sort()  # worker order must not leak into the report
     counterexamples = [row for row in rows if not row[5]]
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["seed", "n1", "n2", "k", "m", "holds", "gap"])
-            for seed, n1, n2, k, m, holds, gap, _ in rows:
-                writer.writerow([seed, n1, n2, k, m, holds, gap])
+        table = io.StringIO()
+        writer = csv.writer(table)
+        writer.writerow(["seed", "n1", "n2", "k", "m", "holds", "gap"])
+        for seed, n1, n2, k, m, holds, gap, _ in rows:
+            writer.writerow([seed, n1, n2, k, m, holds, gap])
+        _write_text(table.getvalue(), args.out, newline="")
         for seed, n1, n2, k, m, _, _, witness in counterexamples:
             _write_json(
                 {"seed": seed, "n1": n1, "n2": n2, "k": k, "m": m, "tiling": witness},
@@ -730,7 +755,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, NotSingleCrossing) as exc:
+    except (ParseError, OutputError, NotSingleCrossing) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceeded as exc:

@@ -45,5 +45,9 @@ class ParseError(CCWinnerError, ValueError):
     """Instance or result file is malformed."""
 
 
+class OutputError(CCWinnerError, OSError):
+    """An output file cannot be written."""
+
+
 class InconsistentTables(CCWinnerError, RuntimeError):
     """A backtracking walk found DP tables that do not reproduce their own values."""

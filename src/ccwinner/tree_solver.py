@@ -23,7 +23,9 @@ the affected budgets l form one contiguous block of rows (as they do for a
 fixed plane row), so the fold is one slice operation over every l and c per
 row of the plane or of the pieces, whichever has fewer: a single one for
 the first child folded into a vertex, whose plane is one row. Children are
-folded last to first, so the walk never refolds the first child.
+folded last to first, so the walk never refolds the first child; the partial
+folds it does need it rebuilds with the same ``merge_child_plane``, on the
+two table columns c, c + 1 at the candidate c it reached.
 
 The sweep runs one height level at a time (0 for a leaf, else 1 + the
 largest child height), since vertices of one height never depend on each
@@ -57,6 +59,7 @@ from .core import (
 from .errors import InconsistentTables, InvalidK
 
 __all__ = ["subtree_sizes", "merge_child_plane", "solve_tree_dp"]
+
 
 def subtree_sizes(tree: RootedTree):
     """Sizes |T_v| plus the partial sizes |T_{v,i}|.
@@ -294,14 +297,17 @@ def _reconstruct(rows, tree, k, objective, dyp0, dyp1, l_star, inf):
 
     dyp2 planes were dropped after the sweep, so per visited vertex the
     value vectors of the partial folds without its first child are rebuilt
-    at the single candidate the vertex ended up with, from each child's two
-    table columns read as Python lists; a vertex with one child needs no
-    fold. Child by child, the walk scans the child's SAME and DIFF splits
-    against the rest of the fold and takes the first minimum: SAME before
-    DIFF, then the smallest child budget. That minimum must equal the value
-    the walk carries (the vertex's table entry for its first child, then the
-    rest entry the previous split chose), or the tables are inconsistent.
-    dyp0 states resolve to the smallest attaining candidate.
+    at the candidate c the vertex ended up with: ``merge_child_plane`` folds
+    the later children's table columns c, c + 1 into v's own, last child
+    first, exactly as the sweep did, and column 0 of each result is the
+    vector at c (at c = m - 1 the slice is one column, so no DIFF piece
+    enters); a vertex with one child needs no fold. Child by child, the walk
+    scans the child's SAME and DIFF splits against the rest of the fold and
+    takes the first minimum: SAME before DIFF, then the smallest child
+    budget. That minimum must equal the value the walk carries (the vertex's
+    table entry for its first child, then the rest entry the previous split
+    chose), or the tables are inconsistent. dyp0 states resolve to the
+    smallest attaining candidate.
     """
     egal = objective is Objective.EGALITARIAN
     m = rows.shape[1]
@@ -318,36 +324,22 @@ def _reconstruct(rows, tree, k, objective, dyp0, dyp1, l_star, inf):
         children = tree.child_order[v]
         if not children:
             continue
-        # per child u: dyp1[u][:, c] (SAME) and dyp0[u][:, c + 1] (DIFF)
-        same = {u: dyp1[u][:, c].tolist() for u in children}
-        diff = {
-            u: dyp0[u][:, c + 1].tolist() if c + 1 < m else [inf] * len(dyp0[u])
-            for u in children
-        }
-        # value vectors of the partial folds at candidate c, innermost first;
-        # as in merge_child_plane, the better piece of SAME with budget i + 1
-        # and DIFF with budget i enters before the rest of the fold
-        vectors = [[int(rows[v, c])]]
+        # rest vectors of the partial folds, innermost first: the sweep's own
+        # fold on columns [c, c + 2), whose column 0 is candidate c with DIFF
+        # pieces from c + 1 (none at c = m - 1, where the slice is one column)
+        cols = slice(c, c + 2)
+        rests = [rows[v : v + 1, cols]]
         for u in reversed(children[1:]):
-            prev = vectors[-1]
-            piece = list(map(min, same[u] + [inf], [inf] + diff[u]))
-            upper, child = len(prev), len(same[u])
-            bound = min(k, upper + child)
-            vec = [inf] * bound
-            for l2 in range(1, bound + 1):
-                best = inf
-                for i in range(max(0, l2 - upper), min(l2 - 1, child) + 1):
-                    got = max(piece[i], prev[l2 - 1 - i]) if egal else piece[i] + prev[l2 - 1 - i]
-                    if got < best:
-                        best = got
-                vec[l2 - 1] = best
-            # slower than the forward sweep's all-c fold, but runs once per vertex
-            vectors.append(vec)
-        vectors.reverse()  # vectors[i] now covers the children after child i, plus v
+            fold, _ = merge_child_plane(
+                rests[-1], dyp0[u][:, cols], dyp1[u][:, cols], k, objective, inf=inf
+            )
+            rests.append(fold)
+        rests.reverse()  # rests[i] now covers the children after child i, plus v
         carried = int(dyp1[v][l - 1, c])
         for i, u in enumerate(children):
-            rest = vectors[i]
-            d0, d1 = diff[u], same[u]
+            rest = rests[i][:, 0].tolist()
+            d1 = dyp1[u][:, c].tolist()  # SAME: u on c
+            d0 = dyp0[u][:, c + 1].tolist() if c + 1 < m else [inf] * len(d1)  # DIFF: u above c
             upper, child = len(rest), len(d1)
             same_ts = range(max(1, l + 1 - upper), min(l, child) + 1)
             diff_ts = range(max(1, l - upper), min(l - 1, child) + 1)

@@ -53,6 +53,28 @@ def test_value_codec():
             decode_value(bad, "x")
 
 
+def test_a_huge_exponent_is_refused_before_it_is_expanded(monkeypatch):
+    # Fraction("1e100000000") would build 10**100000000, minutes of CPU
+    def unexpanded(x):
+        raise AssertionError(f"Fraction({x!r}) was called")
+
+    monkeypatch.setattr(cli, "Fraction", unexpanded)
+    for huge in ("1e100000000", "7e-0004301", "1.5E-100000000", " 2e+4301 ", "1e4_301"):
+        with pytest.raises(ParseError, match=r"rho\[0\]\[1\]: exponent past 4300"):
+            decode_value(huge, "rho[0][1]")
+    monkeypatch.undo()
+    assert decode_value("1e3", "x") == 1000 and type(decode_value("1e3", "x")) is int
+    assert decode_value("1/3", "x") == Fraction(1, 3)
+    assert decode_value("25e-1", "x") == Fraction(5, 2)
+    assert decode_value("1e4300", "x") == 10**4300
+
+
+def test_a_huge_exponent_in_rho_exits_1(tmp_path, capsys):
+    doc = {**THREE, "rho": [[0, 1, 2], [1, 0, "1e4301"], [2, 0, 1]]}
+    assert main(["validate", write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == "error: rho[1][2]: exponent past 4300 in magnitude: '1e4301'\n"
+
+
 # ---------------------------------------------------------------------------
 # file round-trips
 
@@ -173,6 +195,25 @@ def test_large_integer_rho_round_trip(tmp_path):
     profile, line, _ = load_instance(write(tmp_path, doc))
     assert profile.rho[0] == (0, 1, 2**70)
     assert instance_to_doc(profile, line)["rho"] == doc["rho"]
+
+
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+        ('{"m": ' + "1" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_json_the_decoder_refuses_exits_1(tmp_path, capsys, text, reason):
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid JSON (") and reason in err
+    assert err.count("\n") == 1
+    with pytest.raises(ParseError):
+        load_instance(str(path))
 
 
 def test_parse_diagnostics_name_the_field(tmp_path):
@@ -558,6 +599,30 @@ def test_generate_star_matches_the_fixed_family(tmp_path):
     assert doc["structure"]["parent"] == [None, 1, 1, 1, 1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--structure", "line"],
+        ["solve", "INSTANCE", "--k", "2"],
+        ["bench", "--suite", "tree", "--points", "2", "--base-n", "3", "--base-m", "2",
+         "--base-k", "1"],
+        ["check", "--mode", "conjecture", "--instances", "1", "--n1-max", "1", "--n2-max", "1",
+         "--k-max", "1"],
+    ],
+    ids=["generate", "solve", "bench", "conjecture"],
+)
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_paths_exit_1(tmp_path, capsys, argv, target):
+    instance = write(tmp_path, THREE)
+    out = tmp_path / "missing" / "out.json" if target == "missing-dir" else tmp_path
+    before = sorted(tmp_path.rglob("*"))
+    argv = [instance if a == "INSTANCE" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: [Errno ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -573,6 +638,14 @@ def test_check_monge_single_instance(tmp_path, capsys):
 def test_check_monge_needs_a_line(tmp_path):
     profile, tree = gen_sc_tree(3, 5, 3)
     assert main(["check", "--mode", "monge", write(tmp_path, instance_to_doc(profile, tree))]) == 2
+
+
+def test_conjecture_sweep_refuses_an_instance_path(tmp_path, capsys):
+    for path in (str(tmp_path / "missing.json"), write(tmp_path, THREE)):
+        assert main(["check", "--mode", "conjecture", "--instances", "1", path]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""  # refused before any sweep ran
+        assert out.err.count("\n") == 1 and "takes no instance file" in out.err
 
 
 def test_check_conjecture_sweep_writes_sorted_csv(tmp_path, capsys):

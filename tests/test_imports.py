@@ -1,8 +1,11 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every private helper by the package.
 
 A name bound by a top-level ``import`` or ``from ... import`` must be read
 somewhere in the module, or be listed in its ``__all__`` (a re-export).
-``from __future__`` imports are exempt.
+``from __future__`` imports are exempt. A module-level function or class
+whose name starts with one underscore must be read somewhere in the
+package, so a helper that a refactor leaves behind does not linger.
 """
 
 import ast
@@ -45,3 +48,51 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Module-level ``_private`` functions and classes, with their lines."""
+    return {
+        node.name: node.lineno
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+
+
+def names_read(source: str) -> set[str]:
+    """Names loaded, attributes read and names imported anywhere in the source."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def unread_private_helpers(sources: dict[str, str]) -> list[str]:
+    read = set().union(*(names_read(source) for source in sources.values()))
+    return sorted(
+        f"{module}: {name} (line {line})"
+        for module, source in sources.items()
+        for name, line in private_definitions(source).items()
+        if name not in read
+    )
+
+
+def test_checker_finds_an_unread_private_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\ndef _left():\n    pass\nclass _Gone:\n    pass\n"
+                "def __getattr__(name):\n    pass\ndef public():\n    pass\n",
+        "b.py": "from .a import _used\n_used()\n",
+    }
+    assert unread_private_helpers(sources) == ["a.py: _Gone (line 5)", "a.py: _left (line 3)"]
+
+
+def test_package_reads_every_private_helper():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unread_private_helpers(sources) == []

@@ -513,19 +513,25 @@ def test_level_sweep_tables_equal_the_reference(shape, rho):
 def test_rounds_fold_a_perfect_binary_level_in_two_calls(monkeypatch, height):
     """Round j folds every vertex's j-th child from the last in one call per
     table shape, and all vertices of one level of a perfect binary tree share
-    their shapes: two calls per internal level."""
+    their shapes: two calls per internal level. Only the sweep's calls count;
+    the walk refolds with the same function."""
     rng = random.Random(263)
     n = 2**height - 1
     pool = [shuffled(rng, 4) for _ in range(3)]
     profile = PreferenceProfile.from_rankings(tuple(rng.choice(pool) for _ in range(n)))
     calls = []
-    merge = tree_solver.merge_child_plane
+    merge, dp_tables = tree_solver.merge_child_plane, tree_solver._dp_tables
 
     def counted(plane, *rest, **kw):
         calls.append(np.shape(plane)[0])
         return merge(plane, *rest, **kw)
 
-    monkeypatch.setattr(tree_solver, "merge_child_plane", counted)
+    def sweep_counted(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(tree_solver, "merge_child_plane", counted)
+            return dp_tables(*args)
+
+    monkeypatch.setattr(tree_solver, "_dp_tables", sweep_counted)
     for objective in Objective:
         calls.clear()
         assert_matches_reference(profile, complete_binary_tree(n), 2, objective)
