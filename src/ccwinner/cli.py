@@ -78,11 +78,26 @@ ALGORITHMS = (
 # exact values in JSON
 
 
-def encode_value(x):
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+# every limit Python takes for int-to-text conversion (sys.set_int_max_str_digits)
+# is 0 (none) or at least 640 digits, and an int of up to 3 * 640 bits has fewer
+_SHORT_BITS = 3 * 640
+
+
+def encode_value(x, where: str = "value"):
+    """``x`` as an exact JSON value: an int as is, a Fraction as a "p/q" string.
+
+    A value with more digits than Python turns into text raises OutputError
+    naming ``where``, here rather than later in the summary line or in json.
+    """
+    try:
+        if isinstance(x, int):
+            if x.bit_length() > _SHORT_BITS:
+                str(x)
+            return x
+        if isinstance(x, Fraction):
+            return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        raise OutputError(f"{where}: {exc}") from None
     raise TypeError(f"cannot encode {type(x).__name__} exactly")
 
 
@@ -303,19 +318,27 @@ def instance_to_doc(profile: PreferenceProfile, structure, k=None) -> dict:
         "rankings": (profile.rank + 1).tolist(),
     }
     if profile.scale != 1 or not np.array_equal(profile.scaled, profile.pos):
-        doc["rho"] = [[encode_value(x) for x in row] for row in profile.rho]
+        doc["rho"] = [[encode_value(x, "rho") for x in row] for row in profile.rho]
     if k is not None:
         doc["k"] = k
     return doc
 
 
-def _write_text(text: str, path: str, newline=None):
+def _write_text(text: str, path: str, newline=None, mode="w"):
     """Write a whole output file; an OSError becomes an OutputError naming the path."""
     try:
-        with open(path, "w", encoding="utf-8", newline=newline) as handle:
+        with open(path, mode, encoding="utf-8", newline=newline) as handle:
             handle.write(text)
     except OSError as exc:
         raise OutputError(f"{path}: {exc}") from None
+
+
+def _probe_out(path: str):
+    """Fail before a long sweep, with the error its write would give, if ``path`` is unwritable."""
+    existed = os.path.lexists(path)
+    _write_text("", path, mode="a")  # appending nothing leaves an existing file as it was
+    if not existed:
+        os.remove(path)
 
 
 def _write_json(doc: dict, path: str):
@@ -332,7 +355,7 @@ def result_to_doc(result, k: int, objective: Objective) -> dict:
         elif isinstance(value, tuple):
             value = list(value)
         elif isinstance(value, (int, Fraction)):
-            value = encode_value(value)
+            value = encode_value(value, f"stats.{key}")
         stats[key] = value
     return {
         "schema_version": SCHEMA_VERSION,
@@ -342,8 +365,8 @@ def result_to_doc(result, k: int, objective: Objective) -> dict:
         "k_used": len(result.assignment.committee),
         "committee": sorted(c + 1 for c in result.assignment.committee),
         "assignment": [c + 1 for c in result.assignment.rep],
-        "total_cost": encode_value(result.total_cost),
-        "egal_cost": encode_value(result.egal_cost),
+        "total_cost": encode_value(result.total_cost, "total_cost"),
+        "egal_cost": encode_value(result.egal_cost, "egal_cost"),
         "stats": stats,
     }
 
@@ -544,6 +567,8 @@ def _conjecture_worker(task):
 
 
 def _check_conjecture(args) -> int:
+    if args.out:
+        _probe_out(args.out)
     budget = _env_budget()
     rng = random.Random(args.seed)
     tasks = []
@@ -640,6 +665,8 @@ def cmd_bench(args) -> int:
         # at k >= n the tree DP returns everyone's top choice and counts no states
         print("bench --suite tree: needs base-k * 2^(points-1) < base-n", file=sys.stderr)
         return 2
+    if args.out:
+        _probe_out(args.out)
     sweeps = _sweep(run, args.seed, base, args.points)
     report = {"schema_version": SCHEMA_VERSION, "suite": args.suite, "sweeps": {}}
     for param, rows in sweeps.items():

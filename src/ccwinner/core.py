@@ -433,11 +433,18 @@ def canonicalize(profile: PreferenceProfile, assignment: Assignment) -> Assignme
     return _favorites(profile, assignment.committee)
 
 
+def _costs(profile: PreferenceProfile, assignment: Assignment, objectives) -> list:
+    """The assignment's cost under each objective, from one gather of its entries."""
+    values = profile.scaled[np.arange(profile.n), np.asarray(assignment.rep)].tolist()
+    return [
+        to_rho_units(sum(values) if o is Objective.UTILITARIAN else max(values), profile.scale)
+        for o in objectives
+    ]
+
+
 def cost(profile: PreferenceProfile, assignment: Assignment, objective: Objective) -> Rational:
     """Total (utilitarian) or maximum (egalitarian) misrepresentation of an assignment."""
-    values = profile.scaled[np.arange(profile.n), np.asarray(assignment.rep)].tolist()
-    total = sum(values) if objective is Objective.UTILITARIAN else max(values)
-    return to_rho_units(total, profile.scale)
+    return _costs(profile, assignment, (objective,))[0]
 
 
 def reference_ranking(profile: PreferenceProfile, structure: Structure) -> tuple[int, ...]:
@@ -496,10 +503,13 @@ class SolveResult:
         algorithm: str,
         stats: Optional[dict] = None,
     ) -> "SolveResult":
+        total_cost, egal_cost = _costs(
+            profile, assignment, (Objective.UTILITARIAN, Objective.EGALITARIAN)
+        )
         return cls(
             assignment=assignment,
-            total_cost=cost(profile, assignment, Objective.UTILITARIAN),
-            egal_cost=cost(profile, assignment, Objective.EGALITARIAN),
+            total_cost=total_cost,
+            egal_cost=egal_cost,
             k_used=assignment.k_used,
             algorithm=algorithm,
             stats=dict(stats or {}),

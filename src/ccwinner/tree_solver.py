@@ -6,12 +6,12 @@ smaller candidate appear below a larger one (after normalizing labels to
 the root's ranking, optimal assignments are nondecreasing away from the
 root, which is what makes the candidate range [c:m] a sufficient state).
 
-Per vertex the tables are (min(k, |T_v|), m) integer arrays
-
-* ``dyp1[v][l-1, c]`` -- best cost for T_v split into l subtrees with
-  representatives in [c:m] and v itself represented by c;
-* ``dyp0[v][l-1, c]`` -- same but v's representative only bounded below by c
-  (suffix minima of ``dyp1[v]`` along the candidate axis).
+Each vertex keeps one (min(k, |T_v|), m) integer table, ``dyp1[v][l-1, c]``:
+the best cost for T_v split into l subtrees with representatives in [c:m]
+and v itself represented by c. The state "v's representative only bounded
+below by c" (the paper's dyp0) is the suffix minimum of that table along
+the candidate axis; it is derived where it is read, in the fold and in the
+walk, and never stored.
 
 Children are folded one at a time into a transient plane (the ``dyp2``
 tier); the fold at child u considers splitting l between u's subtree and
@@ -24,19 +24,19 @@ fixed plane row), so the fold is one slice operation over every l and c per
 row of the plane or of the pieces, whichever has fewer: a single one for
 the first child folded into a vertex, whose plane is one row. Children are
 folded last to first, so the walk never refolds the first child; the partial
-folds it does need it rebuilds with the same ``merge_child_plane``, on the
-two table columns c, c + 1 at the candidate c it reached.
+folds it does need it rebuilds with the same ``merge_child_plane``, on two
+columns per child at the candidate c it reached: the child's table at c and
+its minimum above c.
 
 The sweep runs one height level at a time (0 for a leaf, else 1 + the
 largest child height), since vertices of one height never depend on each
 other. Per level, round j folds the j-th child from the last of every vertex
 that has one, one batched fold over a (vertices, rows, m) stack per group of
-equal plane and child table shapes, and the level's dyp0 tables are one
-suffix-minimum pass over its dyp1 tables laid end to end; each vertex keeps
-views of its own rows. Sizes are read from table shapes, min(k, |T_v|),
-which is all the fold's bounds and the walk's budget ranges need.
-Infeasible states hold an integer sentinel chosen per instance above every
-finite value (the scaled rows are exact ints of any size, so a float
+equal plane and child table shapes, whose DIFF pieces are one suffix-minimum
+pass over the stacked child tables. Sizes are read from table shapes,
+min(k, |T_v|), which is all the fold's bounds and the walk's budget ranges
+need. Infeasible states hold an integer sentinel chosen per instance above
+every finite value (the scaled rows are exact ints of any size, so a float
 infinity cannot be added to them); tables are int64, or object arrays of
 Python ints once a sum of two entries can pass the int64 range. The tight
 t ranges make the whole sweep cost
@@ -108,7 +108,6 @@ def _merge_iterations(rows: int, bound: int, same_hi: int, diff_hi: int) -> int:
 
 def merge_child_plane(
     plane,
-    child_dyp0,
     child_dyp1,
     k: int,
     objective: Objective = Objective.UTILITARIAN,
@@ -119,12 +118,12 @@ def merge_child_plane(
 
     ``plane[l-1, c]`` is the best cost for the already-folded part (parent v
     plus previously folded children) split into l subtrees with
-    representatives in [c:m] and v on c. The part's size and the child's
-    are read from the table lengths, min(k, size): every bound below is
-    the same for the capped sizes as for the exact ones. ``inf`` marks
-    infeasible states and must exceed every finite value. Returns the
-    extended (bound, m) plane plus the number of (l, t) splits examined,
-    which the caller sums into its work counter.
+    representatives in [c:m] and v on c; ``child_dyp1`` is the child's one
+    table. The part's size and the child's are read from the table lengths,
+    min(k, size): every bound below is the same for the capped sizes as for
+    the exact ones. ``inf`` marks infeasible states and must exceed every
+    finite value. Returns the extended (bound, m) plane plus the number of
+    (l, t) splits examined, which the caller sums into its work counter.
 
     Leading axes are a batch: a (g, rows, m) plane and (g, rows_u, m) child
     tables fold g parents at once, all with these table lengths, and the
@@ -134,20 +133,21 @@ def merge_child_plane(
     index i = l - 1 - r, which is SAME with budget t = i + 1 or DIFF with
     t = i, and since the add (or max) distributes over min, the better of
     the two pieces can be chosen before combining it with the plane rows.
-    The add (or max) is also symmetric, so the fold loops over whichever of
-    the plane and the pieces has fewer rows and meets each of those rows
-    with a block of the other in one slice operation: a one-row plane (the
-    first child folded into a vertex) costs one operation, not one per
-    child budget.
+    A DIFF piece at c is the child's best entry above c, so the DIFF pieces
+    are one suffix-minimum pass over the child rows they use, derived here
+    and dropped with the fold. The add (or max) is also symmetric, so the
+    fold loops over whichever of the plane and the pieces has fewer rows and
+    meets each of those rows with a block of the other in one slice
+    operation: a one-row plane (the first child folded into a vertex) costs
+    one operation, not one per child budget.
     """
     plane = np.asarray(plane)
-    d0 = np.asarray(child_dyp0)
     d1 = np.asarray(child_dyp1)
     op = np.maximum if objective is Objective.EGALITARIAN else np.add
     *batch, rows, m = plane.shape
     child = d1.shape[-2]
     bound = min(k, rows + child)
-    dtype = np.result_type(plane, d0, d1)
+    dtype = np.result_type(plane, d1)
     same_hi = min(child, bound)  # SAME budgets t = 1..same_hi
     diff_hi = min(child, bound - 1)  # DIFF budgets t = 1..diff_hi
     # piece[i, c]: the better of SAME with budget i + 1 (child on c) and DIFF
@@ -156,7 +156,8 @@ def merge_child_plane(
     piece = np.empty((*batch, diff_hi + 1, m), dtype=dtype)
     piece.fill(inf)
     piece[..., :same_hi, :] = d1[..., :same_hi, :]
-    np.minimum(piece[..., 1:, : m - 1], d0[..., :diff_hi, 1:], out=piece[..., 1:, : m - 1])
+    above = np.minimum.accumulate(d1[..., :diff_hi, :0:-1], axis=-1)[..., ::-1]
+    np.minimum(piece[..., 1:, : m - 1], above, out=piece[..., 1:, : m - 1])
     new = np.empty((*batch, bound, m), dtype=dtype)
     new.fill(inf)
     short, long = (plane, piece) if rows <= diff_hi + 1 else (piece, plane)
@@ -165,13 +166,6 @@ def merge_child_plane(
         block = new[..., i : i + span, :]
         np.minimum(block, op(short[..., i : i + 1, :], long[..., :span, :]), out=block)
     return new, _merge_iterations(rows, bound, same_hi, diff_hi)
-
-
-def _suffix_min_rows(plane):
-    """dyp0 rows (suffix minima over the candidate axis) from dyp1 rows."""
-    out = np.empty_like(plane)
-    np.minimum.accumulate(plane[:, ::-1], axis=1, out=out[:, ::-1])
-    return out
 
 
 def _batch(tables, keys):
@@ -202,23 +196,22 @@ def _height_levels(tree: RootedTree) -> list[list[int]]:
 
 
 def _dp_tables(rows, tree: RootedTree, k: int, objective: Objective, inf: int):
-    """Every vertex's dyp0 and dyp1 table, plus the merge counter.
+    """Every vertex's dyp1 table, plus the merge counter.
 
     The sweep runs one height level at a time, since vertices of one height
     never depend on each other. Every vertex of a level starts from its own
     one-row plane, and round j folds the j-th child from the last of every
     vertex that has one, with one ``merge_child_plane`` call per group of
     vertices whose planes and children have equal table shapes; a leaf takes
-    no round. The level's dyp1 tables are then laid end to end in one array,
-    whose suffix minima are its dyp0 tables, and each vertex keeps its own
-    rows of both as views.
+    no round. A vertex's last plane is its table, a view into its group's
+    fold result. No suffix-minimum (dyp0) table is kept: each fold derives
+    the ones it reads from the stacked child tables.
     """
     children = tree.child_order
-    dyp0: list = [None] * tree.n
     dyp1: list = [None] * tree.n
     merges = 0
     for level in _height_levels(tree):
-        for v in level:  # dyp1[v] holds v's plane until the level is done
+        for v in level:  # dyp1[v] holds v's plane until its last child is folded
             dyp1[v] = rows[v : v + 1]
         active = [v for v in level if children[v]]
         j = 1
@@ -231,21 +224,14 @@ def _dp_tables(rows, tree: RootedTree, k: int, objective: Objective, inf: int):
                 us.append(u)
             for vs, us in groups.values():
                 new, its = merge_child_plane(
-                    _batch(dyp1, vs), _batch(dyp0, us), _batch(dyp1, us), k, objective, inf=inf
+                    _batch(dyp1, vs), _batch(dyp1, us), k, objective, inf=inf
                 )
                 merges += its * len(vs)
                 for v, p in zip(vs, new):
                     dyp1[v] = p
             j += 1
             active = [v for v in active if len(children[v]) >= j]
-        level_dyp1 = np.concatenate([dyp1[v] for v in level])
-        level_dyp0 = _suffix_min_rows(level_dyp1)
-        start = 0
-        for v in level:
-            stop = start + len(dyp1[v])
-            dyp1[v], dyp0[v] = level_dyp1[start:stop], level_dyp0[start:stop]
-            start = stop
-    return dyp0, dyp1, merges
+    return dyp1, merges
 
 
 def solve_tree_dp(
@@ -277,13 +263,13 @@ def solve_tree_dp(
     inf = n * int(profile.scaled.max()) + 1  # above every finite total and maximum
     # a fold adds two table values, each at most inf
     rows = profile.scaled[:, list(inverse)].astype(int_dtype(2 * inf), copy=False)
-    dyp0, dyp1, merges = _dp_tables(rows, tree, k, objective, inf)
+    dyp1, merges = _dp_tables(rows, tree, k, objective, inf)
 
-    l_star = int(np.argmin(dyp0[tree.root][:, 0])) + 1  # first minimum
+    l_star = int(np.argmin(dyp1[tree.root].min(axis=1))) + 1  # first minimum
 
-    rep = _reconstruct(rows, tree, k, objective, dyp0, dyp1, l_star, inf)
+    rep = _reconstruct(rows, tree, k, objective, dyp1, l_star, inf)
     cells = 2 * sum(table.size for table in dyp1)
-    del dyp0, dyp1  # freed before the costs are computed, which lowers the peak
+    del dyp1  # freed before the costs are computed, which lowers the peak
     stats = {
         "merge_iterations": merges,
         "states": m * merges + cells,
@@ -292,54 +278,54 @@ def solve_tree_dp(
     return SolveResult.from_committee(profile, {inverse[c] for c in set(rep)}, "tree-dp", stats)
 
 
-def _reconstruct(rows, tree, k, objective, dyp0, dyp1, l_star, inf):
+def _reconstruct(rows, tree, k, objective, dyp1, l_star, inf):
     """Walk the tables back into per-voter representatives.
 
     dyp2 planes were dropped after the sweep, so per visited vertex the
     value vectors of the partial folds without its first child are rebuilt
-    at the candidate c the vertex ended up with: ``merge_child_plane`` folds
-    the later children's table columns c, c + 1 into v's own, last child
-    first, exactly as the sweep did, and column 0 of each result is the
-    vector at c (at c = m - 1 the slice is one column, so no DIFF piece
-    enters); a vertex with one child needs no fold. Child by child, the walk
-    scans the child's SAME and DIFF splits against the rest of the fold and
-    takes the first minimum: SAME before DIFF, then the smallest child
-    budget. That minimum must equal the value the walk carries (the vertex's
-    table entry for its first child, then the rest entry the previous split
-    chose), or the tables are inconsistent. dyp0 states resolve to the
-    smallest attaining candidate.
+    at the candidate c the vertex ended up with. Each child contributes two
+    columns, its table at c (SAME) and its minimum above c (DIFF), one
+    ``np.minimum.reduceat`` per child; ``merge_child_plane`` folds the later
+    children's columns into v's own, last child first, exactly as the sweep
+    did, and column 0 of each result is the vector at c (at c = m - 1 there
+    is one column, so no DIFF piece enters); a vertex with one child needs
+    no fold. Child by child, the walk scans the child's SAME and DIFF splits
+    against the rest of the fold and takes the first minimum: SAME before
+    DIFF, then the smallest child budget. That minimum must equal the value
+    the walk carries (the vertex's table entry for its first child, then the
+    rest entry the previous split chose), or the tables are inconsistent. A
+    state whose candidate is only bounded below by c (the suffix minimum,
+    derived here) resolves to the smallest attaining candidate, the first
+    minimum of its table row from c on.
     """
     egal = objective is Objective.EGALITARIAN
     m = rows.shape[1]
     rep = [0] * tree.n
-    # (vertex, subtree budget, candidate bound, budget is a dyp0 state)
+    # (vertex, subtree budget, candidate bound, candidate only bounded below)
     stack = [(tree.root, l_star, 0, True)]
     while stack:
         v, l, c, floating = stack.pop()
         if floating:
-            row1, row0 = dyp1[v][l - 1].tolist(), dyp0[v][l - 1].tolist()
-            while row1[c] != row0[c]:
-                c += 1
+            c += int(np.argmin(dyp1[v][l - 1, c:]))
         rep[v] = c
         children = tree.child_order[v]
         if not children:
             continue
-        # rest vectors of the partial folds, innermost first: the sweep's own
-        # fold on columns [c, c + 2), whose column 0 is candidate c with DIFF
-        # pieces from c + 1 (none at c = m - 1, where the slice is one column)
-        cols = slice(c, c + 2)
-        rests = [rows[v : v + 1, cols]]
-        for u in reversed(children[1:]):
-            fold, _ = merge_child_plane(
-                rests[-1], dyp0[u][:, cols], dyp1[u][:, cols], k, objective, inf=inf
-            )
+        # per child, column c and the minimum over columns c + 1.. (none at
+        # c = m - 1); rest vectors of the partial folds, innermost first: the
+        # sweep's own fold on these pairs, whose column 0 is candidate c
+        starts = [c, c + 1][: m - c]
+        pairs = [np.minimum.reduceat(dyp1[u], starts, axis=1) for u in children]
+        rests = [rows[v : v + 1, c : c + 2]]
+        for pair in reversed(pairs[1:]):
+            fold, _ = merge_child_plane(rests[-1], pair, k, objective, inf=inf)
             rests.append(fold)
         rests.reverse()  # rests[i] now covers the children after child i, plus v
         carried = int(dyp1[v][l - 1, c])
         for i, u in enumerate(children):
             rest = rests[i][:, 0].tolist()
-            d1 = dyp1[u][:, c].tolist()  # SAME: u on c
-            d0 = dyp0[u][:, c + 1].tolist() if c + 1 < m else [inf] * len(d1)  # DIFF: u above c
+            d1 = pairs[i][:, 0].tolist()  # SAME: u on c
+            d0 = pairs[i][:, 1].tolist() if c + 1 < m else [inf] * len(d1)  # DIFF: u above c
             upper, child = len(rest), len(d1)
             same_ts = range(max(1, l + 1 - upper), min(l, child) + 1)
             diff_ts = range(max(1, l - upper), min(l - 1, child) + 1)

@@ -17,7 +17,7 @@ from ccwinner.cli import (
     main,
 )
 from ccwinner.core import Assignment, Line, Objective, PreferenceProfile, canonicalize, cost
-from ccwinner.errors import ParseError
+from ccwinner.errors import OutputError, ParseError
 from ccwinner.generators import gen_sc_grid, gen_sc_line, gen_sc_tree, gen_star_instance
 from ccwinner.grid_solver import Rect, Tiling
 from ccwinner.line_solver import solve_line_dp, solve_line_egal_threshold, solve_line_klink
@@ -621,6 +621,55 @@ def test_unwritable_out_paths_exit_1(tmp_path, capsys, argv, target):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out}: [Errno ") and err.count("\n") == 1
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
+@pytest.mark.parametrize(
+    "argv, sweep",
+    [
+        (["bench", "--suite", "line", "--points", "2"], "_sweep"),
+        (["check", "--mode", "conjecture", "--instances", "3"], "_conjecture_worker"),
+    ],
+    ids=["bench", "conjecture"],
+)
+def test_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch, argv, sweep):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(cli, sweep, never)
+    out = tmp_path / "missing" / "report"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {out}: [Errno 2] ")
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier report\n")
+    with pytest.raises(AssertionError, match="the sweep ran"):
+        main(argv + ["--out", str(kept)])  # a writable path passes the check untouched
+    assert kept.read_text() == "earlier report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python writes ints of any length"
+)
+def test_values_past_the_digit_limit_are_output_errors(tmp_path, capsys):
+    """A cost Python will not turn into text exits 1 naming the field, not with a traceback."""
+    doc = {**THREE, "structure": {"type": "line", "order": [1, 2]}, "m": 2,
+           "rankings": [[1, 2], [2, 1]], "rho": [[0, "1e4300"], ["1e4300", 0]]}
+    instance, out = write(tmp_path, doc), tmp_path / "result.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # 10^4300 has one digit more
+    try:
+        assert main(["solve", instance, "--k", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr()
+        assert err.out == "" and err.err.startswith("error: total_cost: ")
+        assert err.err.count("\n") == 1 and not out.exists()
+        profile, line, _ = load_instance(instance)
+        with pytest.raises(OutputError, match="^rho: "):
+            instance_to_doc(profile, line)
+        with pytest.raises(OutputError, match="^total_cost: "):
+            encode_value(Fraction(10**4300, 3), "total_cost")
+        assert main(["solve", instance, "--k", "2"]) == 0  # both voters on their tops
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------

@@ -370,7 +370,7 @@ def test_merge_returns_the_reference_planes():
         plane = table(min(k, s))
         child_dyp1 = table(min(k, szu))
         child_dyp0 = reference_suffix_min_rows(child_dyp1, m)
-        new, its = merge_child_plane(plane, child_dyp0, child_dyp1, k, objective, inf=inf)
+        new, its = merge_child_plane(plane, child_dyp1, k, objective, inf=inf)
         want, want_its = reference_merge_child_plane(
             plane, child_dyp0, child_dyp1, s, szu, k, objective, inf=inf
         )
@@ -420,7 +420,7 @@ def test_merge_folds_along_either_side(side, big, objective):
         child_dyp1 = table(min(k, szu))
         child_dyp0 = reference_suffix_min_rows(child_dyp1, m)
         dtype = np.int64 if big == 1 else object
-        tables = [np.array(t, dtype=dtype) for t in (plane, child_dyp0, child_dyp1)]
+        tables = [np.array(t, dtype=dtype) for t in (plane, child_dyp1)]
         new, its = merge_child_plane(*tables, k, objective, inf=inf)
         want, want_its = reference_merge_child_plane(
             plane, child_dyp0, child_dyp1, s, szu, k, objective, inf=inf
@@ -457,19 +457,21 @@ def test_shaped_trees_return_the_scalar_answers(shape):
 
 
 def assert_tables_match_reference(profile, tree, k, objective):
-    """Every vertex's dyp0 and dyp1 table equals the vertex-by-vertex sweep's."""
+    """Every vertex's dyp1 table, and its suffix minima, equal the vertex-by-vertex
+    sweep's dyp1 and dyp0 tables."""
     n, m = profile.n, profile.m
     inverse = reference_ranking(profile, tree)
     inf = n * int(profile.scaled.max()) + 1
     rows = profile.scaled[:, list(inverse)].astype(int_dtype(2 * inf), copy=False)
     size, _ = subtree_sizes(tree)
-    dyp0, dyp1, merges = _dp_tables(rows, tree, k, objective, inf)
+    dyp1, merges = _dp_tables(rows, tree, k, objective, inf)
     want0, want1, want_merges = reference_tables(rows.tolist(), tree, size, k, objective, inf)
     assert merges == want_merges
     for v in range(n):
-        for got, want in ((dyp0[v], want0[v]), (dyp1[v], want1[v])):
-            assert got.shape == (min(k, size[v]), m) and got.dtype == rows.dtype, v
-            assert got.tolist() == want, v
+        got = dyp1[v]
+        assert got.shape == (min(k, size[v]), m) and got.dtype == rows.dtype, v
+        assert got.tolist() == want1[v], v
+        assert np.minimum.accumulate(got[:, ::-1], axis=1)[:, ::-1].tolist() == want0[v], v
     assert_matches_reference(profile, tree, k, objective)
 
 
