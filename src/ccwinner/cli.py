@@ -341,8 +341,37 @@ def _probe_out(path: str):
         os.remove(path)
 
 
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _indented_json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for string-keyed documents, without json's Python encoder.
+
+    ``pad`` starts the lines of ``value``'s own depth. Scalars and lists of
+    numbers, bools and None are each one compact C-encoded string; such a
+    list is cut into lines at its commas, which no element contains. Only
+    dicts and other lists recurse.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{_compact(key)}: {_indented_json(item, inner)}" for key, item in value.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        flat = _compact(value)
+        if '"' in flat or "[" in flat[1:] or "{" in flat:
+            body = ("," + inner).join(_indented_json(item, inner) for item in value)
+        else:
+            body = flat[1:-1].replace(",", "," + inner)
+        return "[" + inner + body + pad + "]"
+    return _compact(value)
+
+
 def _write_json(doc: dict, path: str):
-    _write_text(json.dumps(doc, indent=2) + "\n", path)  # encoded first: no partial file
+    _write_text(_indented_json(doc) + "\n", path)  # encoded first: no partial file
 
 
 def result_to_doc(result, k: int, objective: Objective) -> dict:

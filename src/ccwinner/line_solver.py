@@ -4,16 +4,20 @@ Three routes to the optimum:
 
 * ``solve_line_dp`` -- the O(nmk) dynamic program over (voter, committee
   budget, candidate) states, for both objectives: one step per voter, last
-  to first, from the empty state past the last voter. It runs in one sweep
-  when the walk's packed bits fit ``_BIT_BUDGET``, else checkpointed, with
-  O(sqrt(n)) voters' bits held at a time;
+  to first, from the empty state past the last voter, on planes whose
+  candidate axis is reversed so the suffix minimum is a forward running
+  minimum. It runs in one sweep when the walk's packed bits fit
+  ``_BIT_BUDGET``, else checkpointed, with O(sqrt(n)) voters' bits held at
+  a time; only recorded voters compute bits, packed ``_PACK_BLOCK`` (256)
+  voters per call;
 * ``solve_line_klink`` -- the reduction to a k-link shortest path in a DAG
   whose arc weights are cheapest-single-candidate segment sums. The weights
   are concave Monge, so unconstrained penalized optima come from a
   totally-monotone matrix search and the link budget is enforced by a
   Lagrangian search on the penalty;
 * ``solve_line_egal_threshold`` -- egalitarian as a bottleneck value: the
-  value sweep of the max-objective DP finds the least feasible threshold,
+  value sweep of the max-objective DP, which records no walk bits, finds
+  the least feasible threshold,
   one 0/1 utilitarian DP at that threshold gives the witness.
 
 Everything here works on the normalized scaled rows of the instance
@@ -398,29 +402,66 @@ def _exact_k_path(klink: KLinkInstance, lam, k: int) -> tuple[int, ...]:
 # the same array code runs on both. Every sweep starts past the last voter,
 # where dyp1 row 0 is zero and all else is inf: an empty suffix costs nothing
 # and opens no candidate. So every voter, the last one included, is one step.
-
-
-def _dp_step(rho_i: np.ndarray, next1: np.ndarray, next0: np.ndarray, egal: bool, inf):
-    planes, m = next1.shape
-    new = np.full((planes, m), inf, dtype=next1.dtype)
-    new[1:, : m - 1] = next0[:-1, 1:]
-    choice = new < next1  # strict: ties keep the current candidate
-    inner = np.minimum(next1, new)
-    if egal:
-        cur1 = np.maximum(rho_i, inner)
-    else:
-        cur1 = rho_i + inner
-        np.minimum(cur1, inf, out=cur1)  # pin the sentinel in place
-    cur0 = np.minimum.accumulate(cur1[:, ::-1], axis=1)[:, ::-1]
-    return cur1, cur0, choice
-
+#
+# Inside a sweep the planes and rows are held with the candidate axis
+# reversed, column j for candidate m - 1 - j: the suffix minimum over c is
+# then one forward running minimum, and opening a fresh candidate above c
+# reads the previous dyp0 one row up and one column left.
 
 _BIT_BUDGET = 32 << 20  # bytes of packed walk bits a single sweep may keep
+_PACK_BLOCK = 256  # recorded voters whose bits are packed in one call
 
 
 def _bit(bits: memoryview, base: int, idx: int) -> int:
     """Bit idx of the packed row that starts at byte ``base`` of ``bits``."""
     return (bits[base + (idx >> 3)] >> (7 - (idx & 7))) & 1
+
+
+def _sweep(rho, d1, d0, egal, inf, hi, lo, spacing=0, checkpoints=None, choice=None, take=None):
+    """Step voters hi-1..lo from the reversed planes (d1, d0) at hi.
+
+    ``rho`` holds the rows with the candidate axis reversed. With
+    ``checkpoints`` the planes at each index divisible by ``spacing`` are kept
+    there. With ``choice`` and ``take`` the voters from lo up to lo plus
+    their row count are recorded, voter i in row i - lo: take[t, c] says
+    dyp1 attains dyp0 at (t, c); choice[t, c] says opening a fresh candidate
+    strictly beats staying on c. Rows are the (t, c) states in row-major
+    order of the unreversed axis, packed most significant bit first, one
+    ``np.packbits`` per ``_PACK_BLOCK`` voters. The other voters' bits are
+    not computed.
+    """
+    planes, m = d1.shape
+    shift = np.full_like(d1, inf)  # row 0 and column 0 stay inf: no smaller size, no c above m - 1
+    opened, below = shift[1:, 1:], (slice(None, -1), slice(None, -1))  # opened = d0[below] each step
+    bound = lo if choice is None else min(hi, lo + len(choice))  # voters below are recorded
+    if bound > lo:
+        block = min(_PACK_BLOCK, bound - lo)
+        ch_buf = np.empty((block, planes, m), dtype=bool)
+        tk_buf = np.empty_like(ch_buf)
+        ch_rows, tk_rows = ch_buf[:, :, ::-1], tk_buf[:, :, ::-1]  # unreversed layout
+        top, start = bound, max(lo, bound - block)  # the block being filled: voters start..top-1
+    minimum, accumulate = np.minimum, np.minimum.accumulate  # local names: the loop is call-bound
+    for i in range(hi - 1, lo - 1, -1):
+        opened[...] = d0[below]
+        recorded = i < bound
+        if recorded:
+            np.less(shift, d1, out=ch_rows[i - start])  # strict: ties keep the current candidate
+        d1 = minimum(d1, shift)  # fresh array: the planes it replaces may be checkpoints
+        if egal:
+            np.maximum(d1, rho[i], out=d1)
+        else:
+            np.add(d1, rho[i], out=d1)
+            minimum(d1, inf, out=d1)  # pin the sentinel in place
+        d0 = accumulate(d1, axis=1)
+        if recorded:
+            np.equal(d1, d0, out=tk_rows[i - start])
+            if i == start:
+                count = top - start
+                choice[start - lo : top - lo] = np.packbits(ch_buf[:count].reshape(count, -1), axis=1)
+                take[start - lo : top - lo] = np.packbits(tk_buf[:count].reshape(count, -1), axis=1)
+                top, start = start, max(lo, start - block)
+        if checkpoints is not None and i % spacing == 0:
+            checkpoints[i] = (d1, d0)
 
 
 def _dp_sweep(rho: np.ndarray, planes: int, egal: bool, record: bool = True):
@@ -429,20 +470,21 @@ def _dp_sweep(rho: np.ndarray, planes: int, egal: bool, record: bool = True):
     The spacing B is n when the packed choice and take bits of every voter,
     ``2 * n * ceil(planes * m / 8)`` bytes, fit ``_BIT_BUDGET``, else
     8 * sqrt(n). The sweep keeps the planes (dyp1, dyp0) at n and at each
-    index divisible by B; the first voter's dyp0, ``checkpoints[0][1]``,
+    index divisible by B, with the candidate axis reversed (see ``_sweep``),
+    so the first voter's dyp0 at candidate 0, ``checkpoints[0][1][:, -1]``,
     holds the optimum per size. With ``record`` it also packs the bits of
     the segment it ends in, voters 0..B-1, into rows of two (B, bytes) uint8
-    arrays (see ``_record_segment``), so a walk within the budget needs no
-    second sweep.
+    arrays, so a walk within the budget needs no second sweep; without it
+    the sweep computes values only.
 
-    Returns the rows in the sweep's dtype, the sentinel inf, B, the
+    Returns the reversed rows in the sweep's dtype, the sentinel inf, B, the
     checkpoints and the choice and take bit arrays (no rows without ``record``).
     """
     n, m = rho.shape
     top = int(rho.max())
     inf = n * top + 1  # above every finite total and every finite maximum
     dtype = int_dtype(inf + top)
-    rho = rho.astype(dtype, copy=False)
+    rho = rho.astype(dtype, copy=False)[:, ::-1]
     nbytes = (planes * m + 7) // 8
     spacing = n if 2 * n * nbytes <= _BIT_BUDGET else max(1, int(8 * math.sqrt(n)))
     recorded = min(spacing, n) if record else 0
@@ -452,28 +494,8 @@ def _dp_sweep(rho: np.ndarray, planes: int, egal: bool, record: bool = True):
     d1[0] = 0
     d0 = np.full((planes, m), inf, dtype=dtype)
     checkpoints = {n: (d1, d0)}
-    for i in range(n - 1, -1, -1):
-        d1, d0, ch = _dp_step(rho[i], d1, d0, egal, inf)  # fresh arrays: no copy needed
-        if i < recorded:
-            choice[i] = np.packbits(ch)
-            take[i] = np.packbits(d1 == d0)
-        if i % spacing == 0:
-            checkpoints[i] = (d1, d0)
+    _sweep(rho, d1, d0, egal, inf, n, 0, spacing, checkpoints, choice, take)
     return rho, inf, spacing, checkpoints, choice, take
-
-
-def _record_segment(rho, egal, inf, a, b, checkpoints, choice, take):
-    """Re-sweep voters b-1..a from the checkpoint at b, packing voter i's bits into row i - a.
-
-    take[t, c] says dyp1 attains dyp0 at (t, c); choice[t, c] says opening a
-    fresh candidate strictly beats staying on c. Rows are the (t, c) states
-    in row-major order, packed most significant bit first.
-    """
-    d1, d0 = checkpoints[b]
-    for i in range(b - 1, a - 1, -1):
-        d1, d0, ch = _dp_step(rho[i], d1, d0, egal, inf)
-        choice[i - a] = np.packbits(ch)
-        take[i - a] = np.packbits(d1 == d0)
 
 
 def _dp_engine(rho: np.ndarray, planes: int, egal: bool):
@@ -482,7 +504,9 @@ def _dp_engine(rho: np.ndarray, planes: int, egal: bool):
     One sweep within the bit budget, else checkpointed: the value sweep
     records the bits of the segment it ends in, and each later segment of B
     voters is re-swept from its checkpoint into the same two arrays, so
-    memory is O(B * planes * m).
+    memory is O(B * planes * m). Every sweep runs on the reversed candidate
+    axis and packs its bits per ``_PACK_BLOCK`` voters in the unreversed
+    (t, c) layout the walk reads.
 
     Returns (representative per line position, optimal committee size, the
     dtype the sweep ran in, the number of sweeps: 1, or 2 when segments are
@@ -490,7 +514,7 @@ def _dp_engine(rho: np.ndarray, planes: int, egal: bool):
     """
     n, m = rho.shape
     rho, inf, spacing, checkpoints, choice, take = _dp_sweep(rho, planes, egal)
-    t = int(checkpoints[0][1][:, 0].argmin())  # smallest committee size among optima
+    t = int(checkpoints[0][1][:, -1].argmin())  # smallest committee size among optima
     l_star = t + 1
     nbytes = choice.shape[1]
     choice_bits = memoryview(choice).cast("B")
@@ -502,7 +526,7 @@ def _dp_engine(rho: np.ndarray, planes: int, egal: bool):
     for a in range(0, n, spacing):
         b = min(a + spacing, n)
         if a:
-            _record_segment(rho, egal, inf, a, b, checkpoints, choice, take)
+            _sweep(rho, *checkpoints[b], egal, inf, b, a, choice=choice, take=take)
         for base in range(0, (b - a) * nbytes, nbytes):
             if resolving:
                 idx = t * m + c
@@ -627,7 +651,7 @@ def solve_line_egal_threshold(profile: PreferenceProfile, order, k: int) -> Solv
     rows, inverse = _normalized_rows(profile, line)
     planes = min(k, profile.n)
     checkpoints = _dp_sweep(rows, planes, True, record=False)[3]
-    t = int(checkpoints[0][1][:, 0].min())
+    t = int(checkpoints[0][1][:, -1].min())
     witness = {inverse[c] for c in set(_dp_engine(rows > t, planes, False)[0])}
     stats = {"threshold": to_rho_units(t, profile.scale), "dp_calls": 2}
     return SolveResult.from_committee(profile, witness, "line-egal-threshold", stats)

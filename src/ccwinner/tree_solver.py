@@ -204,8 +204,10 @@ def _dp_tables(rows, tree: RootedTree, k: int, objective: Objective, inf: int):
     vertex that has one, with one ``merge_child_plane`` call per group of
     vertices whose planes and children have equal table shapes; a leaf takes
     no round. A vertex's last plane is its table, a view into its group's
-    fold result. No suffix-minimum (dyp0) table is kept: each fold derives
-    the ones it reads from the stacked child tables.
+    fold result when every vertex of the group is finished, else a copy, so
+    no table keeps the slots of unfinished vertices alive. No suffix-minimum
+    (dyp0) table is kept: each fold derives the ones it reads from the
+    stacked child tables.
     """
     children = tree.child_order
     dyp1: list = [None] * tree.n
@@ -227,8 +229,10 @@ def _dp_tables(rows, tree: RootedTree, k: int, objective: Objective, inf: int):
                     _batch(dyp1, vs), _batch(dyp1, us), k, objective, inf=inf
                 )
                 merges += its * len(vs)
-                for v, p in zip(vs, new):
-                    dyp1[v] = p
+                done = [len(children[v]) == j for v in vs]
+                mixed = any(done) and not all(done)  # its unfinished slots are refolded
+                for v, p, last in zip(vs, new, done):
+                    dyp1[v] = p.copy() if mixed and last else p
             j += 1
             active = [v for v in active if len(children[v]) >= j]
     return dyp1, merges

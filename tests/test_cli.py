@@ -305,6 +305,61 @@ def test_solve_grid_result_embeds_the_tiling(tmp_path):
     assert all(1 <= b <= 3 for r in rects for b in r)  # 1-based bounds
 
 
+def sevenths(m):
+    return lambda rng: [Fraction(rng.randint(0, 20), 7) for _ in range(m)]
+
+
+def result_docs():
+    """Result documents of each structure's solver, as ``solve --out`` writes them."""
+    line_profile, line = gen_sc_line(21, 30, 5)
+    tree_profile, tree = gen_sc_tree(22, 25, 5)
+    grid_profile, grid = gen_sc_grid(23, 3, 4, 5)
+    rng = random.Random(24)
+    fractional = with_rho(line_profile, rng, sevenths(line_profile.m))
+    cases = [
+        (line_profile, line, "auto", Objective.UTILITARIAN, 3),
+        (fractional, line, "line-klink", Objective.UTILITARIAN, 2),
+        (fractional, line, "line-klink", Objective.EGALITARIAN, 2),
+        (tree_profile, tree, "auto", Objective.UTILITARIAN, 3),
+        (tree_profile, tree, "auto", Objective.EGALITARIAN, 3),
+        (grid_profile, grid, "auto", Objective.UTILITARIAN, 3),
+    ]
+    for profile, structure, algorithm, objective, k in cases:
+        result = cli._dispatch(profile, structure, algorithm, objective, k)
+        yield cli.result_to_doc(result, k, objective)
+
+
+EDGE_DOC = {
+    "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]]]},
+    "tiling": [[1, 2, 1, 3], [3, 3, 1, 3]],
+    "tuples": ((1, 2), (None, True, False)),
+    "strings": ["a,b", "quote \" and \\ backslash", "tab\tline\nend", "caf\u00e9 \u2603", ""],
+    "scalars": [None, True, False, 0, -7, 2**80, 0.1, 1e-07, 1e300, -0.0],
+    "ratios": ["1/3", "-22/7"],
+    "mixed": [1, "two", [3], {"four": 4}],
+    "deep": {"a": {"b": {"c": [1, {"d": []}]}}},
+}
+
+
+def test_result_writer_matches_the_json_module_byte_for_byte():
+    docs = list(result_docs())
+    assert {doc["algorithm"] for doc in docs} >= {"line-dp", "tree-dp", "grid-laminar"}
+    assert any("tiling" in doc["stats"] for doc in docs)
+    assert any(isinstance(doc["total_cost"], str) for doc in docs)  # a "p/q" cost
+    line_profile, line = gen_sc_line(25, 12, 4)
+    tree_profile, tree = gen_sc_tree(26, 9, 4)
+    rational = with_rho(line_profile, random.Random(27), sevenths(line_profile.m))
+    docs += [
+        instance_to_doc(line_profile, line, k=3),
+        instance_to_doc(tree_profile, tree),
+        instance_to_doc(rational, line, k=2),
+        EDGE_DOC,
+        {},
+    ]
+    for doc in docs:
+        assert cli._indented_json(doc) == json.dumps(doc, indent=2)
+
+
 def test_egalitarian_klink_hands_over_to_threshold(tmp_path, capsys):
     profile, line = gen_sc_line(15, 10, 4)
     path = write(tmp_path, instance_to_doc(profile, line))

@@ -9,7 +9,10 @@ every input, ties included, for both objectives; the egalitarian threshold
 read from the value sweep must equal the largest value the max-objective
 walk pays. Both sides of the bit budget are checked: one sweep that records
 every voter's walk bits, and checkpoint segments re-swept one at a time
-(``_BIT_BUDGET`` patched to 0).
+(``_BIT_BUDGET`` patched to 0). The reference runs on the unreversed
+candidate axis and packs each voter's bits on its own, so patching
+``_PACK_BLOCK`` to sizes that do and do not divide the recorded voters
+checks that every packed block lands in the rows of its voters.
 """
 
 import math
@@ -241,3 +244,21 @@ def test_engine_reports_the_object_dtype_past_int64():
     assert solve_line_dp(profile, line, 3).stats["engine"] == "object"
     rows = _normalized_rows(profile, line)[0]
     assert reference_dp_engine(rows, 3, False)[2] == "object"
+
+
+@pytest.mark.parametrize("budget", ["one sweep", "checkpointed"])
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_engine_matches_at_every_pack_block(block, budget, monkeypatch):
+    """Bits packed per block land in the rows of their voters, whatever the block size.
+
+    At n = 300 a block of 7 leaves a partial block, in one sweep and in each
+    checkpoint segment of 138, 138 and 24 voters.
+    """
+    monkeypatch.setattr(line_solver, "_PACK_BLOCK", block)
+    if budget == "checkpointed":
+        monkeypatch.setattr(line_solver, "_BIT_BUDGET", 0)
+    for seed, n, m, k, draw in large_cases():
+        if n == 300 and draw in ("step", "borda", "huge"):
+            assert_engines_agree(seed, n, m, k, draw)
+    for case in list(small_cases())[:60]:
+        assert_engines_agree(*case)
