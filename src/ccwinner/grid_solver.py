@@ -144,11 +144,11 @@ def rect_cost(prefix2d: GridPrefix, rect: Rect):
 
     The cost is in rho units.
     """
-    t = prefix2d.table
-    i0, i1, j0, j1 = rect.i0, rect.i1 + 1, rect.j0, rect.j1 + 1
-    sums = t[:, i1, j1] - t[:, i0, j1] - t[:, i1, j0] + t[:, i0, j0]
-    cand = int(sums.argmin())
-    return to_rho_units(int(sums[cand]), prefix2d.scale), cand
+    if rect.i1 >= prefix2d.n1 or rect.j1 >= prefix2d.n2:
+        raise InvalidTiling(f"{rect!r} falls outside the {prefix2d.n1}x{prefix2d.n2} grid")
+    shape = [[rect.i0], [rect.j0], [rect.i1 - rect.i0 + 1], [rect.j1 - rect.j0 + 1]]
+    cost, cand = _rect_minima(prefix2d, *np.array(shape))
+    return to_rho_units(int(cost[0]), prefix2d.scale), int(cand[0])
 
 
 def _layout(n1: int, n2: int):
@@ -325,29 +325,25 @@ def enumerate_tilings(
     """Every partition of the grid into at most k rectangles, each exactly once.
 
     Recursion on the topmost-leftmost uncovered cell: every rectangle having
-    it as top-left corner is tried in turn, so each partition is produced
-    once, in a deterministic order.  Raises BudgetExceeded beyond `budget`
-    tilings.
+    it as top-left corner is tried in turn, taller ones after all widths of
+    a shorter one, so each partition is produced once, in a deterministic
+    order.  Placing rectangles there keeps the covered cells a prefix of
+    every column, so the search state is a skyline, the covered height of
+    each column: the cell is in row min(heights), at the first column of
+    that height, and the rectangle's width is bounded by the run of columns
+    of that same height.  Raises BudgetExceeded beyond `budget` tilings.
     """
     if k < 1:
         raise InvalidK(f"committee size bound must be at least 1, got {k}")
     n1, n2 = grid.n1, grid.n2
-    cover = [[False] * n2 for _ in range(n1)]
+    heights = [0] * n2
     placed: list[Rect] = []
     produced = 0
 
-    def first_uncovered():
-        for i in range(n1):
-            row = cover[i]
-            for j in range(n2):
-                if not row[j]:
-                    return i, j
-        return None
-
     def walk(remaining: int) -> Iterator[Tiling]:
         nonlocal produced
-        start = first_uncovered()
-        if start is None:
+        r = min(heights)
+        if r == n1:
             produced += 1
             if budget is not None and produced > budget:
                 raise BudgetExceeded(f"more than {budget} tilings")
@@ -355,27 +351,28 @@ def enumerate_tilings(
             return
         if remaining == 0:
             return
-        r, c = start
-        width = n2 - c
-        for r2 in range(r, n1):
-            run = 0
-            row = cover[r2]
-            while run < width and not row[c + run]:
-                run += 1
-            width = run
-            if width == 0:
-                break
-            for c2 in range(c, c + width):
-                rect = Rect(r, r2, c, c2)
-                for i, j in rect.cells():
-                    cover[i][j] = True
-                placed.append(rect)
+        c = end = heights.index(r)
+        while end < n2 and heights[end] == r:
+            end += 1
+        for r2 in range(r + 1, n1 + 1):
+            for c2 in range(c, end):  # columns c..c2-1 already stand at r2
+                heights[c2] = r2
+                placed.append(Rect(r, r2 - 1, c, c2))
                 yield from walk(remaining - 1)
                 placed.pop()
-                for i, j in rect.cells():
-                    cover[i][j] = False
+            heights[c:end] = [r] * (end - c)
 
     return walk(k)
+
+
+def _check_listed_tiling(at: int, tiling: Tiling, grid: Grid, k: int) -> None:
+    """Raise InvalidTiling unless ``tiling``, entry ``at`` of a list, tiles this grid with <= k parts."""
+    if (tiling.n1, tiling.n2) != (grid.n1, grid.n2):
+        raise InvalidTiling(
+            f"tilings[{at}] covers a {tiling.n1}x{tiling.n2} grid, not the {grid.n1}x{grid.n2} grid"
+        )
+    if len(tiling.rects) > k:
+        raise InvalidTiling(f"tilings[{at}] has {len(tiling.rects)} rectangles, more than k = {k}")
 
 
 def check_laminar_conjecture(
@@ -392,7 +389,8 @@ def check_laminar_conjecture(
     strictly cheaper non-laminar tiling (with its representatives filled in).
     `tilings` may supply a pre-enumerated list to share across instances on
     the same grid; an empty list, or one whose best tiling costs more than
-    the laminar optimum, raises `IncompleteTilings`.
+    the laminar optimum, raises `IncompleteTilings`, and a listed tiling of
+    another grid or with more than k rectangles raises `InvalidTiling`.
     """
     laminar_cost = solve_grid_laminar(profile, grid, k)[0].total_cost
     prefix = build_grid_prefix(profile, grid)
@@ -402,7 +400,8 @@ def check_laminar_conjecture(
     best: Optional[Tiling] = None
     if tilings is None:
         tilings = enumerate_tilings(grid, k, budget=budget)
-    for tiling in tilings:
+    for at, tiling in enumerate(tilings):
+        _check_listed_tiling(at, tiling, grid, k)
         total = 0
         reps = []
         for r in tiling.rects:

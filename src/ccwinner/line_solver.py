@@ -13,8 +13,9 @@ Three routes to the optimum:
 * ``solve_line_klink`` -- the reduction to a k-link shortest path in a DAG
   whose arc weights are cheapest-single-candidate segment sums. The weights
   are concave Monge, so unconstrained penalized optima come from a
-  totally-monotone matrix search and the link budget is enforced by a
-  Lagrangian search on the penalty;
+  totally-monotone matrix search, one eager loop that settles the prefix
+  optima 1..n in order, and the link budget is enforced by a Lagrangian
+  search on the penalty;
 * ``solve_line_egal_threshold`` -- egalitarian as a bottleneck value: the
   value sweep of the max-objective DP, which records no walk bits, finds
   the least feasible threshold,
@@ -252,85 +253,66 @@ def _concave_minima(row_indices, col_indices, matrix):
     return minima
 
 
-class _OnlineConcaveMinima:
-    """Online column minima for a concave one-dimensional recurrence.
+def _online_minima(matrix, n, values):
+    """Online column minima of a concave one-dimensional recurrence, all at once.
 
-    value(j) = min over i < j of matrix(i, j), where matrix may read
-    previously settled values. matrix must return concavity-respecting
-    sentinels for out-of-range columns instead of raising.
+    values[j] = min over i < j of matrix(i, j) for j = 1..n, where matrix
+    reads the settled entries of ``values``, the list being filled, which
+    holds values[0] on entry. matrix must return concavity-respecting
+    sentinels for columns past n instead of raising; their entries may be
+    left at the end of ``values``. One loop advances the finished frontier
+    a column at a time through four cases. Returns the argmin rows,
+    indices[j] for j = 0..n (None at 0).
     """
-
-    def __init__(self, matrix, initial):
-        self._values = [initial]
-        self._indices = [None]
-        self._finished = 0
-        self._matrix = matrix
-        self._base = 0
-        self._tentative = 0
-
-    def value(self, j):
-        while self._finished < j:
-            self._advance()
-        return self._values[j]
-
-    def index(self, j):
-        while self._finished < j:
-            self._advance()
-        return self._indices[j]
-
-    def _advance(self):
-        # Case 1: past the tentative frontier; batch-search the largest
-        # square submatrix under the base to build a new frontier.
-        i = self._finished + 1
-        if i > self._tentative:
-            rows = range(self._base, self._finished + 1)
-            self._tentative = self._finished + len(rows)
-            cols = range(self._finished + 1, self._tentative + 1)
-            minima = _concave_minima(rows, cols, self._matrix)
+    indices = [None]
+    finished = base = tentative = 0
+    while finished < n:
+        i = finished + 1
+        if i > tentative:
+            # Case 1: past the tentative frontier; batch-search the largest
+            # square submatrix under the base to build a new frontier.
+            rows = range(base, i)
+            tentative = finished + len(rows)
+            cols = range(i, tentative + 1)
+            minima = _concave_minima(rows, cols, matrix)
             for col in cols:
-                if col >= len(self._values):
-                    self._values.append(minima[col][0])
-                    self._indices.append(minima[col][1])
-                elif minima[col][0] < self._values[col]:
-                    self._values[col], self._indices[col] = minima[col]
-            self._finished = i
-            return
-
-        # Case 2: the diagonal supplies a new column minimum; rows above it
-        # can never win again, so the base advances to the diagonal.
-        diag = self._matrix(i - 1, i)
-        if diag < self._values[i]:
-            self._values[i] = diag
-            self._indices[i] = self._base = i - 1
-            self._tentative = self._finished = i
-            return
-
-        # Case 3: row i-1 loses at the tentative column, hence everywhere
-        # up to it; just accept the tentative value.
-        if self._matrix(i - 1, self._tentative) >= self._values[self._tentative]:
-            self._finished = i
-            return
-
-        # Case 4: row i-1 wins at the tentative column; earlier rows are
-        # dead from here on and the base jumps forward.
-        self._base = i - 1
-        self._tentative = self._finished = i
-        return
+                if col >= len(values):
+                    values.append(minima[col][0])
+                    indices.append(minima[col][1])
+                elif minima[col][0] < values[col]:
+                    values[col], indices[col] = minima[col]
+            finished = i
+        elif (diag := matrix(i - 1, i)) < values[i]:
+            # Case 2: the diagonal supplies a new column minimum; rows above
+            # it can never win again, so the base advances to the diagonal.
+            values[i] = diag
+            indices[i] = base = i - 1
+            tentative = finished = i
+        elif matrix(i - 1, tentative) >= values[tentative]:
+            # Case 3: row i-1 loses at the tentative column, hence everywhere
+            # up to it; just accept the tentative value.
+            finished = i
+        else:
+            # Case 4: row i-1 wins at the tentative column; earlier rows are
+            # dead from here on and the base jumps forward.
+            base = i - 1
+            tentative = finished = i
+    return indices
 
 
-def _penalized_chain(klink: KLinkInstance, lam, most_links: bool) -> _OnlineConcaveMinima:
+def _penalized_chain(klink: KLinkInstance, lam, most_links: bool):
+    """(values, indices): (penalized cost, +-links) and predecessor of every prefix 0..n."""
     n = klink.n
     sign = -1 if most_links else 1
+    values = [(0, 0)]
 
     def matrix(i, j):
         if j > n:
             return (-i, -i)  # concave sentinel for out-of-range columns
-        cost, links = chain.value(i)
+        cost, links = values[i]
         return (cost + klink.omega(i, j) + lam, links + sign)
 
-    chain = _OnlineConcaveMinima(matrix, (0, 0))
-    chain.value(n)
-    return chain
+    return values, _online_minima(matrix, n, values)
 
 
 def smawk_min_links(klink: KLinkInstance, lam, most_links: bool = False):
@@ -340,11 +322,11 @@ def smawk_min_links(klink: KLinkInstance, lam, most_links: bool = False):
     with the fewest links is produced; ``most_links`` flips the tie-break.
     """
     sign = -1 if most_links else 1
-    chain = _penalized_chain(klink, lam, most_links)
-    total, links = chain.value(klink.n)
+    values, indices = _penalized_chain(klink, lam, most_links)
+    total, links = values[klink.n]
     path = [klink.n]
     while path[-1]:
-        path.append(chain.index(path[-1]))
+        path.append(indices[path[-1]])
     path.reverse()
     return total, sign * links, tuple(path)
 
@@ -358,11 +340,11 @@ def _exact_k_path(klink: KLinkInstance, lam, k: int) -> tuple[int, ...]:
     contiguous interval.
     """
     n = klink.n
-    lo = _penalized_chain(klink, lam, False)
-    hi = _penalized_chain(klink, lam, True)
-    cost = [lo.value(j)[0] for j in range(n + 1)]
-    lmin = [lo.value(j)[1] for j in range(n + 1)]
-    lmax = [-hi.value(j)[1] for j in range(n + 1)]
+    lo = _penalized_chain(klink, lam, False)[0][: n + 1]
+    hi = _penalized_chain(klink, lam, True)[0][: n + 1]
+    cost = [value[0] for value in lo]
+    lmin = [value[1] for value in lo]
+    lmax = [-value[1] for value in hi]
 
     table = klink.prefix.table
     dtype = int_dtype(max(cost) + int(table[:, -1].max()) + lam)

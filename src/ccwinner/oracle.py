@@ -13,7 +13,7 @@ from math import comb
 from typing import Optional
 
 from .core import Assignment, Objective, PreferenceProfile, SolveResult
-from .errors import BudgetExceeded, InvalidK
+from .errors import BudgetExceeded, IncompleteTilings, InvalidK
 
 #: Committees (or tilings) examined before giving up.
 DEFAULT_BUDGET = 500_000
@@ -95,11 +95,12 @@ def brute_force_tiling(
     (ties to the smallest index; sums computed directly, no prefix tables).
     On single-crossing grid instances this agrees with `brute_force`, because
     optimal canonical assignments have rectangular fibers.  `tilings` can
-    supply a pre-enumerated list to share across calls; the winning tiling is
-    reported in stats as inclusive (i0, i1, j0, j1) tuples with its per-rect
-    representatives.
+    supply a pre-enumerated list to share across calls (an empty one raises
+    `IncompleteTilings`, a listed tiling of another grid or with more than k
+    rectangles `InvalidTiling`); the winning tiling is reported in stats as
+    inclusive (i0, i1, j0, j1) tuples with its per-rect representatives.
     """
-    from .grid_solver import enumerate_tilings
+    from .grid_solver import _check_listed_tiling, enumerate_tilings
 
     if k < 1:
         raise InvalidK(f"committee size bound must be at least 1, got {k}")
@@ -109,7 +110,8 @@ def brute_force_tiling(
     best_cost = None
     best_rects = None
     best_reps = None
-    for tiling in tilings:
+    for at, tiling in enumerate(tilings):
+        _check_listed_tiling(at, tiling, grid, k)
         total = 0
         reps = []
         for rect in tiling.rects:
@@ -131,6 +133,8 @@ def brute_force_tiling(
             best_reps = tuple(reps)
             if best_cost == 0:
                 break
+    if best_rects is None:
+        raise IncompleteTilings("no tilings to scan")
 
     rep = [None] * profile.n
     for rect, c in zip(best_rects, best_reps):

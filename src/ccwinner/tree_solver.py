@@ -46,6 +46,8 @@ O(min(n^2, nk)) over the tree.
 
 from __future__ import annotations
 
+from operator import add
+
 import numpy as np
 
 from .core import (
@@ -300,17 +302,16 @@ def _reconstruct(rows, tree, k, objective, dyp1, l_star, inf):
     rest entry the previous split chose), or the tables are inconsistent. A
     state whose candidate is only bounded below by c (the suffix minimum,
     derived here) resolves to the smallest attaining candidate, the first
-    minimum of its table row from c on.
+    minimum of its table row from c on; it is resolved when pushed, so every
+    stack entry holds a vertex's final candidate.
     """
-    egal = objective is Objective.EGALITARIAN
+    op = max if objective is Objective.EGALITARIAN else add
     m = rows.shape[1]
     rep = [0] * tree.n
-    # (vertex, subtree budget, candidate bound, candidate only bounded below)
-    stack = [(tree.root, l_star, 0, True)]
+    # (vertex, subtree budget, candidate)
+    stack = [(tree.root, l_star, int(np.argmin(dyp1[tree.root][l_star - 1])))]
     while stack:
-        v, l, c, floating = stack.pop()
-        if floating:
-            c += int(np.argmin(dyp1[v][l - 1, c:]))
+        v, l, c = stack.pop()
         rep[v] = c
         children = tree.child_order[v]
         if not children:
@@ -333,12 +334,8 @@ def _reconstruct(rows, tree, k, objective, dyp1, l_star, inf):
             upper, child = len(rest), len(d1)
             same_ts = range(max(1, l + 1 - upper), min(l, child) + 1)
             diff_ts = range(max(1, l - upper), min(l - 1, child) + 1)
-            if egal:
-                got = [max(d1[t - 1], rest[l - t]) for t in same_ts]
-                got += [max(d0[t - 1], rest[l - t - 1]) for t in diff_ts]
-            else:
-                got = [d1[t - 1] + rest[l - t] for t in same_ts]
-                got += [d0[t - 1] + rest[l - t - 1] for t in diff_ts]
+            got = [op(d1[t - 1], rest[l - t]) for t in same_ts]
+            got += [op(d0[t - 1], rest[l - t - 1]) for t in diff_ts]
             best = min(got)
             if best != carried:
                 raise InconsistentTables(
@@ -347,11 +344,11 @@ def _reconstruct(rows, tree, k, objective, dyp1, l_star, inf):
             j = got.index(best)
             if j < len(same_ts):
                 t = same_ts[j]
-                stack.append((u, t, c, False))
+                stack.append((u, t, c))
                 l = l - t + 1
             else:
                 t = diff_ts[j - len(same_ts)]
-                stack.append((u, t, c + 1, True))
+                stack.append((u, t, c + 1 + int(np.argmin(dyp1[u][t - 1, c + 1 :]))))
                 l = l - t
             carried = rest[l - 1]
     return rep

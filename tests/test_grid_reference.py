@@ -5,19 +5,28 @@ as it was except that it builds its own prefix lists: one rectangle at a
 time, tables in a tuple-keyed dict, a strict-``<`` scan over (cut, l1).  The array DP must
 return the same tiling, representatives, assignment and counters on every
 instance, ties included, and stay exact on rational and huge rho.
+
+``reference_enumerate_tilings`` is the earlier tiling enumerator, kept as
+it was: an n1 x n2 cover matrix, scanned row-major for the first uncovered
+cell, with each rectangle row's run of uncovered cells re-scanned.  The
+skyline enumerator must yield the same tilings in the same order and stop
+at the same count when the budget runs out.
 """
 
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from ccwinner.core import Assignment, Grid, PreferenceProfile, to_rho_units
+from ccwinner.errors import BudgetExceeded
 from ccwinner.generators import gen_sc_grid
 from ccwinner.grid_solver import (
     Rect,
     Tiling,
     build_grid_prefix,
+    enumerate_tilings,
     rect_cost,
     solve_grid_bicriterial,
     solve_grid_laminar,
@@ -289,3 +298,90 @@ def test_thin_grid_past_int64_matches_the_scalar_dp():
         result = assert_matches_reference(profile, grid, budget)
         assert type(result.total_cost) is int
         assert result.total_cost > 0 or budget == grid.n
+
+
+# ---------------------------------------------------------------------------
+# tiling enumeration
+
+
+def reference_enumerate_tilings(grid, k, budget):
+    n1, n2 = grid.n1, grid.n2
+    cover = [[False] * n2 for _ in range(n1)]
+    placed = []
+    produced = 0
+
+    def first_uncovered():
+        for i in range(n1):
+            row = cover[i]
+            for j in range(n2):
+                if not row[j]:
+                    return i, j
+        return None
+
+    def walk(remaining):
+        nonlocal produced
+        start = first_uncovered()
+        if start is None:
+            produced += 1
+            if budget is not None and produced > budget:
+                raise BudgetExceeded(f"more than {budget} tilings")
+            yield Tiling(tuple(placed))
+            return
+        if remaining == 0:
+            return
+        r, c = start
+        width = n2 - c
+        for r2 in range(r, n1):
+            run = 0
+            row = cover[r2]
+            while run < width and not row[c + run]:
+                run += 1
+            width = run
+            if width == 0:
+                break
+            for c2 in range(c, c + width):
+                rect = Rect(r, r2, c, c2)
+                for i, j in rect.cells():
+                    cover[i][j] = True
+                placed.append(rect)
+                yield from walk(remaining - 1)
+                placed.pop()
+                for i, j in rect.cells():
+                    cover[i][j] = False
+
+    return walk(k)
+
+
+def produced_until_budget(tilings):
+    """The rectangles of each tiling yielded, then the budget error's message (or None)."""
+    got = []
+    try:
+        for tiling in tilings:
+            got.append(tiling.rects)
+    except BudgetExceeded as exc:
+        return got, str(exc)
+    return got, None
+
+
+@pytest.mark.parametrize("n1", [1, 2, 3, 4])
+def test_skyline_enumeration_yields_the_cover_matrix_sequence(n1):
+    """Every grid with n1 <= 4, n2 <= 5 and k <= 6, in order; 27,615 tilings in all."""
+    total = 0
+    for n2 in range(1, 6):
+        for k in range(1, 7):
+            grid = Grid(n1, n2)
+            got = [t.rects for t in enumerate_tilings(grid, k, budget=None)]
+            assert got == [t.rects for t in reference_enumerate_tilings(grid, k, None)], (n2, k)
+            total += len(got)
+    assert total == {1: 137, 2: 1299, 3: 6571, 4: 19608}[n1]
+
+
+def test_skyline_enumeration_runs_out_of_budget_at_the_same_tiling():
+    for n1, n2, k in ((2, 3, 6), (3, 3, 4), (4, 5, 3), (1, 5, 5)):
+        grid = Grid(n1, n2)
+        count = sum(1 for _ in enumerate_tilings(grid, k, budget=None))
+        for budget in (0, 1, count // 2, count - 1, count):
+            got = produced_until_budget(enumerate_tilings(grid, k, budget=budget))
+            assert got == produced_until_budget(reference_enumerate_tilings(grid, k, budget))
+            assert len(got[0]) == min(budget, count)
+            assert (got[1] is None) == (budget >= count)

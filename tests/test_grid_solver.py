@@ -115,6 +115,14 @@ def test_rect_cost_matches_direct_summation():
         assert rect_cost(prefix, Rect(i0, i1, j0, j1)) == (best, sums.index(best))
 
 
+@pytest.mark.parametrize("rect", [Rect(0, 0, 2, 7), Rect(4, 5, 0, 0), Rect(0, 5, 0, 7)])
+def test_rect_cost_rejects_rectangles_outside_the_grid(rect):
+    """Flat indices would wrap a too-wide rectangle into the next row without this check."""
+    profile = random_profile(random.Random(13), 35, 6)
+    with pytest.raises(InvalidTiling, match="outside the 5x7 grid"):
+        rect_cost(build_grid_prefix(profile, Grid(5, 7)), rect)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -409,12 +417,53 @@ def test_conjecture_checker_rejects_an_empty_tiling_list():
         check_laminar_conjecture(profile, grid, 3, tilings=[])
 
 
+def test_tiling_oracle_rejects_an_empty_tiling_list():
+    """It raised a bare TypeError after scanning nothing."""
+    profile, grid = gen_sc_grid(8, 2, 3, 4)
+    with pytest.raises(IncompleteTilings, match="no tilings"):
+        brute_force_tiling(profile, grid, 3, tilings=[])
+
+
 def test_conjecture_checker_rejects_tilings_that_miss_the_laminar_optimum():
     profile, grid = gen_sc_grid(0, 2, 3, 4)
     # the whole grid costs 3 as one rectangle, the laminar 3-tiling costs 0
     whole = list(enumerate_tilings(grid, 1))
     with pytest.raises(IncompleteTilings, match="above the laminar DP"):
         check_laminar_conjecture(profile, grid, 3, tilings=whole)
+
+
+def conjecture_check(profile, grid, k, tilings):
+    return check_laminar_conjecture(profile, grid, k, tilings=tilings)
+
+
+def oracle_check(profile, grid, k, tilings):
+    return brute_force_tiling(profile, grid, k, tilings=tilings)
+
+
+@pytest.mark.parametrize("check", [conjecture_check, oracle_check])
+def test_tiling_lists_with_more_than_k_rectangles_are_rejected(check):
+    """Unchecked, the conjecture checker returned the 6-rectangle tiling as a counterexample."""
+    profile, grid = gen_sc_grid(0, 2, 3, 4)
+    tilings = list(enumerate_tilings(grid, 6))
+    assert len(tilings) == 34 and len(tilings[0].rects) == 6
+    with pytest.raises(InvalidTiling, match=r"tilings\[0\] has 6 rectangles, more than k = 1"):
+        check(profile, grid, 1, tilings)
+    pairs = list(enumerate_tilings(grid, 2))
+    assert len(pairs[0].rects) == 2
+    with pytest.raises(InvalidTiling, match=r"tilings\[0\] has 2 rectangles, more than k = 1"):
+        check(profile, grid, 1, pairs)
+
+
+@pytest.mark.parametrize("check", [conjecture_check, oracle_check])
+def test_tiling_lists_of_another_grid_are_rejected(check):
+    """Unchecked, 3x3 tilings on a 2x3 grid raised a bare IndexError."""
+    profile, grid = gen_sc_grid(0, 2, 3, 4)
+    tilings = list(enumerate_tilings(Grid(3, 3), 3))
+    with pytest.raises(InvalidTiling, match=r"tilings\[0\] covers a 3x3 grid, not the 2x3 grid"):
+        check(profile, grid, 3, tilings)
+    smaller = [Tiling((Rect(0, 1, 0, 1),))]  # a 2x2 grid: no index error, a wrong answer
+    with pytest.raises(InvalidTiling, match=r"tilings\[0\] covers a 2x2 grid"):
+        check(profile, grid, 3, smaller)
 
 
 def test_tiling_oracle_matches_committee_oracle_on_sc_grids():

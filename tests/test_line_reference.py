@@ -13,6 +13,9 @@ every voter's walk bits, and checkpoint segments re-swept one at a time
 candidate axis and packs each voter's bits on its own, so patching
 ``_PACK_BLOCK`` to sizes that do and do not divide the recorded voters
 checks that every packed block lands in the rows of its voters.
+
+The k-link section below keeps the earlier lazy online-minima chain the
+same way and checks the eager loop against it.
 """
 
 import math
@@ -23,13 +26,28 @@ import numpy as np
 import pytest
 
 from ccwinner import line_solver
-from ccwinner.core import Assignment, Line, PreferenceProfile, canonicalize, int_dtype, to_rho_units
+from ccwinner.core import (
+    Assignment,
+    Line,
+    PreferenceProfile,
+    SolveResult,
+    canonicalize,
+    int_dtype,
+    to_rho_units,
+)
+from ccwinner.errors import NotSingleCrossing
 from ccwinner.generators import gen_sc_line
 from ccwinner.line_solver import (
+    KLinkInstance,
+    _concave_minima,
     _dp_engine,
+    _exact_k_path,
     _normalized_rows,
+    _prefix_sums,
+    smawk_min_links,
     solve_line_dp,
     solve_line_egal_threshold,
+    solve_line_klink,
 )
 
 
@@ -262,3 +280,231 @@ def test_engine_matches_at_every_pack_block(block, budget, monkeypatch):
             assert_engines_agree(seed, n, m, k, draw)
     for case in list(small_cases())[:60]:
         assert_engines_agree(*case)
+
+
+# ---------------------------------------------------------------------------
+# the k-link matrix search against the lazy online chain it replaced
+#
+# ``ReferenceOnlineConcaveMinima``, ``reference_penalized_chain``,
+# ``reference_smawk_min_links`` and ``reference_exact_k_path`` are the
+# earlier implementation, kept as it was: a class that settles prefix optima
+# on demand, which every caller forced to n at once. The eager loop must
+# settle the same values and predecessors with the same weight lookups,
+# sentinel columns past n included.
+
+
+class ReferenceOnlineConcaveMinima:
+    def __init__(self, matrix, initial):
+        self._values = [initial]
+        self._indices = [None]
+        self._finished = 0
+        self._matrix = matrix
+        self._base = 0
+        self._tentative = 0
+
+    def value(self, j):
+        while self._finished < j:
+            self._advance()
+        return self._values[j]
+
+    def index(self, j):
+        while self._finished < j:
+            self._advance()
+        return self._indices[j]
+
+    def _advance(self):
+        i = self._finished + 1
+        if i > self._tentative:
+            rows = range(self._base, self._finished + 1)
+            self._tentative = self._finished + len(rows)
+            cols = range(self._finished + 1, self._tentative + 1)
+            minima = _concave_minima(rows, cols, self._matrix)
+            for col in cols:
+                if col >= len(self._values):
+                    self._values.append(minima[col][0])
+                    self._indices.append(minima[col][1])
+                elif minima[col][0] < self._values[col]:
+                    self._values[col], self._indices[col] = minima[col]
+            self._finished = i
+            return
+        diag = self._matrix(i - 1, i)
+        if diag < self._values[i]:
+            self._values[i] = diag
+            self._indices[i] = self._base = i - 1
+            self._tentative = self._finished = i
+            return
+        if self._matrix(i - 1, self._tentative) >= self._values[self._tentative]:
+            self._finished = i
+            return
+        self._base = i - 1
+        self._tentative = self._finished = i
+
+
+def reference_penalized_chain(klink, lam, most_links):
+    n = klink.n
+    sign = -1 if most_links else 1
+
+    def matrix(i, j):
+        if j > n:
+            return (-i, -i)
+        cost, links = chain.value(i)
+        return (cost + klink.omega(i, j) + lam, links + sign)
+
+    chain = ReferenceOnlineConcaveMinima(matrix, (0, 0))
+    chain.value(n)
+    return chain
+
+
+def reference_smawk_min_links(klink, lam, most_links=False):
+    sign = -1 if most_links else 1
+    chain = reference_penalized_chain(klink, lam, most_links)
+    total, links = chain.value(klink.n)
+    path = [klink.n]
+    while path[-1]:
+        path.append(chain.index(path[-1]))
+    path.reverse()
+    return total, sign * links, tuple(path)
+
+
+def reference_exact_k_path(klink, lam, k):
+    n = klink.n
+    lo = reference_penalized_chain(klink, lam, False)
+    hi = reference_penalized_chain(klink, lam, True)
+    cost = [lo.value(j)[0] for j in range(n + 1)]
+    lmin = [lo.value(j)[1] for j in range(n + 1)]
+    lmax = [-hi.value(j)[1] for j in range(n + 1)]
+    table = klink.prefix.table
+    dtype = int_dtype(max(cost) + int(table[:, -1].max()) + lam)
+    cost_a = np.array(cost, dtype=dtype)
+    lmin_a = np.array(lmin, dtype=np.int64)
+    lmax_a = np.array(lmax, dtype=np.int64)
+    path = [n]
+    v, t = n, k
+    while v > 0:
+        w = (table[:, v : v + 1] - table[:, :v]).min(axis=0)
+        tight = (cost_a[:v] + w + lam == cost_a[v]) & (lmin_a[:v] <= t - 1)
+        tight &= t - 1 <= lmax_a[:v]
+        hits = np.flatnonzero(tight)
+        if len(hits) == 0:
+            raise NotSingleCrossing("no tight arc continues an exactly-k path")
+        u = int(hits[-1])
+        path.append(u)
+        v, t = u, t - 1
+    path.reverse()
+    return tuple(path)
+
+
+def reference_klink(profile, line, k):
+    """The earlier k-link search on the lazy chain: its canonical result, or its error type."""
+    rows, inverse = _normalized_rows(profile, line)
+    klink = KLinkInstance(_prefix_sums(rows, profile.scale))
+    lam = 0
+    total, links, path = reference_smawk_min_links(klink, 0)
+    if links > k:
+        lo, hi = 1, profile.n * int(rows.max()) + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if reference_smawk_min_links(klink, mid)[1] <= k:
+                hi = mid
+            else:
+                lo = mid + 1
+        lam = lo
+        total, links, path = reference_smawk_min_links(klink, lam)
+        if links < k:
+            if reference_smawk_min_links(klink, lam, most_links=True)[1] < k:
+                return NotSingleCrossing
+            try:
+                path = reference_exact_k_path(klink, lam, k)
+            except NotSingleCrossing:
+                return NotSingleCrossing
+    committee = {inverse[klink.cand(u, v)] for u, v in zip(path, path[1:])}
+    stats = {
+        "lambda": to_rho_units(lam, profile.scale),
+        "links": len(path) - 1,
+        "omega_evals": klink.evals,
+        "lower_bound": to_rho_units(total - lam * k, profile.scale),
+    }
+    return SolveResult.from_committee(profile, committee, "line-klink", stats)
+
+
+def klink_of(profile, line):
+    rows = _normalized_rows(profile, line)[0]
+    return KLinkInstance(_prefix_sums(rows, profile.scale))
+
+
+def klink_cases():
+    """Single-crossing and random lines under the integer, 0/1 and rational draws."""
+    for seed in range(240):
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 40), rng.randint(1, 7)
+        yield seed, n, m, ("step", "borda", "rational", "binary")[seed % 4]
+
+
+def klink_instance(seed, n, m, draw):
+    if draw != "binary":
+        return line_instance(seed, n, m, draw)
+    profile, line = line_instance(seed, n, m, "step")
+    return PreferenceProfile(profile.rankings, (profile.scaled > 0).astype(int).tolist()), line
+
+
+@pytest.mark.parametrize("most_links", [False, True])
+def test_online_minima_settle_the_lazy_chain_values(most_links):
+    """Values, predecessors (sentinel columns too) and weight lookups at zero and positive penalties."""
+    for seed, n, m, draw in klink_cases():
+        profile, line = klink_instance(seed, n, m, draw)
+        top = n * int(_normalized_rows(profile, line)[0].max()) + 1
+        for lam in sorted({0, 1, 2, 3, top // 7, top // 2, top}):
+            klink, ref = klink_of(profile, line), klink_of(profile, line)
+            values, indices = line_solver._penalized_chain(klink, lam, most_links)
+            chain = reference_penalized_chain(ref, lam, most_links)
+            assert (values, indices) == (chain._values, chain._indices), (seed, lam)
+            assert klink.evals == ref.evals, (seed, lam)
+            got = smawk_min_links(klink_of(profile, line), lam, most_links)
+            assert got == reference_smawk_min_links(ref, lam, most_links), (seed, lam)
+
+
+def test_exact_k_paths_match_the_lazy_chain_paths():
+    """Every budget strictly inside a penalty's optimal link interval, at penalties where it is wide."""
+    inner = 0
+    for seed, n, m, draw in klink_cases():
+        profile, line = klink_instance(seed, n, m, draw)
+        top = n * int(_normalized_rows(profile, line)[0].max()) + 1
+        for lam in range(1, min(top, 10) + 1):
+            fewest = smawk_min_links(klink_of(profile, line), lam)[1]
+            most = smawk_min_links(klink_of(profile, line), lam, most_links=True)[1]
+            for k in range(fewest + 1, most):
+                klink, ref = klink_of(profile, line), klink_of(profile, line)
+                try:
+                    want = reference_exact_k_path(ref, lam, k)
+                except NotSingleCrossing:
+                    with pytest.raises(NotSingleCrossing):
+                        _exact_k_path(klink, lam, k)
+                    continue
+                assert _exact_k_path(klink, lam, k) == want, (seed, lam, k)
+                assert klink.evals == ref.evals
+                inner += 1
+    assert inner >= 100, inner
+
+
+def test_klink_solver_matches_the_lazy_chain_search(monkeypatch):
+    """Results and every stat, omega_evals included, with lambda > 0 and exactly-k paths."""
+    paths = []
+
+    def exact_k_path(klink, lam, k):
+        paths.append(k)
+        return _exact_k_path(klink, lam, k)
+
+    monkeypatch.setattr(line_solver, "_exact_k_path", exact_k_path)
+    positive = 0
+    for seed, n, m, draw in klink_cases():
+        profile, line = klink_instance(seed, n, m, draw)
+        for k in sorted({1, 2, m, n}):
+            want = reference_klink(profile, line, k)
+            if want is NotSingleCrossing:
+                with pytest.raises(NotSingleCrossing):
+                    solve_line_klink(profile, line, k)
+                continue
+            got = solve_line_klink(profile, line, k)
+            assert got == want, (seed, draw, k)
+            positive += got.stats["lambda"] > 0
+    assert positive >= 200 and len(paths) >= 20

@@ -7,6 +7,11 @@ lists of rows of Python ints, built one vertex at a time in post order, and
 the fold runs an (l, t, c) triple loop.  The array DP must return the same
 planes, tables, counters, assignment and costs on every instance, ties
 included, and stay exact on rational and huge rho.
+
+``reference_floating_walk`` is the array walk as it was before its states
+were resolved at push: a DIFF split pushed a "floating" state, bounded
+below by c + 1, which the pop resolved to the first minimum of the child's
+table row from there on. The walk must give the same representatives.
 """
 
 import json
@@ -591,3 +596,86 @@ def test_object_engine_tree_result_file(tmp_path):
     assert doc["total_cost"] == want.total_cost == 2**70 * solve_tree_dp(base, tree, 3).total_cost
     assert doc["assignment"] == [c + 1 for c in want.assignment.rep]
     assert doc["stats"]["merge_iterations"] == want.stats["merge_iterations"]
+
+
+# ---------------------------------------------------------------------------
+# the walk against its floating-state form
+
+
+def reference_floating_walk(rows, tree, k, objective, dyp1, l_star, inf):
+    egal = objective is Objective.EGALITARIAN
+    m = rows.shape[1]
+    rep = [0] * tree.n
+    stack = [(tree.root, l_star, 0, True)]
+    while stack:
+        v, l, c, floating = stack.pop()
+        if floating:
+            c += int(np.argmin(dyp1[v][l - 1, c:]))
+        rep[v] = c
+        children = tree.child_order[v]
+        if not children:
+            continue
+        starts = [c, c + 1][: m - c]
+        pairs = [np.minimum.reduceat(dyp1[u], starts, axis=1) for u in children]
+        rests = [rows[v : v + 1, c : c + 2]]
+        for pair in reversed(pairs[1:]):
+            fold, _ = merge_child_plane(rests[-1], pair, k, objective, inf=inf)
+            rests.append(fold)
+        rests.reverse()
+        carried = int(dyp1[v][l - 1, c])
+        for i, u in enumerate(children):
+            rest = rests[i][:, 0].tolist()
+            d1 = pairs[i][:, 0].tolist()
+            d0 = pairs[i][:, 1].tolist() if c + 1 < m else [inf] * len(d1)
+            upper, child = len(rest), len(d1)
+            same_ts = range(max(1, l + 1 - upper), min(l, child) + 1)
+            diff_ts = range(max(1, l - upper), min(l - 1, child) + 1)
+            if egal:
+                got = [max(d1[t - 1], rest[l - t]) for t in same_ts]
+                got += [max(d0[t - 1], rest[l - t - 1]) for t in diff_ts]
+            else:
+                got = [d1[t - 1] + rest[l - t] for t in same_ts]
+                got += [d0[t - 1] + rest[l - t - 1] for t in diff_ts]
+            best = min(got)
+            assert best == carried
+            j = got.index(best)
+            if j < len(same_ts):
+                t = same_ts[j]
+                stack.append((u, t, c, False))
+                l = l - t + 1
+            else:
+                t = diff_ts[j - len(same_ts)]
+                stack.append((u, t, c + 1, True))
+                l = l - t
+            carried = rest[l - 1]
+    return rep
+
+
+def tie_heavy_tree_instance(rng, trial):
+    """The random instances above, or a shaped tree under 0/step rho over three rankings."""
+    if trial % 4:
+        return random_instance(rng, trial)
+    n, m = rng.randint(12, 50), rng.randint(2, 6)
+    tree = (caterpillar_tree(rng, n), hairy_caterpillar_tree(rng, n), hub_tree(n),
+            complete_binary_tree(n))[trial // 4 % 4]
+    pool = [shuffled(rng, m) for _ in range(3)]
+    profile = PreferenceProfile.from_rankings(tuple(rng.choice(pool) for _ in range(n)))
+    steps = [sorted(rng.randint(0, 2) for _ in range(m)) for _ in range(n)]
+    return with_rho(profile, lambda v, p: steps[v][p] if trial % 8 else 0), tree
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_walk_resolved_at_push_matches_the_floating_walk(objective):
+    rng = random.Random(251 if objective is Objective.UTILITARIAN else 257)
+    for trial in range(1000):
+        profile, tree = tie_heavy_tree_instance(rng, trial)
+        if profile.n < 2:
+            continue
+        k = rng.randint(1, min(15, profile.n - 1))
+        inverse = reference_ranking(profile, tree)
+        inf = profile.n * int(profile.scaled.max()) + 1
+        rows = profile.scaled[:, list(inverse)].astype(int_dtype(2 * inf), copy=False)
+        dyp1, _ = _dp_tables(rows, tree, k, objective, inf)
+        l_star = int(np.argmin(dyp1[tree.root].min(axis=1))) + 1
+        args = (rows, tree, k, objective, dyp1, l_star, inf)
+        assert tree_solver._reconstruct(*args) == reference_floating_walk(*args), trial
