@@ -23,10 +23,12 @@ the affected budgets l form one contiguous block of rows (as they do for a
 fixed plane row), so the fold is one slice operation over every l and c per
 row of the plane or of the pieces, whichever has fewer: a single one for
 the first child folded into a vertex, whose plane is one row. Children are
-folded last to first, so the walk never refolds the first child; the partial
-folds it does need it rebuilds with the same ``merge_child_plane``, on two
-columns per child at the candidate c it reached: the child's table at c and
-its minimum above c.
+folded last to first, so the walk never refolds the first child. The last
+child splits against its parent alone, so the walk reads that split as two
+table entries; the partial folds the earlier children need it rebuilds with
+the same ``merge_child_plane``, on two columns per later child at the
+candidate c it reached: the child's table at c and its minimum above c. A
+vertex with one child makes no fold.
 
 The sweep runs one height level at a time (0 for a leaf, else 1 + the
 largest child height), since vertices of one height never depend on each
@@ -287,18 +289,21 @@ def solve_tree_dp(
 def _reconstruct(rows, tree, k, objective, dyp1, l_star, inf):
     """Walk the tables back into per-voter representatives.
 
-    dyp2 planes were dropped after the sweep, so per visited vertex the
-    value vectors of the partial folds without its first child are rebuilt
-    at the candidate c the vertex ended up with. Each child contributes two
-    columns, its table at c (SAME) and its minimum above c (DIFF), one
-    ``np.minimum.reduceat`` per child; ``merge_child_plane`` folds the later
-    children's columns into v's own, last child first, exactly as the sweep
-    did, and column 0 of each result is the vector at c (at c = m - 1 there
-    is one column, so no DIFF piece enters); a vertex with one child needs
-    no fold. Child by child, the walk scans the child's SAME and DIFF splits
+    dyp2 planes were dropped after the sweep, so per visited vertex with
+    several children the value vectors of the partial folds without its
+    first child are rebuilt at the candidate c the vertex ended up with.
+    Each child contributes two columns, its table at c (SAME) and its
+    minimum above c (DIFF), one ``np.minimum.reduceat`` per child;
+    ``merge_child_plane`` folds the later children's columns into v's own,
+    last child first, exactly as the sweep did, and column 0 of each result
+    is the vector at c (at c = m - 1 there is one column, so no DIFF piece
+    enters). Child by child, the walk scans the child's SAME and DIFF splits
     against the rest of the fold and takes the first minimum: SAME before
-    DIFF, then the smallest child budget. That minimum must equal the value
-    the walk carries (the vertex's table entry for its first child, then the
+    DIFF, then the smallest child budget. The last child's rest is v's own
+    entry, so its scan reads two table entries, SAME with budget l and then
+    DIFF with budget l - 1 (none at c = m - 1), and a vertex with one child
+    makes no fold and no ``reduceat``. The minimum must equal the value the
+    walk carries (the vertex's table entry for its first child, then the
     rest entry the previous split chose), or the tables are inconsistent. A
     state whose candidate is only bounded below by c (the suffix minimum,
     derived here) resolves to the smallest attaining candidate, the first
@@ -318,19 +323,21 @@ def _reconstruct(rows, tree, k, objective, dyp1, l_star, inf):
             continue
         # per child, column c and the minimum over columns c + 1.. (none at
         # c = m - 1); rest vectors of the partial folds, innermost first: the
-        # sweep's own fold on these pairs, whose column 0 is candidate c
-        starts = [c, c + 1][: m - c]
-        pairs = [np.minimum.reduceat(dyp1[u], starts, axis=1) for u in children]
-        rests = [rows[v : v + 1, c : c + 2]]
-        for pair in reversed(pairs[1:]):
-            fold, _ = merge_child_plane(rests[-1], pair, k, objective, inf=inf)
-            rests.append(fold)
-        rests.reverse()  # rests[i] now covers the children after child i, plus v
+        # sweep's own fold on these pairs, whose column 0 is candidate c. A
+        # vertex with one child needs neither (see the last child's step).
+        pairs, rests = [], []
+        if len(children) > 1:
+            starts = [c, c + 1][: m - c]
+            pairs = [np.minimum.reduceat(dyp1[u], starts, axis=1) for u in children]
+            fold = rows[v : v + 1, c : c + 2]
+            for pair in reversed(pairs[1:]):
+                fold, _ = merge_child_plane(fold, pair, k, objective, inf=inf)
+                rests.append(fold[:, 0].tolist())
+            rests.reverse()  # rests[i] now covers the children after child i, plus v
         carried = int(dyp1[v][l - 1, c])
-        for i, u in enumerate(children):
-            rest = rests[i][:, 0].tolist()
-            d1 = pairs[i][:, 0].tolist()  # SAME: u on c
-            d0 = pairs[i][:, 1].tolist() if c + 1 < m else [inf] * len(d1)  # DIFF: u above c
+        for u, pair, rest in zip(children, pairs, rests):
+            d1 = pair[:, 0].tolist()  # SAME: u on c
+            d0 = pair[:, 1].tolist() if c + 1 < m else [inf] * len(d1)  # DIFF: u above c
             upper, child = len(rest), len(d1)
             same_ts = range(max(1, l + 1 - upper), min(l, child) + 1)
             diff_ts = range(max(1, l - upper), min(l - 1, child) + 1)
@@ -351,4 +358,20 @@ def _reconstruct(rows, tree, k, objective, dyp1, l_star, inf):
                 stack.append((u, t, c + 1 + int(np.argmin(dyp1[u][t - 1, c + 1 :]))))
                 l = l - t
             carried = rest[l - 1]
+        # the last child splits against v alone, whose rest is the one entry
+        # rows[v, c]: SAME with budget l, then DIFF with budget l - 1
+        u, table, r = children[-1], dyp1[children[-1]], int(rows[v, c])
+        best, push = op(inf, r), None  # reported when no split exists
+        if l <= len(table):
+            best, push = op(int(table[l - 1, c]), r), (u, l, c)
+        if 2 <= l <= len(table) + 1 and c + 1 < m:
+            j = c + 1 + int(np.argmin(table[l - 2, c + 1 :]))
+            diff = op(int(table[l - 2, j]), r)
+            if push is None or diff < best:
+                best, push = diff, (u, l - 1, j)
+        if push is None or best != carried:
+            raise InconsistentTables(
+                f"vertex {v}, child {u}: the splits reach {best}, the table holds {carried}"
+            )
+        stack.append(push)
     return rep

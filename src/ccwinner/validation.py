@@ -136,7 +136,7 @@ def check_sc_tree(profile: PreferenceProfile, tree: RootedTree) -> Optional[Cros
     for a in range(m - 1):
         # row b - a - 1: the edges whose endpoints disagree on the pair (a, b)
         flipped = (at_child[a] < at_child[a + 1 :]) ^ (at_parent[a] < at_parent[a + 1 :])
-        failing = np.flatnonzero(np.count_nonzero(flipped, axis=1) >= 2)
+        failing = np.flatnonzero(flipped.sum(axis=1, dtype=np.int32) >= 2)
         if len(failing) == 0:
             continue
         b = a + 1 + int(failing[0])

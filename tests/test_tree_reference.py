@@ -33,7 +33,7 @@ from ccwinner.core import (
     int_dtype,
     reference_ranking,
 )
-from ccwinner.generators import gen_sc_tree
+from ccwinner.generators import gen_sc_line, gen_sc_tree
 from ccwinner.oracle import brute_force
 from ccwinner.tree_solver import (
     _dp_tables,
@@ -664,6 +664,16 @@ def tie_heavy_tree_instance(rng, trial):
     return with_rho(profile, lambda v, p: steps[v][p] if trial % 8 else 0), tree
 
 
+def walk_args(profile, tree, k, objective):
+    """The reference ranking and the arguments ``solve_tree_dp`` hands its walk."""
+    inverse = reference_ranking(profile, tree)
+    inf = profile.n * int(profile.scaled.max()) + 1
+    rows = profile.scaled[:, list(inverse)].astype(int_dtype(2 * inf), copy=False)
+    dyp1, _ = _dp_tables(rows, tree, k, objective, inf)
+    l_star = int(np.argmin(dyp1[tree.root].min(axis=1))) + 1
+    return inverse, (rows, tree, k, objective, dyp1, l_star, inf)
+
+
 @pytest.mark.parametrize("objective", list(Objective))
 def test_walk_resolved_at_push_matches_the_floating_walk(objective):
     rng = random.Random(251 if objective is Objective.UTILITARIAN else 257)
@@ -672,10 +682,67 @@ def test_walk_resolved_at_push_matches_the_floating_walk(objective):
         if profile.n < 2:
             continue
         k = rng.randint(1, min(15, profile.n - 1))
-        inverse = reference_ranking(profile, tree)
-        inf = profile.n * int(profile.scaled.max()) + 1
-        rows = profile.scaled[:, list(inverse)].astype(int_dtype(2 * inf), copy=False)
-        dyp1, _ = _dp_tables(rows, tree, k, objective, inf)
-        l_star = int(np.argmin(dyp1[tree.root].min(axis=1))) + 1
-        args = (rows, tree, k, objective, dyp1, l_star, inf)
+        _, args = walk_args(profile, tree, k, objective)
         assert tree_solver._reconstruct(*args) == reference_floating_walk(*args), trial
+
+
+def assert_solve_follows_the_floating_walk(profile, tree, k, objective):
+    """The walk equals the floating walk, and the solve answers its committee."""
+    inverse, args = walk_args(profile, tree, k, objective)
+    want = reference_floating_walk(*args)
+    assert tree_solver._reconstruct(*args) == want
+    committee = {inverse[c] for c in want}
+    got = solve_tree_dp(profile, tree, k, objective)
+    assert got == SolveResult.from_committee(profile, committee, "tree-dp", got.stats)
+    return want
+
+
+def path_heavy_instance(rng, trial):
+    """A path, a caterpillar or a root with paths hanging off it (a small
+    lift-branch tree), under Borda, 0/1 or step rho: most vertices have one
+    child, whose split the walk reads as two table entries."""
+    m = rng.randint(2, 6)
+    shape = ("path", "caterpillar", "lift")[trial % 3]
+    if shape == "lift":
+        profile, tree = lift_branch_instance(rng, 1 + m * (m - 1) // 2, m)
+    elif shape == "path":
+        profile, _ = gen_sc_line(48_000 + trial, rng.randint(2, 40), m)
+        tree = path_tree(profile.n)
+    else:
+        n = rng.randint(2, 40)
+        pool = [shuffled(rng, m) for _ in range(3)]
+        profile = PreferenceProfile.from_rankings(tuple(rng.choice(pool) for _ in range(n)))
+        tree = caterpillar_tree(rng, n)
+    rho = trial // 3 % 3
+    if rho == 1:  # 0 on the first few positions, 1 below them
+        cut = [rng.randint(1, m) for _ in range(profile.n)]
+        profile = with_rho(profile, lambda v, p: int(p >= cut[v]))
+    elif rho == 2:
+        steps = [sorted(rng.randint(0, 3) for _ in range(m)) for _ in range(profile.n)]
+        profile = with_rho(profile, lambda v, p: steps[v][p])
+    return profile, tree
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_path_heavy_walk_matches_the_floating_walk(objective):
+    rng = random.Random(263 if objective is Objective.UTILITARIAN else 269)
+    for trial in range(300):
+        profile, tree = path_heavy_instance(rng, trial)
+        if profile.n < 2:
+            continue
+        k = rng.randint(1, min(8, profile.n - 1))
+        assert_solve_follows_the_floating_walk(profile, tree, k, objective)
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("big", [1, 2**64])  # 2**64: the object engine
+def test_walk_reaches_the_last_candidate_at_a_one_child_vertex(objective, big):
+    """At c = m - 1 a one-child vertex has only its SAME split."""
+    rankings = ((0, 1, 2),) * 2 + ((1, 0, 2), (1, 2, 0)) + ((2, 1, 0),) * 2
+    profile = with_rho(PreferenceProfile.from_rankings(rankings), lambda v, p: p * big)
+    tree = path_tree(6)
+    rows = walk_args(profile, tree, 3, objective)[1][0]
+    assert rows.dtype == (object if big > 1 else np.int64)
+    rep = assert_solve_follows_the_floating_walk(profile, tree, 3, objective)
+    assert rep == [0, 0, 1, 1, 2, 2]
+    assert tree.child_order[4] == (5,)  # vertex 4 sits on candidate m - 1 with one child

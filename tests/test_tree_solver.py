@@ -258,7 +258,6 @@ def test_deterministic():
 
 @pytest.mark.parametrize("objective", list(Objective))
 def test_walk_rejects_a_tampered_table(monkeypatch, objective):
-    profile, tree = gen_sc_tree(48, 20, 5)
     walk = tree_solver._reconstruct
 
     def tampered(rows, tree, k, objective, dyp1, *rest):
@@ -267,8 +266,12 @@ def test_walk_rejects_a_tampered_table(monkeypatch, objective):
         return walk(rows, tree, k, objective, dyp1, *rest)
 
     monkeypatch.setattr(tree_solver, "_reconstruct", tampered)
-    with pytest.raises(InconsistentTables, match="the table holds"):
-        solve_tree_dp(profile, tree, 3, objective)
+    # a root with two children, then the end of a path, whose one child
+    # splits against the root alone
+    for profile, tree in (gen_sc_tree(48, 20, 5), (gen_sc_line(48, 20, 5)[0], path_tree(20))):
+        where = f"vertex {tree.root}, child {tree.child_order[tree.root][0]}: "
+        with pytest.raises(InconsistentTables, match=where + ".* the table holds"):
+            solve_tree_dp(profile, tree, 3, objective)
 
 
 def test_solve_keeps_one_table_per_vertex():
