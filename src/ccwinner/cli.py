@@ -212,23 +212,38 @@ def _parse_structure(doc: dict, n: int):
 
 
 def load_instance(path: str):
-    """Parse an instance file into (profile, structure, default k or None)."""
+    """Parse an instance file into (profile, structure, default k or None).
+
+    A rankings value written compactly, ``"rankings":[[3,1,2],[1,3,2],...]``
+    as ``json.dumps(separators=(",", ":"))`` writes it, is read at C speed
+    (`_compact_instance`). Any other form, whitespace inside the value
+    included, takes the full JSON decoder, with identical results and
+    messages.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            text = handle.read()
+        fast = _compact_instance(text)
+        doc = json.loads(text) if fast is None else fast[0]
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # also integers past the digit limit, deep nesting
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    m = _field(doc, "m", int, "instance")
-    if m < 1:
-        raise ParseError("instance.m: need at least one candidate")
-    rankings_raw = _field(doc, "rankings", list, "instance")
-    profile = _profile_from_arrays(doc, rankings_raw, m)
+    profile = None
+    if fast is not None:
+        profile = _profile_from_arrays(doc, fast[1])
+        if profile is None:  # the diagnosis reads json's lists, as for any other text
+            doc = json.loads(text)
     if profile is None:
-        profile = _profile_per_element(doc, rankings_raw, m)
+        if not isinstance(doc, dict):
+            raise ParseError(f"{path}: top level must be an object")
+        m = _field(doc, "m", int, "instance")
+        if m < 1:
+            raise ParseError("instance.m: need at least one candidate")
+        rankings_raw = _field(doc, "rankings", list, "instance")
+        profile = _profile_from_arrays(doc, _int_rows(rankings_raw, m))
+        if profile is None:
+            profile = _profile_per_element(doc, rankings_raw, m)
     structure = _parse_structure(_field(doc, "structure", dict, "instance"), profile.n)
     k = doc.get("k")
     if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
@@ -249,20 +264,68 @@ def _int_rows(rows: list, width: int):
         return None
 
 
-def _profile_from_arrays(doc: dict, rankings_raw: list, m: int):
-    """The profile, checked by whole-array passes; None when a check fails.
+def _compact_instance(text: str):
+    """(doc, rankings array) for a text whose rankings value is compact, else None.
 
-    A failed check leaves the diagnosis to `_profile_per_element`, which
-    names the offending field and entry. Checks run in its order, so an error
-    raised here is the one it would raise.
+    The value is cut out of the text and read by C-level ``bytes`` methods
+    and one `np.loadtxt`; json decodes the rest with ``0`` in its place. Only
+    a span that is a JSON list of non-empty lists of plain digit tokens is
+    read here, and ``"rankings"`` must occur once, as a top-level key: with
+    no backslash in the text there is no other way to spell that key. Every
+    other text returns None and takes the full decode, the only source of
+    error messages.
     """
-    rank = _int_rows(rankings_raw, m)
-    if rank is None or rank.min() < 1 or rank.max() > m:
+    key = text.find('"rankings":[[')
+    if key < 0 or "\\" in text or text.count('"rankings"') != 1:
+        return None
+    start = key + len('"rankings":')
+    end = text.find("]]", start) + 2
+    span = text[start:end]
+    if end < 2 or not span.isascii():
+        return None
+    inner = span[2:-2].encode()
+    rows = inner.split(b"],[")
+    if (
+        inner.translate(None, b"0123456789,[]")
+        or inner.count(b"[") != len(rows) - 1
+        or inner.count(b"]") != len(rows) - 1
+        or b"" in rows  # np.loadtxt would skip an empty row
+        # an empty field, or a token with a leading zero, which JSON refuses
+        or any(bad in inner for bad in (b",,", b"[,", b",]", b"[0", b",0"))
+        or inner.startswith((b",", b"0"))
+        or inner.endswith(b",")
+    ):
+        return None
+    try:
+        rank = np.loadtxt(rows, delimiter=",", dtype=np.int64, ndmin=2)
+        doc = json.loads(text[:start] + "0" + text[end:])
+    except (ValueError, OverflowError, RecursionError):
+        return None
+    if not isinstance(doc, dict) or doc.get("rankings") != 0:
+        return None
+    m = doc.get("m")
+    if type(m) is not int or rank.shape != (len(rows), m):
+        return None
+    return doc, rank
+
+
+def _profile_from_arrays(doc: dict, rank):
+    """The profile from the (n, m) int64 rankings ``rank``, checked by whole-array passes.
+
+    None when a check fails, ``rank`` being None included: that leaves the
+    diagnosis to `_profile_per_element`, which names the offending field and
+    entry. Checks run in its order, so an error raised here is the one it
+    would raise.
+    """
+    if rank is None:
+        return None
+    n, m = rank.shape
+    if rank.min() < 1 or rank.max() > m:
         return None
     rho = None
     if doc.get("rho") is not None:
         rho_raw = _field(doc, "rho", list, "instance")
-        if len(rho_raw) != len(rankings_raw):
+        if len(rho_raw) != n:
             raise ParseError("rho: one row per voter required")
         rho = _int_rows(rho_raw, m)
         if rho is None:

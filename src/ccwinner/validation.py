@@ -44,8 +44,13 @@ def check_consistency(profile: PreferenceProfile) -> Optional[ConsistencyViolati
 
     Adjacent positions suffice: any violating pair contains an adjacent one.
     The scaled matrix orders exactly as rho does, so one gather along the
-    rankings and one comparison decide every voter at once.
+    rankings and one comparison decide every voter at once. A Borda profile
+    built by `PreferenceProfile.from_rankings` shares its ``pos`` array as
+    ``scaled``, and ``pos`` gathered along ``rank`` is 0..m-1 on every row,
+    so such a profile passes without the gather.
     """
+    if profile.scaled is profile.pos:
+        return None
     along = np.take_along_axis(profile.scaled, profile.rank, axis=1)
     hits = np.argwhere(along[:, :-1] > along[:, 1:])
     if len(hits) == 0:

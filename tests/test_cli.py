@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ccwinner import cli
@@ -32,9 +33,14 @@ THREE = {
 TREE = {"type": "tree", "parent": [None, 1, 1], "root": 1, "child_order": [[2, 3], [], []]}
 
 
-def write(tmp_path, doc, name="instance.json"):
+SPACED = (", ", ": ")  # json.dumps's default: always the full JSON decoder
+COMPACT = (",", ":")  # the bench's writer: a compact rankings value is read at C speed
+WRITERS = (SPACED, COMPACT)
+
+
+def write(tmp_path, doc, name="instance.json", separators=SPACED):
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc, separators=separators))
     return str(path)
 
 
@@ -90,22 +96,24 @@ def test_a_huge_exponent_in_rho_exits_1(tmp_path, capsys):
 )
 def test_instance_round_trip(tmp_path, make):
     profile, structure = make()
-    path = write(tmp_path, instance_to_doc(profile, structure, k=2))
-    profile2, structure2, k = load_instance(path)
-    assert profile2 == profile
-    assert structure2 == structure
-    assert k == 2
-    assert instance_to_doc(profile2, structure2, k=k) == instance_to_doc(
-        profile, structure, k=2
-    )
+    for separators in WRITERS:
+        path = write(tmp_path, instance_to_doc(profile, structure, k=2), separators=separators)
+        profile2, structure2, k = load_instance(path)
+        assert profile2 == profile
+        assert structure2 == structure
+        assert k == 2
+        assert instance_to_doc(profile2, structure2, k=k) == instance_to_doc(
+            profile, structure, k=2
+        )
 
 
 def test_fractional_rho_round_trip(tmp_path):
     doc = dict(THREE)
     doc["rho"] = [[0, "1/2", 1], [1, 0, "3/2"], ["4/2", 0, "1/2"]]
-    profile, _, _ = load_instance(write(tmp_path, doc))
-    assert profile.rho[0] == (0, Fraction(1, 2), 1)
-    assert profile.rho[2] == (2, 0, Fraction(1, 2))
+    for separators in WRITERS:
+        profile, _, _ = load_instance(write(tmp_path, doc, separators=separators))
+        assert profile.rho[0] == (0, Fraction(1, 2), 1)
+        assert profile.rho[2] == (2, 0, Fraction(1, 2))
 
 
 def test_float_rho_rejected(tmp_path):
@@ -184,17 +192,169 @@ def test_float_rho_rejected(tmp_path):
     ],
 )
 def test_parse_errors_keep_their_messages(tmp_path, patch, message):
-    with pytest.raises(ParseError) as info:
-        load_instance(write(tmp_path, {**THREE, **patch}))
-    assert str(info.value) == message
+    for separators in WRITERS:
+        with pytest.raises(ParseError) as info:
+            load_instance(write(tmp_path, {**THREE, **patch}, separators=separators))
+        assert str(info.value) == message
 
 
 def test_large_integer_rho_round_trip(tmp_path):
     doc = dict(THREE)
     doc["rho"] = [[0, 1, 2**70], [1, 0, 2**70], [2**70, 0, 1]]
-    profile, line, _ = load_instance(write(tmp_path, doc))
-    assert profile.rho[0] == (0, 1, 2**70)
-    assert instance_to_doc(profile, line)["rho"] == doc["rho"]
+    for separators in WRITERS:
+        profile, line, _ = load_instance(write(tmp_path, doc, separators=separators))
+        assert profile.rho[0] == (0, 1, 2**70)
+        assert instance_to_doc(profile, line)["rho"] == doc["rho"]
+
+
+# ---------------------------------------------------------------------------
+# the compact rankings reader against the full JSON decoder
+
+
+def outcome(path):
+    """What `load_instance` gives: the instance and how rho is stored, or the ParseError text."""
+    try:
+        profile, structure, k = load_instance(path)
+    except ParseError as exc:
+        return str(exc)
+    return profile, structure, k, profile.scaled.dtype, profile.scaled is profile.pos
+
+
+def compact_outcome(tmp_path, monkeypatch, text):
+    """`load_instance`'s outcome on the compact ``text``, checked against the full JSON decoder.
+
+    The same text through the decoder alone must give the same profile,
+    structure and k or the same ParseError text, and so must the document
+    written again with spaces when it is valid JSON.
+    """
+    path = tmp_path / "instance.json"
+    path.write_text(text, encoding="utf-8")
+    got = outcome(str(path))
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_compact_instance", lambda text: None)
+        assert outcome(str(path)) == got
+    try:
+        spaced = json.dumps(json.loads(text), separators=SPACED)
+    except ValueError:  # invalid JSON: only the decoder's own reading compares
+        return got
+    assert cli._compact_instance(spaced) is None
+    path.write_text(spaced, encoding="utf-8")
+    assert outcome(str(path)) == got
+    return got
+
+
+def test_compact_instances_equal_the_json_route(tmp_path, monkeypatch):
+    rng = random.Random(20)
+    for trial in range(330):
+        seed = rng.randrange(10**6)
+        if trial % 3 == 0:
+            made = gen_sc_line(seed, rng.randint(1, 40), rng.randint(1, 12))
+        elif trial % 3 == 1:
+            made = gen_sc_tree(seed, rng.randint(1, 40), rng.randint(1, 12))
+        else:
+            made = gen_sc_grid(seed, rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 12))
+        profile, structure = made
+        if trial % 2:  # an explicit rho, nondecreasing along each ranking
+            steps = np.random.default_rng(seed).integers(0, 3, profile.rank.shape)
+            rho = np.empty_like(steps)
+            np.put_along_axis(rho, profile.rank, np.cumsum(steps, axis=1), axis=1)
+            rows = rho.tolist()
+            if trial % 4 == 3:  # "p/q" values
+                rows = [[Fraction(x, 3) for x in row] for row in rows]
+            profile = PreferenceProfile.from_rankings(profile.rank, rows)
+        text = json.dumps(instance_to_doc(profile, structure, k=3), separators=COMPACT)
+        assert cli._compact_instance(text) is not None
+        assert compact_outcome(tmp_path, monkeypatch, text)[:3] == (profile, structure, 3)
+
+
+@pytest.mark.parametrize(
+    "rankings",
+    [
+        "[[1,2,3],[],[2,3,1]]",
+        "[[],[2,1,3],[2,3,1]]",
+        "[[1,2,3],[2,1,3],[]]",
+        "[[]]",
+        "[[1,2,3],[2,0,3],[2,3,1]]",
+        "[[0,2,3],[2,1,3],[2,3,1]]",
+        "[[1,2,3],[2,01,3],[2,3,1]]",
+        "[[01,2,3],[2,1,3],[2,3,1]]",
+        "[[1,2,3],[2,1,-1],[2,3,1]]",
+        "[[1,2,3],[2,true,3],[2,3,1]]",
+        "[[1,2,3],[2,1,3.0],[2,3,1]]",
+        "[[1,2,3],[2,1,1e0],[2,3,1]]",
+        "[[1,2,3],[2,1,12345678901234567890],[2,3,1]]",
+        "[[1,2,3],[2,1," + "7" * 5000 + "],[2,3,1]]",
+        "[[1,2,3],[2,1,,3],[2,3,1]]",
+        "[[1,2,3],[,2,1,3],[2,3,1]]",
+        "[[1,2,3],[2,1,3,],[2,3,1]]",
+        "[[1,2,3],[2,1],[2,3,1]]",
+        "[[1,2,3],[2,2,3],[2,3,1]]",
+        "[[1,2,3],[2,1,4],[2,3,1]]",
+        "[[1,2]]]",
+        "[[1,2,3],[2,1,3]]",
+        "[]",
+    ],
+    ids=lambda rankings: rankings if len(rankings) <= 40 else rankings[:20] + "...",
+)
+def test_compact_rankings_errors_equal_the_json_route(tmp_path, monkeypatch, rankings):
+    text = json.dumps({**THREE, "rankings": "@"}, separators=COMPACT).replace('"@"', rankings)
+    assert isinstance(compact_outcome(tmp_path, monkeypatch, text), str)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # "rankings" inside another object only
+        '{"m":2,"structure":{"type":"line","order":[1],"rankings":[[1,2]]}}',
+        # a nested "rankings" next to the top-level one
+        '{"m":2,"rankings":[[1,2]],"structure":{"type":"line","order":[1],"rankings":[[2,1]]}}',
+        # a duplicate key: json keeps the last value
+        '{"m":2,"rankings":[[1,2]],"structure":{"type":"line","order":[1]},"rankings":[[2,1]]}',
+        '{"m":2,"rankings":[[1,2]],"structure":{"type":"line","order":[1]},"rankings":[[2,1,3]]}',
+        # a later duplicate overrides the compact value
+        '{"m":2,"rankings":[[1,2]],"structure":{"type":"line","order":[1]},"rankings":0}',
+        # the escaped key spells "rankings" too
+        '{"m":2,"rankings":[[1,2]],"structure":{"type":"line","order":[1]},"rank\\u0069ngs":0}',
+        '{"m":2,"rank\\u0069ngs":[[2,1]],"structure":{"type":"line","order":[1]}}',
+        '{"m":2,"rankings":[[1,2]],"structure":{"type":"line","order":[1]},"rank\\u0069ngs":[[2,1]]}',
+        # "rankings" as a string value
+        '{"m":2,"rankings":[[1,2]],"structure":{"type":"line","order":[1],"note":"rankings"}}',
+        '{"m":2,"rankings":[[1,2]],"structure":{"type":"line","order":[1]}} [',
+        '[{"m":2,"rankings":[[1,2]],"structure":{"type":"line","order":[1]}}]',
+        '{"m":true,"rankings":[[1]],"structure":{"type":"line","order":[1]}}',
+        '{"m":1.0,"rankings":[[1]],"structure":{"type":"line","order":[1]}}',
+        '{"m":3,"rankings":[[1]],"structure":{"type":"line","order":[1]}}',
+        '{"rankings":[[1]],"structure":{"type":"line","order":[1]}}',
+        '{"m":1,"rankings":[[1]],"structure":{"type":"line","order":[1]},"k":0}',
+        '{"m":1,"rankings":[[1]],"structure":{"type":"line","order":[1]},"k":1}',
+    ],
+)
+def test_compact_documents_equal_the_json_route(tmp_path, monkeypatch, text):
+    compact_outcome(tmp_path, monkeypatch, text)
+
+
+@pytest.mark.parametrize(
+    "rho,fast",
+    [
+        ([[0, 1, 2], [1, 0, 2], [2, 0, 1]], True),
+        ([[0, 5, 9], [4, 0, 4], [7, 0, 3]], True),
+        ([[0, 1, 2], [1, 0, 2], [2, 3, 1]], True),  # inconsistent: solve refuses it, load does not
+        ([[0, 1, 2], [1, 0, 2], [2, 0, -1]], True),
+        ([[0, 1, 2], [1, 0, 2]], True),
+        ([[0, "1/2", 1], [1, 0, "3/2"], ["4/2", 0, "1/2"]], False),
+        ([[0, "1/2", 1], [1, 0], ["4/2", 0, "1/2"]], False),
+        ([[0, 1, 2**70], [1, 0, 2**70], [2**70, 0, 1]], False),
+    ],
+)
+def test_compact_rho_equals_the_json_route(tmp_path, monkeypatch, rho, fast):
+    text = json.dumps({**THREE, "rho": rho}, separators=COMPACT)
+    got = compact_outcome(tmp_path, monkeypatch, text)
+    decoded = []
+    with monkeypatch.context() as patched:
+        # a rho the arrays do not settle sends the whole text to the decoder
+        patched.setattr(cli.json, "loads", lambda s, _loads=json.loads: decoded.append(s) or _loads(s))
+        assert outcome(write(tmp_path, {**THREE, "rho": rho}, separators=COMPACT)) == got
+    assert (text in decoded) is not fast
 
 
 @pytest.mark.parametrize(

@@ -82,6 +82,42 @@ def test_consistency_borda_ok():
         assert check_consistency(random_profile(rng, 6, 5)) is None
 
 
+def full_gather_consistency(profile):
+    """The consistency check as one gather along the rankings, for every profile."""
+    along = np.take_along_axis(profile.scaled, profile.rank, axis=1)
+    hits = np.argwhere(along[:, :-1] > along[:, 1:])
+    if len(hits) == 0:
+        return None
+    v, p = (int(x) for x in hits[0])
+    return ConsistencyViolation(v, int(profile.rank[v, p]), int(profile.rank[v, p + 1]))
+
+
+def test_consistency_without_the_gather_equals_the_full_gather():
+    rng = np.random.default_rng(20)
+    kinds = {"borda": 0, "explicit borda": 0, "inconsistent": 0}
+    for trial in range(600):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        rank = np.argsort(rng.random((n, m)), axis=1)
+        built = PreferenceProfile.from_rankings(rank)
+        if trial % 3 == 0:
+            profile, kind = built, "borda"
+            assert profile.scaled is profile.pos
+        else:
+            rho = built.pos.copy()
+            kind = "explicit borda"
+            if trial % 3 == 2 and m > 1:
+                v = int(rng.integers(n))
+                rho[v, rank[v, 0]] = m  # the top choice now costs most
+                kind = "inconsistent"
+            profile = PreferenceProfile.from_rankings(rank, rho)
+            assert profile.scaled is not profile.pos
+        kinds[kind] += 1
+        expected = full_gather_consistency(profile)
+        assert check_consistency(profile) == expected
+        assert (expected is None) == (kind != "inconsistent")
+    assert min(kinds.values()) >= 150
+
+
 def test_consistency_violation_forced():
     profile = PreferenceProfile.from_rankings(((0, 1),), ((1, 0),))
     assert check_consistency(profile) == ConsistencyViolation(0, 0, 1)
