@@ -6,7 +6,20 @@ tree, or a two-dimensional grid, exact polynomial algorithms exist.  This
 package implements them, together with recognizers for the three
 single-crossing notions, seeded instance generators, brute-force oracles,
 and a command line front-end.
+
+Only `core`, `errors` and `validation` are imported with the package. The
+names of `generators`, `grid_solver`, `line_solver`, `oracle` and
+`tree_solver` resolve through the module ``__getattr__`` below, which
+imports their module on first access: ``python -m ccwinner.cli`` imports
+this package first, and a cold ``ccwinner solve`` should compile and run
+only the solver module its route calls. The names stay package
+attributes, cached in the module namespace once read, because
+``ccwinner.X``, ``from ccwinner import X`` and ``from ccwinner import *``
+are the library's public interface; each gives the defining module's
+object.
 """
+
+from importlib import import_module
 
 from .core import (
     Assignment,
@@ -35,25 +48,6 @@ from .errors import (
     ParseError,
     RejectionBudgetExceeded,
 )
-from .generators import gen_sc_grid, gen_sc_line, gen_sc_tree, gen_star_instance
-from .grid_solver import (
-    Rect,
-    Tiling,
-    check_laminar_conjecture,
-    enumerate_tilings,
-    is_laminar,
-    refine_to_laminar,
-    solve_grid_bicriterial,
-    solve_grid_laminar,
-)
-from .line_solver import (
-    check_concave_monge,
-    solve_line_dp,
-    solve_line_egal_threshold,
-    solve_line_klink,
-)
-from .oracle import brute_force, brute_force_tiling
-from .tree_solver import solve_tree_dp
 from .validation import (
     check_consistency,
     check_sc_grid,
@@ -113,3 +107,43 @@ __all__ = [
     "ParseError",
     "RejectionBudgetExceeded",
 ]
+
+# name -> defining submodule, for the names imported on first access
+_LAZY = {
+    name: module
+    for module, names in {
+        ".generators": ("gen_sc_grid", "gen_sc_line", "gen_sc_tree", "gen_star_instance"),
+        ".grid_solver": (
+            "Rect",
+            "Tiling",
+            "check_laminar_conjecture",
+            "enumerate_tilings",
+            "is_laminar",
+            "refine_to_laminar",
+            "solve_grid_bicriterial",
+            "solve_grid_laminar",
+        ),
+        ".line_solver": (
+            "check_concave_monge",
+            "solve_line_dp",
+            "solve_line_egal_threshold",
+            "solve_line_klink",
+        ),
+        ".oracle": ("brute_force", "brute_force_tiling"),
+        ".tree_solver": ("solve_tree_dp",),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value  # later reads find it without this call
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

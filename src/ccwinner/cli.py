@@ -6,12 +6,21 @@ the library); misrepresentation values are integers or exact "p/q" strings,
 never floats.  Exit codes: 0 success, 1 validation or feasibility failure,
 2 usage error, 3 work budget exceeded.  The CC_BUDGET environment variable
 caps enumeration sizes for the oracle and the conjecture checker.
+
+A cold ``ccwinner solve`` pays for every module it imports, and compiles
+each from source when Python writes no bytecode. So only `core`, `errors`
+and `validation` are imported with this module. The solver, generator,
+``ProcessPoolExecutor`` and ``csv`` names resolve on first use, through the
+``_LAZY`` table and the module ``__getattr__``, and a solve imports the one
+solver module its route calls. These names stay attributes of this module,
+and commands call them through `_lazy`, which reads the module's current
+binding: tests patch them, and the benchmark's tracer wraps the solver
+names to time each layer. A function-local import would bypass both.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -20,8 +29,8 @@ import random
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from importlib import import_module
 from itertools import chain
 
 import numpy as np
@@ -42,25 +51,56 @@ from .errors import (
     OutputError,
     ParseError,
 )
-from .generators import gen_sc_grid, gen_sc_line, gen_sc_tree, gen_star_instance
-from .grid_solver import (
-    build_grid_prefix,
-    check_laminar_conjecture,
-    rect_cost,
-    solve_grid_bicriterial,
-    solve_grid_laminar,
-)
-from .line_solver import (
-    build_prefix_sums,
-    check_concave_monge,
-    merge_identical_voters,
-    solve_line_dp,
-    solve_line_egal_threshold,
-    solve_line_klink,
-)
-from .oracle import brute_force
-from .tree_solver import solve_tree_dp
 from .validation import check_consistency, check_structure
+
+# name -> module, for the names imported on first use; a name equal to its
+# module's is the module itself
+_LAZY = {
+    name: module
+    for module, names in {
+        ".generators": ("gen_sc_grid", "gen_sc_line", "gen_sc_tree", "gen_star_instance"),
+        ".grid_solver": (
+            "build_grid_prefix",
+            "check_laminar_conjecture",
+            "rect_cost",
+            "solve_grid_bicriterial",
+            "solve_grid_laminar",
+        ),
+        ".line_solver": (
+            "build_prefix_sums",
+            "check_concave_monge",
+            "merge_identical_voters",
+            "solve_line_dp",
+            "solve_line_egal_threshold",
+            "solve_line_klink",
+        ),
+        ".oracle": ("brute_force",),
+        ".tree_solver": ("solve_tree_dp",),
+        "concurrent.futures": ("ProcessPoolExecutor",),
+        "csv": ("csv",),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(module, __package__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value  # later reads find it without this call
+    return value
+
+
+def _lazy(name: str):
+    """The module attribute ``name`` as ``cli.name`` reads it: a patched or traced name is used."""
+    try:
+        return globals()[name]
+    except KeyError:
+        return __getattr__(name)
+
 
 SCHEMA_VERSION = 1
 ALGORITHMS = (
@@ -290,10 +330,11 @@ def _compact_instance(text: str):
         or inner.count(b"[") != len(rows) - 1
         or inner.count(b"]") != len(rows) - 1
         or b"" in rows  # np.loadtxt would skip an empty row
-        # an empty field, or a token with a leading zero, which JSON refuses
-        or any(bad in inner for bad in (b",,", b"[,", b",]", b"[0", b",0"))
-        or inner.startswith((b",", b"0"))
-        or inner.endswith(b",")
+        # a token with a leading zero, which JSON refuses and np.loadtxt reads;
+        # an empty field np.loadtxt refuses itself
+        or b"[0" in inner
+        or b",0" in inner
+        or inner.startswith(b"0")
     ):
         return None
     try:
@@ -509,7 +550,7 @@ def _solve_merged(profile, line, objective: Objective, solve, *args) -> SolveRes
     computed on the full profile, since the maximum of a summed row is no
     single voter's misrepresentation.
     """
-    merged = merge_identical_voters(profile, line, objective)
+    merged = _lazy("merge_identical_voters")(profile, line, objective)
     inner = solve(merged, Line(tuple(range(merged.n))), *args)
     stats = {**inner.stats, "compressed_n": merged.n}
     return SolveResult.from_committee(profile, inner.assignment.committee, inner.algorithm, stats)
@@ -532,17 +573,18 @@ def _dispatch(profile, structure, algorithm: str, objective: Objective, k: int) 
 
     if algorithm == "line-dp":
         need(Line, "line")
-        return _solve_merged(profile, structure, objective, solve_line_dp, k, objective)
+        return _solve_merged(profile, structure, objective, _lazy("solve_line_dp"), k, objective)
     if algorithm == "line-klink":
         need(Line, "line")
         if objective is Objective.EGALITARIAN:
             # no egalitarian k-link route exists; threshold search is the
             # egalitarian line algorithm, so hand over rather than refuse
-            return _solve_merged(profile, structure, objective, solve_line_egal_threshold, k)
-        return _solve_merged(profile, structure, objective, solve_line_klink, k)
+            solve = _lazy("solve_line_egal_threshold")
+            return _solve_merged(profile, structure, objective, solve, k)
+        return _solve_merged(profile, structure, objective, _lazy("solve_line_klink"), k)
     if algorithm == "tree-dp":
         need(RootedTree, "tree")
-        return solve_tree_dp(profile, structure, k, objective)
+        return _lazy("solve_tree_dp")(profile, structure, k, objective)
     if algorithm in ("grid-laminar", "grid-bicriterial"):
         need(Grid, "grid")
         if objective is Objective.EGALITARIAN:
@@ -550,12 +592,12 @@ def _dispatch(profile, structure, algorithm: str, objective: Objective, k: int) 
                 "egalitarian grid solving is not offered; use --objective utilitarian"
             )
         if algorithm == "grid-bicriterial":
-            return solve_grid_bicriterial(profile, structure, k)
-        result, tiling = solve_grid_laminar(profile, structure, k)
+            return _lazy("solve_grid_bicriterial")(profile, structure, k)
+        result, tiling = _lazy("solve_grid_laminar")(profile, structure, k)
         result.stats["tiling"] = tuple((r.i0, r.i1, r.j0, r.j1) for r in tiling.rects)
         result.stats["reps"] = tiling.reps
         return result
-    return brute_force(profile, k, objective, budget=_env_budget() or 10**7)
+    return _lazy("brute_force")(profile, k, objective, budget=_env_budget() or 10**7)
 
 
 def cmd_solve(args) -> int:
@@ -592,15 +634,17 @@ def cmd_solve(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.structure == "line":
-        profile, structure = gen_sc_line(args.seed, args.n, args.m, max_swaps=args.max_swaps)
+        profile, structure = _lazy("gen_sc_line")(
+            args.seed, args.n, args.m, max_swaps=args.max_swaps
+        )
     elif args.structure == "tree":
-        profile, structure = gen_sc_tree(
+        profile, structure = _lazy("gen_sc_tree")(
             args.seed, args.n, args.m, max_edge_swaps=args.max_edge_swaps
         )
     elif args.structure == "star":
-        profile, structure = gen_star_instance(args.n)
+        profile, structure = _lazy("gen_star_instance")(args.n)
     else:
-        profile, structure = gen_sc_grid(
+        profile, structure = _lazy("gen_sc_grid")(
             args.seed, args.n1, args.n2, args.m, mode=args.mode, edits=args.edits
         )
     _write_json(instance_to_doc(profile, structure, k=args.k), args.out)
@@ -624,7 +668,7 @@ def _check_monge(args) -> int:
         if not isinstance(structure, Line):
             print("check --mode monge: needs a line instance", file=sys.stderr)
             return 2
-        violation = check_concave_monge(build_prefix_sums(profile, structure))
+        violation = _lazy("check_concave_monge")(_lazy("build_prefix_sums")(profile, structure))
         if violation is not None:
             print(f"monge violation at segment pair (i={violation[0] + 1}, j={violation[1] + 1})")
             return 1
@@ -635,8 +679,8 @@ def _check_monge(args) -> int:
     for trial in range(args.instances):
         n = rng.randint(3, args.n_max)
         m = rng.randint(2, args.m_max)
-        profile, line = gen_sc_line(args.seed + trial, n, m)
-        if check_concave_monge(build_prefix_sums(profile, line)) is not None:
+        profile, line = _lazy("gen_sc_line")(args.seed + trial, n, m)
+        if _lazy("check_concave_monge")(_lazy("build_prefix_sums")(profile, line)) is not None:
             violations += 1
     print(f"monge sweep: {args.instances} instances, {violations} violations")
     return 0 if violations == 0 else 1
@@ -644,13 +688,13 @@ def _check_monge(args) -> int:
 
 def _conjecture_worker(task):
     seed, n1, n2, k, m, budget = task
-    profile, grid = gen_sc_grid(seed, n1, n2, m)
-    counterexample = check_laminar_conjecture(profile, grid, k, budget=budget)
+    profile, grid = _lazy("gen_sc_grid")(seed, n1, n2, m)
+    counterexample = _lazy("check_laminar_conjecture")(profile, grid, k, budget=budget)
     if counterexample is None:
         return seed, n1, n2, k, m, True, 0, None
-    laminar = solve_grid_laminar(profile, grid, k)[0].total_cost
-    prefix = build_grid_prefix(profile, grid)
-    best = sum(rect_cost(prefix, r)[0] for r in counterexample.rects)
+    laminar = _lazy("solve_grid_laminar")(profile, grid, k)[0].total_cost
+    prefix = _lazy("build_grid_prefix")(profile, grid)
+    best = sum(_lazy("rect_cost")(prefix, r)[0] for r in counterexample.rects)
     witness = {
         "rects": [[r.i0 + 1, r.i1 + 1, r.j0 + 1, r.j1 + 1] for r in counterexample.rects],
         "reps": [c + 1 for c in counterexample.reps],
@@ -678,7 +722,7 @@ def _check_conjecture(args) -> int:
     if args.jobs > 1:
         # under the fork start method the pool starts every worker at its first
         # submit, so it gets no more workers than there are tasks
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
+        with _lazy("ProcessPoolExecutor")(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_conjecture_worker, tasks))
     else:
         rows = [_conjecture_worker(t) for t in tasks]
@@ -686,7 +730,7 @@ def _check_conjecture(args) -> int:
     counterexamples = [row for row in rows if not row[5]]
     if args.out:
         table = io.StringIO()
-        writer = csv.writer(table)
+        writer = _lazy("csv").writer(table)
         writer.writerow(["seed", "n1", "n2", "k", "m", "holds", "gap"])
         for seed, n1, n2, k, m, holds, gap, _ in rows:
             writer.writerow([seed, n1, n2, k, m, holds, gap])
@@ -707,24 +751,24 @@ def _fit_slope(xs, ys) -> float:
 
 
 def _run_line(seed, n, m, k):
-    profile, line = gen_sc_line(seed, n, m)
+    profile, line = _lazy("gen_sc_line")(seed, n, m)
     t0 = time.perf_counter()
-    result = solve_line_dp(profile, line, k)
+    result = _lazy("solve_line_dp")(profile, line, k)
     return time.perf_counter() - t0, result.stats["states"]
 
 
 def _run_tree(seed, n, m, k):
-    profile, tree = gen_sc_tree(seed, n, m)
+    profile, tree = _lazy("gen_sc_tree")(seed, n, m)
     t0 = time.perf_counter()
-    result = solve_tree_dp(profile, tree, k)
+    result = _lazy("solve_tree_dp")(profile, tree, k)
     return time.perf_counter() - t0, result.stats["states"]
 
 
 def _run_grid(seed, n, m, k):
     # n doubles the column count; three rows keep the DP table affordable
-    profile, grid = gen_sc_grid(seed, 3, n, m)
+    profile, grid = _lazy("gen_sc_grid")(seed, 3, n, m)
     t0 = time.perf_counter()
-    result, _ = solve_grid_laminar(profile, grid, k)
+    result, _ = _lazy("solve_grid_laminar")(profile, grid, k)
     return time.perf_counter() - t0, result.stats["dp_cells"]
 
 

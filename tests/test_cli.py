@@ -358,6 +358,39 @@ def test_compact_rho_equals_the_json_route(tmp_path, monkeypatch, rho, fast):
 
 
 @pytest.mark.parametrize(
+    "rankings,error,column",
+    [
+        # an empty field, which np.loadtxt refuses inside _compact_instance
+        ("[[1,2,3],[2,1,,3],[2,3,1]]", "Expecting value", 96),
+        ("[[1,,2,3],[2,1,3],[2,3,1]]", "Expecting value", 86),
+        ("[[1,2,3],[,2,1,3],[2,3,1]]", "Expecting value", 92),
+        ("[[,1,2,3],[2,1,3],[2,3,1]]", "Expecting value", 84),
+        ("[[1,2,3],[2,1,3,],[2,3,1]]", "Expecting value", 98),
+        ("[[1,2,3],[2,1,3],[2,3,1,]]", "Expecting value", 106),
+        ("[[1,2],[2,1,3],[2,3,1,]]", "Expecting value", 104),
+        ("[[1,2,3],[2,1,3],[,]]", "Expecting value", 100),
+        ("[[,]]", "Expecting value", 84),
+        ("[[1,]]", "Expecting value", 86),
+        # a leading zero, which np.loadtxt would read
+        ("[[1,2,3],[01,2,3],[2,3,1]]", "Expecting ',' delimiter", 93),
+        ("[[1,2,3],[2,01,3],[2,3,1]]", "Expecting ',' delimiter", 95),
+        ("[[01,2,3],[2,1,3],[2,3,1]]", "Expecting ',' delimiter", 85),
+        ("[[1,2,3],[2,1,3],[2,3,01]]", "Expecting ',' delimiter", 105),
+    ],
+)
+def test_malformed_compact_rankings_get_the_json_error(tmp_path, rankings, error, column):
+    """`_compact_instance` declines the text, and the full decoder's message names the spot."""
+    text = json.dumps({**THREE, "rankings": "@"}, separators=COMPACT).replace('"@"', rankings)
+    assert cli._compact_instance(text) is None
+    path = tmp_path / "instance.json"
+    path.write_text(text, encoding="utf-8")
+    expected = f"{path}: invalid JSON ({error}: line 1 column {column} (char {column - 1}))"
+    with pytest.raises(ParseError) as caught:
+        load_instance(str(path))
+    assert str(caught.value) == expected
+
+
+@pytest.mark.parametrize(
     "text,reason",
     [
         ("[" * 100_000, "maximum recursion depth exceeded"),

@@ -1,5 +1,6 @@
 """Every module-level import in the package is used by its module, and
-every private helper by the package.
+every private helper by the package; solver modules are imported only when
+a name of theirs is first read.
 
 A name bound by a top-level ``import`` or ``from ... import`` must be read
 somewhere in the module, or be listed in its ``__all__`` (a re-export).
@@ -9,11 +10,19 @@ package, so a helper that a refactor leaves behind does not linger.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import ccwinner
+from ccwinner import cli
+from ccwinner.cli import instance_to_doc
+from ccwinner.generators import gen_sc_grid, gen_sc_line, gen_sc_tree
 
 PACKAGE = Path(ccwinner.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -96,3 +105,118 @@ def test_checker_finds_an_unread_private_helper():
 def test_package_reads_every_private_helper():
     sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
     assert unread_private_helpers(sources) == []
+
+
+# ---------------------------------------------------------------------------
+# lazily resolved names
+
+DEFERRED = {
+    "ccwinner.generators",
+    "ccwinner.grid_solver",
+    "ccwinner.line_solver",
+    "ccwinner.oracle",
+    "ccwinner.tree_solver",
+    "concurrent.futures",
+    "multiprocessing",
+    "csv",
+}
+
+
+def modules_after(code: str, *args: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code`` with arguments ``args``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))",
+         *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_importing_the_package_defers_every_solver_module():
+    listed = "import ccwinner\nassert set(ccwinner.__all__) <= set(dir(ccwinner))"
+    assert modules_after(listed) & DEFERRED == set()
+    assert modules_after("import ccwinner.cli") & DEFERRED == set()
+
+
+SOLVE = "import sys\nfrom ccwinner.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+def instance_file(tmp_path, structure: str) -> str:
+    """A small single-crossing instance with k = 2 on a line, a tree or a grid."""
+    if structure == "line":
+        profile, shape = gen_sc_line(3, 12, 4)
+    elif structure == "tree":
+        profile, shape = gen_sc_tree(3, 12, 4)
+    else:
+        profile, shape = gen_sc_grid(3, 3, 4, 4)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_to_doc(profile, shape, k=2)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "structure, options, imported",
+    [
+        ("line", [], "ccwinner.line_solver"),
+        ("line", ["--objective", "egalitarian", "--algorithm", "line-klink"], "ccwinner.line_solver"),
+        ("line", ["--algorithm", "oracle"], "ccwinner.oracle"),
+        ("tree", [], "ccwinner.tree_solver"),
+        ("grid", [], "ccwinner.grid_solver"),
+    ],
+    ids=["line", "line-egal", "oracle", "tree", "grid"],
+)
+def test_a_solve_imports_only_the_solver_of_its_route(tmp_path, structure, options, imported):
+    argv = ["solve", instance_file(tmp_path, structure), *options,
+            "--out", str(tmp_path / "result.json")]
+    assert modules_after(SOLVE, *argv) & DEFERRED == {imported}
+
+
+@pytest.mark.parametrize("module", [ccwinner, cli], ids=["ccwinner", "cli"])
+def test_lazy_names_are_the_defining_modules_objects(module):
+    package = module.__package__ or module.__name__
+    for name, source in module._LAZY.items():
+        defining = import_module(source, package)
+        value = getattr(module, name)
+        assert value is (defining if name == source else getattr(defining, name)), name
+
+
+def test_every_exported_name_resolves_to_its_definition():
+    for name in ccwinner.__all__:
+        value = getattr(ccwinner, name)
+        assert value.__module__.startswith("ccwinner."), name
+        assert getattr(import_module(value.__module__), name) is value, name
+    star = {}
+    exec("from ccwinner import *", star)
+    assert set(star) - {"__builtins__"} == set(ccwinner.__all__)
+
+
+@pytest.mark.parametrize("module", [ccwinner, cli], ids=["ccwinner", "cli"])
+def test_an_unknown_name_is_an_attribute_error(module):
+    with pytest.raises(AttributeError, match="no attribute 'solve_everything'"):
+        getattr(module, "solve_everything")
+    assert not hasattr(module, "gen_sc_cube")
+
+
+@pytest.mark.parametrize(
+    "structure, options, name",
+    [
+        ("line", [], "solve_line_dp"),
+        ("line", ["--algorithm", "line-klink"], "solve_line_klink"),
+        ("line", ["--objective", "egalitarian", "--algorithm", "line-klink"],
+         "solve_line_egal_threshold"),
+        ("line", ["--algorithm", "oracle"], "brute_force"),
+        ("tree", [], "solve_tree_dp"),
+        ("grid", [], "solve_grid_laminar"),
+        ("grid", ["--algorithm", "grid-bicriterial"], "solve_grid_bicriterial"),
+    ],
+)
+def test_solve_calls_the_patched_cli_attribute(tmp_path, monkeypatch, structure, options, name):
+    """Commands read solver names from the cli module at call time, as the bench's tracer needs."""
+    calls = []
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    assert cli.main(["solve", instance_file(tmp_path, structure), *options]) == 0
+    assert len(calls) == 1
