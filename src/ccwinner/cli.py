@@ -256,8 +256,12 @@ def load_instance(path: str):
 
     A rankings value written compactly, ``"rankings":[[3,1,2],[1,3,2],...]``
     as ``json.dumps(separators=(",", ":"))`` writes it, is read at C speed
-    (`_compact_instance`). Any other form, whitespace inside the value
-    included, takes the full JSON decoder, with identical results and
+    (`_compact_instance`). That reader parses, range-checks and inverts each
+    distinct ranking once and gathers the voters' rows from them, which pays
+    because a single-crossing profile has few: each candidate pair flips on
+    at most one edge of a line or tree, so there are at most m(m-1)/2 + 1
+    distinct rankings whatever n is. Any other form, whitespace inside the
+    value included, takes the full JSON decoder, with identical results and
     messages.
     """
     try:
@@ -271,7 +275,7 @@ def load_instance(path: str):
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
     profile = None
     if fast is not None:
-        profile = _profile_from_arrays(doc, fast[1])
+        profile = _profile_from_arrays(doc, *fast[1:])
         if profile is None:  # the diagnosis reads json's lists, as for any other text
             doc = json.loads(text)
     if profile is None:
@@ -305,15 +309,18 @@ def _int_rows(rows: list, width: int):
 
 
 def _compact_instance(text: str):
-    """(doc, rankings array) for a text whose rankings value is compact, else None.
+    """(doc, table, index) for a text whose rankings value is compact, else None.
 
     The value is cut out of the text and read by C-level ``bytes`` methods
-    and one `np.loadtxt`; json decodes the rest with ``0`` in its place. Only
-    a span that is a JSON list of non-empty lists of plain digit tokens is
-    read here, and ``"rankings"`` must occur once, as a top-level key: with
-    no backslash in the text there is no other way to spell that key. Every
-    other text returns None and takes the full decode, the only source of
-    error messages.
+    and one `np.loadtxt` over the distinct row texts: ``table`` holds them
+    in order of first appearance and voter v's ranking is
+    ``table[index[v]]``. This reader accepts only canonical digit tokens, so
+    equal row texts are equal rankings. json decodes the rest with ``0`` in
+    place of the value. Only a span that is a JSON list of non-empty lists
+    of plain digit tokens is read here, and ``"rankings"`` must occur once,
+    as a top-level key: with no backslash in the text there is no other way
+    to spell that key. Every other text returns None and takes the full
+    decode, the only source of error messages.
     """
     key = text.find('"rankings":[[')
     if key < 0 or "\\" in text or text.count('"rankings"') != 1:
@@ -329,38 +336,43 @@ def _compact_instance(text: str):
         inner.translate(None, b"0123456789,[]")
         or inner.count(b"[") != len(rows) - 1
         or inner.count(b"]") != len(rows) - 1
-        or b"" in rows  # np.loadtxt would skip an empty row
-        # a token with a leading zero, which JSON refuses and np.loadtxt reads;
-        # an empty field np.loadtxt refuses itself
-        or b"[0" in inner
-        or b",0" in inner
-        or inner.startswith(b"0")
+        or b"" in rows  # np.loadtxt would skip an empty row and shift the index
     ):
         return None
+    kinds = {row: d for d, row in enumerate(dict.fromkeys(rows))}
+    # a token with a leading zero, which JSON refuses and np.loadtxt reads, is
+    # a "0" after a comma once the rows are joined by commas; an empty field
+    # np.loadtxt refuses itself
+    if b",0" in b"," + b",".join(kinds):
+        return None
     try:
-        rank = np.loadtxt(rows, delimiter=",", dtype=np.int64, ndmin=2)
+        table = np.loadtxt(list(kinds), delimiter=",", dtype=np.int64, ndmin=2)
         doc = json.loads(text[:start] + "0" + text[end:])
     except (ValueError, OverflowError, RecursionError):
         return None
     if not isinstance(doc, dict) or doc.get("rankings") != 0:
         return None
     m = doc.get("m")
-    if type(m) is not int or rank.shape != (len(rows), m):
+    if type(m) is not int or table.shape != (len(kinds), m):
         return None
-    return doc, rank
+    return doc, table, np.fromiter(map(kinds.__getitem__, rows), np.intp, len(rows))
 
 
-def _profile_from_arrays(doc: dict, rank):
-    """The profile from the (n, m) int64 rankings ``rank``, checked by whole-array passes.
+def _profile_from_arrays(doc: dict, rank, index=None):
+    """The profile from int64 rankings, checked by whole-array passes.
 
-    None when a check fails, ``rank`` being None included: that leaves the
-    diagnosis to `_profile_per_element`, which names the offending field and
-    entry. Checks run in its order, so an error raised here is the one it
-    would raise.
+    ``rank`` is the (n, m) rankings, or with ``index`` the (d, m) table of
+    distinct rankings that voter v reads at row ``index[v]``; the table is
+    range- and permutation-checked once. None when a check fails, ``rank``
+    being None included: that leaves the diagnosis to
+    `_profile_per_element`, which names the offending field and entry.
+    Checks run in its order, so an error raised here is the one it would
+    raise.
     """
     if rank is None:
         return None
-    n, m = rank.shape
+    m = rank.shape[1]
+    n = len(rank if index is None else index)
     if rank.min() < 1 or rank.max() > m:
         return None
     rho = None
@@ -373,7 +385,9 @@ def _profile_from_arrays(doc: dict, rank):
             return None
     rank -= 1
     try:
-        return PreferenceProfile.from_rankings(rank, rho)
+        if index is None:
+            return PreferenceProfile.from_rankings(rank, rho)
+        return PreferenceProfile._from_table(rank, index, rho)
     except ValueError as exc:
         raise ParseError(f"rankings: {exc}") from None
 

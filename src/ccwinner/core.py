@@ -220,6 +220,22 @@ class PreferenceProfile:
             raise
         return cls._from_parts(rank, pos, pos, 1)
 
+    @classmethod
+    def _from_table(cls, table, index, rho=None) -> "PreferenceProfile":
+        """`from_rankings` of ``table[index]``, checking and inverting each row of ``table`` once.
+
+        A table that fails a check reruns `from_rankings` on the gathered
+        rows, so the message names the first offending voter.
+        """
+        try:
+            t_rank, t_pos = _checked_rankings(table)
+        except ValueError:
+            return cls.from_rankings(table[index], rho)
+        rank, pos = t_rank.take(index, 0), t_pos.take(index, 0)
+        if rho is None:
+            return cls._from_parts(rank, pos, pos, 1)
+        return cls._from_parts(rank, pos, *_checked_rho(rho, *rank.shape))
+
     def __setattr__(self, name, value):
         raise AttributeError("PreferenceProfile is immutable")
 

@@ -50,6 +50,13 @@ class Rect:
         if not (0 <= self.i0 <= self.i1 and 0 <= self.j0 <= self.j1):
             raise InvalidTiling(f"degenerate rectangle {self!r}")
 
+    @classmethod
+    def _trusted(cls, i0: int, i1: int, j0: int, j1: int) -> "Rect":
+        """A rectangle whose bounds the caller has already checked."""
+        rect = cls.__new__(cls)
+        rect.__dict__.update(i0=i0, i1=i1, j0=j0, j1=j1)
+        return rect
+
     @property
     def area(self) -> int:
         return (self.i1 - self.i0 + 1) * (self.j1 - self.j0 + 1)
@@ -104,6 +111,13 @@ class Tiling:
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "n2", n2)
+
+    @classmethod
+    def _trusted(cls, rects: tuple, n1: int, n2: int) -> "Tiling":
+        """A tiling, without representatives, of rectangles already sorted and known to tile n1 x n2."""
+        tiling = cls.__new__(cls)
+        tiling.__dict__.update(rects=rects, reps=None, n1=n1, n2=n2)
+        return tiling
 
 
 def _rect_key(r: Rect):
@@ -332,6 +346,8 @@ def enumerate_tilings(
     each column: the cell is in row min(heights), at the first column of
     that height, and the rectangle's width is bounded by the run of columns
     of that same height.  Raises BudgetExceeded beyond `budget` tilings.
+    The walk places rectangles in `_rect_key` order and yields only exact
+    partitions, so tilings and rectangles skip the constructors' checks.
     """
     if k < 1:
         raise InvalidK(f"committee size bound must be at least 1, got {k}")
@@ -347,7 +363,7 @@ def enumerate_tilings(
             produced += 1
             if budget is not None and produced > budget:
                 raise BudgetExceeded(f"more than {budget} tilings")
-            yield Tiling(tuple(placed))
+            yield Tiling._trusted(tuple(placed), n1, n2)
             return
         if remaining == 0:
             return
@@ -357,7 +373,7 @@ def enumerate_tilings(
         for r2 in range(r + 1, n1 + 1):
             for c2 in range(c, end):  # columns c..c2-1 already stand at r2
                 heights[c2] = r2
-                placed.append(Rect(r, r2 - 1, c, c2))
+                placed.append(Rect._trusted(r, r2 - 1, c, c2))
                 yield from walk(remaining - 1)
                 placed.pop()
             heights[c:end] = [r] * (end - c)

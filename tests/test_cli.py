@@ -17,7 +17,7 @@ from ccwinner.cli import (
     load_instance,
     main,
 )
-from ccwinner.core import Assignment, Line, Objective, PreferenceProfile, canonicalize, cost
+from ccwinner.core import Assignment, Line, Objective, PreferenceProfile, RootedTree, canonicalize, cost
 from ccwinner.errors import OutputError, ParseError
 from ccwinner.generators import gen_sc_grid, gen_sc_line, gen_sc_tree, gen_star_instance
 from ccwinner.grid_solver import Rect, Tiling
@@ -388,6 +388,88 @@ def test_malformed_compact_rankings_get_the_json_error(tmp_path, rankings, error
     with pytest.raises(ParseError) as caught:
         load_instance(str(path))
     assert str(caught.value) == expected
+
+
+def shuffled_tree(seed, n, m):
+    """`gen_sc_tree`'s instance with its voters renumbered at random."""
+    profile, tree = gen_sc_tree(seed, n, m)
+    perm = np.random.default_rng(seed).permutation(n).tolist()  # voter v becomes perm[v]
+    parent = [None] * n
+    for v, p in enumerate(tree.parent):
+        parent[perm[v]] = None if p is None else perm[p]
+    rank = np.empty_like(profile.rank)
+    rank[perm] = profile.rank
+    return PreferenceProfile.from_rankings(rank), RootedTree.from_parent(tuple(parent), perm[tree.root])
+
+
+def monotone_rho(seed, profile, thirds):
+    """A per-voter rho, nondecreasing along each ranking, in thirds when ``thirds``."""
+    steps = np.random.default_rng(seed).integers(0, 3, profile.rank.shape)
+    rho = np.empty_like(steps)
+    np.put_along_axis(rho, profile.rank, np.cumsum(steps, axis=1), axis=1)
+    return [[Fraction(x, 3) for x in row] for row in rho.tolist()] if thirds else rho.tolist()
+
+
+def test_compact_reader_parses_each_distinct_ranking_once(tmp_path, monkeypatch):
+    profile, line = gen_sc_line(3, 400, 5, shuffle_voters=True)
+    path = write(tmp_path, instance_to_doc(profile, line), separators=COMPACT)
+    parsed = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda rows, *a, **kw: parsed.extend(rows) or loadtxt(rows, *a, **kw))
+    assert load_instance(path)[:2] == (profile, line)
+    distinct = {",".join(map(str, row)).encode() for row in (profile.rank + 1).tolist()}
+    assert len(parsed) == len(distinct) < profile.n
+    assert set(parsed) == distinct
+
+
+def test_compact_borda_profile_passes_pos_as_scaled(tmp_path):
+    profile, line = gen_sc_line(4, 300, 4, shuffle_voters=True)
+    loaded, _, _ = load_instance(write(tmp_path, instance_to_doc(profile, line), separators=COMPACT))
+    assert loaded == profile
+    assert loaded.scaled is loaded.pos
+
+
+@pytest.mark.parametrize("rho", [None, "int", "p/q"])
+@pytest.mark.parametrize("kind", ["line", "tree"])
+def test_duplicate_heavy_compact_instances_equal_the_json_route(tmp_path, monkeypatch, kind, rho):
+    for seed in range(4):
+        n, m = 200 + 61 * seed, 2 + seed
+        if kind == "line":
+            profile, structure = gen_sc_line(seed, n, m, shuffle_voters=True)
+        else:
+            profile, structure = shuffled_tree(seed, n, m)
+        if rho is not None:
+            profile = PreferenceProfile.from_rankings(profile.rank, monotone_rho(seed, profile, rho == "p/q"))
+        text = json.dumps(instance_to_doc(profile, structure, k=2), separators=COMPACT)
+        _, table, index = cli._compact_instance(text)
+        assert len(table) <= m * (m - 1) // 2 + 1 and len(index) == n
+        assert compact_outcome(tmp_path, monkeypatch, text)[:3] == (profile, structure, 2)
+
+
+REPEATED_NON_PERMUTATION = "[[1,2,3],[1,2,3],[2,2,3],[1,2,3],[2,2,3]]"
+NOT_A_PERMUTATION = "rankings: ranking of voter 2 is not a permutation of 0..2"
+REPEATED_OUT_OF_RANGE = "[[1,2,3],[1,2,3],[3,1,4],[1,2,3],[3,1,4]]"
+OUT_OF_RANGE = "rankings[2]: expected an integer in 1..3, got 4"
+
+
+@pytest.mark.parametrize(
+    "rankings,rho,message",
+    [
+        # table row 1 holds the first bad ranking, first given by voter 2
+        (REPEATED_NON_PERMUTATION, None, NOT_A_PERMUTATION),
+        (REPEATED_NON_PERMUTATION, [[0, 1, 2]] * 5, NOT_A_PERMUTATION),
+        (REPEATED_NON_PERMUTATION, [[0, "1/2", 2]] * 5, NOT_A_PERMUTATION),
+        (REPEATED_OUT_OF_RANGE, None, OUT_OF_RANGE),
+        (REPEATED_OUT_OF_RANGE, [[0, 1, 2]] * 5, OUT_OF_RANGE),
+    ],
+)
+def test_a_repeated_malformed_ranking_names_its_first_voter(tmp_path, monkeypatch, rankings, rho, message):
+    doc = {**THREE, "structure": {"type": "line", "order": [1, 2, 3, 4, 5]}, "rankings": "@"}
+    if rho is not None:
+        doc["rho"] = rho
+    text = json.dumps(doc, separators=COMPACT).replace('"@"', rankings)
+    assert cli._compact_instance(text) is not None
+    assert compact_outcome(tmp_path, monkeypatch, text) == message
 
 
 @pytest.mark.parametrize(

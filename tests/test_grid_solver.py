@@ -166,6 +166,16 @@ def test_enumerate_k1_is_the_full_grid():
     assert got == [Tiling((Rect(0, 2, 0, 3),))]
 
 
+def test_enumerated_tilings_pass_the_public_checks():
+    """Enumeration skips validation; the checking constructors accept every tiling it yields as is."""
+    for n1 in range(1, 5):
+        for n2 in range(1, 6):
+            for tiling in enumerate_tilings(Grid(n1, n2), 5):
+                assert Tiling(tiling.rects) == tiling
+                assert (tiling.n1, tiling.n2) == (n1, n2)
+                assert all(Rect(r.i0, r.i1, r.j0, r.j1) == r for r in tiling.rects)
+
+
 def test_enumerate_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_tilings(Grid(2, 2), 4, budget=3))
