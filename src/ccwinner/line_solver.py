@@ -9,7 +9,8 @@ Three routes to the optimum:
   minimum. It runs in one sweep when the walk's packed bits fit
   ``_BIT_BUDGET``, else checkpointed, with O(sqrt(n)) voters' bits held at
   a time; only recorded voters compute bits, packed ``_PACK_BLOCK`` (256)
-  voters per call;
+  voters per call. A utilitarian one-sweep DP with k <= m steps one plane
+  at a time over tiles of 256 voters instead, with the same bits;
 * ``solve_line_klink`` -- the reduction to a k-link shortest path in a DAG
   whose arc weights are cheapest-single-candidate segment sums. The weights
   are concave Monge, so unconstrained penalized optima come from a
@@ -389,6 +390,28 @@ def _exact_k_path(klink: KLinkInstance, lam, k: int) -> tuple[int, ...]:
 # reversed, column j for candidate m - 1 - j: the suffix minimum over c is
 # then one forward running minimum, and opening a fresh candidate above c
 # reads the previous dyp0 one row up and one column left.
+#
+# Two loop orders compute these planes. ``_sweep`` steps one voter at a
+# time over all planes, about ten numpy calls per voter on a small
+# (planes, m) array, so it is bound by call overhead. ``_plane_sweep`` takes
+# the voters in tiles of ``_PACK_BLOCK`` and steps one plane at a time over
+# a whole tile: plane t reads only plane t - 1, and a utilitarian step is an
+# addition, so within a tile each plane unrolls to prefix sums and one
+# running minimum over voters. It runs for a utilitarian objective in one
+# sweep with planes <= m, and gives the same values and bits. The other
+# cases keep the voter loop:
+# * egalitarian steps take a maximum, which has no prefix-sum form. Doubling
+#   over clamp functions gives an exact plane sweep, but a prototype took
+#   2.2-3.8 ms where the voter loop takes 1.5-2.6 ms on ``line-egal``;
+# * at k > m the planes outnumber the calls saved: on gen_sc_line(7, 4000,
+#   20) the plane path takes 1.3 s at k = 1000 where the voter loop takes
+#   0.6-0.8 s (and 0.02 s against 0.04-0.06 s at k = 20; process time on a
+#   shared 2-vCPU host). This keeps criterion 10's k = 1000 instance on the
+#   checkpointed voter loop;
+# * a checkpointed sweep re-sweeps segments from its planes, which the voter
+#   loop keeps at every checkpoint index.
+# Tiling bounds the plane path's buffers: with the whole line as one tile it
+# traced about 410 MB at (n, m, k) = (1e5, 50, 10).
 
 _BIT_BUDGET = 32 << 20  # bytes of packed walk bits a single sweep may keep
 _PACK_BLOCK = 256  # recorded voters whose bits are packed in one call
@@ -446,6 +469,64 @@ def _sweep(rho, d1, d0, egal, inf, hi, lo, spacing=0, checkpoints=None, choice=N
             checkpoints[i] = (d1, d0)
 
 
+def _plane_sweep(rho, d1, d0, inf, choice, take):
+    """Utilitarian sweep of every voter from the reversed planes (d1, d0) at n, plane by plane.
+
+    Voters go in tiles of ``_PACK_BLOCK``, last tile first, and each tile
+    carries the (d1, d0) planes at its end. Inside a tile the loop runs over
+    planes t. With P the tile's prefix sums of ``rho`` and ``H[i]`` the
+    previous plane's dyp0 one voter on and one candidate up (inf at the top
+    candidate and on plane 0), the voter recurrence unrolls to
+    ``d1_t[i] = min(min_{j>=i}(H[j] + P[j+1]) - P[i], inf)``, with the
+    carried d1_t as the term past the tile: one reversed running minimum
+    over voters. Unclipped sums reach inf plus one tile's rho sum, so the
+    caller runs this only where ``int_dtype(2 * inf)`` is the sweep's dtype.
+    Records every voter's choice and take rows exactly as ``_sweep`` does
+    and returns the planes at voter 0.
+    """
+    n, m = rho.shape
+    planes = d1.shape[0]
+    d1, d0 = d1.copy(), d0.copy()  # the carried planes, replaced tile by tile
+    block = min(_PACK_BLOCK, n)
+    # bits per plane in the reversed layout, turned into voter rows once per tile
+    ch_buf = np.empty((planes, block, m), dtype=bool)
+    tk_buf = np.empty_like(ch_buf)
+    # flat (block + 1, m) tile buffers, the last row for the voter past the tile:
+    # P; H + P, turned in place into this plane's dyp1; its dyp0; the previous dyp0
+    prefix = np.zeros((block + 1) * m, dtype=rho.dtype)
+    v1, v0, prev = (np.empty_like(prefix) for _ in range(3))
+    minimum, accumulate = np.minimum, np.minimum.accumulate
+    for end in range(n, 0, -block):
+        start = max(0, end - block)
+        size = end - start
+        cells = size * m
+        p = prefix[: cells + m].reshape(size + 1, m)
+        np.cumsum(rho[start:end], axis=0, out=p[1:])
+        w1 = v1[: cells + m].reshape(size + 1, m)
+        prev[: cells + m] = inf  # plane 0 opens nothing: no smaller size
+        for t in range(planes):
+            # H[i, j] = dyp0[i + 1, j - 1] is the flat buffer read m - 1 cells on;
+            # at j = 0 that lands on dyp0[i, m - 1], which holds inf (see below)
+            h = prev[m - 1 : m - 1 + cells]
+            np.add(h, prefix[m : cells + m], out=v1[:cells])
+            np.add(d1[t], p[-1], out=w1[-1])
+            accumulate(w1[::-1], axis=0, out=w1[::-1])
+            np.subtract(w1, p, out=w1)
+            minimum(w1, inf, out=w1)
+            np.less(h, v1[m : cells + m], out=ch_buf[t, :size].reshape(-1))  # strict, as in _sweep
+            w0 = v0[: cells + m].reshape(size + 1, m)
+            accumulate(w1[:-1], axis=1, out=w0[:-1])
+            w0[-1] = d0[t]  # the carried dyp0: all inf past the last voter
+            np.equal(v1[:cells], v0[:cells], out=tk_buf[t, :size].reshape(-1))
+            d1[t], d0[t] = w1[0], w0[0]
+            w0[:, -1] = inf  # no candidate below 0 opens candidate 0: H's inf column
+            prev, v0 = v0, prev
+        for buf, rows in ((ch_buf, choice), (tk_buf, take)):
+            bits = buf[:, :size, ::-1].transpose(1, 0, 2).reshape(size, -1)  # unreversed voter rows
+            rows[start:end] = np.packbits(bits, axis=1)
+    return d1, d0
+
+
 def _dp_sweep(rho: np.ndarray, planes: int, egal: bool, record: bool = True):
     """Value sweep over scaled integer rows in line order, last voter first.
 
@@ -458,6 +539,11 @@ def _dp_sweep(rho: np.ndarray, planes: int, egal: bool, record: bool = True):
     the segment it ends in, voters 0..B-1, into rows of two (B, bytes) uint8
     arrays, so a walk within the budget needs no second sweep; without it
     the sweep computes values only.
+
+    A recorded utilitarian sweep of every voter with planes <= m runs plane
+    by plane over tiles of voters (``_plane_sweep``) when its unclipped
+    sums, up to 2 * inf, fit the sweep's dtype; every other sweep steps one
+    voter at a time (``_sweep``). Both give the same planes and bits.
 
     Returns the reversed rows in the sweep's dtype, the sentinel inf, B, the
     checkpoints and the choice and take bit arrays (no rows without ``record``).
@@ -476,7 +562,10 @@ def _dp_sweep(rho: np.ndarray, planes: int, egal: bool, record: bool = True):
     d1[0] = 0
     d0 = np.full((planes, m), inf, dtype=dtype)
     checkpoints = {n: (d1, d0)}
-    _sweep(rho, d1, d0, egal, inf, n, 0, spacing, checkpoints, choice, take)
+    if recorded >= n and not egal and planes <= m and int_dtype(2 * inf) is dtype:
+        checkpoints[0] = _plane_sweep(rho, d1, d0, inf, choice, take)
+    else:
+        _sweep(rho, d1, d0, egal, inf, n, 0, spacing, checkpoints, choice, take)
     return rho, inf, spacing, checkpoints, choice, take
 
 

@@ -14,6 +14,10 @@ candidate axis and packs each voter's bits on its own, so patching
 ``_PACK_BLOCK`` to sizes that do and do not divide the recorded voters
 checks that every packed block lands in the rows of its voters.
 
+The plane-major section checks the utilitarian sweep that runs plane by
+plane over tiles of voters against the voter loop, bit for bit, and which
+solves take which loop.
+
 The k-link section below keeps the earlier lazy online-minima chain the
 same way and checks the eager loop against it.
 """
@@ -29,6 +33,7 @@ from ccwinner import line_solver
 from ccwinner.core import (
     Assignment,
     Line,
+    Objective,
     PreferenceProfile,
     SolveResult,
     canonicalize,
@@ -280,6 +285,122 @@ def test_engine_matches_at_every_pack_block(block, budget, monkeypatch):
             assert_engines_agree(seed, n, m, k, draw)
     for case in list(small_cases())[:60]:
         assert_engines_agree(*case)
+
+
+# ---------------------------------------------------------------------------
+# the plane-major utilitarian sweep against the voter loop
+#
+# Within the bit budget, a utilitarian line with min(k, n) <= m goes through
+# ``_plane_sweep``. ``voter_loop`` stands in for it with ``_sweep`` on the
+# same arguments, so the dispatch, dtype and walk stay as they are and only
+# the sweep differs.
+
+
+def voter_loop(rho, d1, d0, inf, choice, take):
+    n = rho.shape[0]
+    checkpoints = {}
+    line_solver._sweep(rho, d1, d0, False, inf, n, 0, n, checkpoints, choice, take)
+    return checkpoints[0]
+
+
+def sweep_and_engine(rows, planes):
+    """The recorded sweep's bits and first planes, and the engine's (rep, l_star, dtype, sweeps)."""
+    _, _, _, checkpoints, choice, take = line_solver._dp_sweep(rows, planes, False)
+    return (choice, take, *checkpoints[0]), _dp_engine(rows, planes, False)
+
+
+def assert_plane_sweep_matches_voter_loop(rows, planes, monkeypatch, what):
+    plane_bits, plane_engine = sweep_and_engine(rows, planes)
+    with monkeypatch.context() as patch:
+        patch.setattr(line_solver, "_plane_sweep", voter_loop)
+        loop_bits, loop_engine = sweep_and_engine(rows, planes)
+    assert plane_engine == loop_engine, what
+    for got, want in zip(plane_bits, loop_bits):
+        assert got.dtype == want.dtype and np.array_equal(got, want), what
+
+
+PLANE_DRAWS = ("zero", "borda", "step", "rational")
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, None])
+def test_plane_sweep_matches_the_voter_loop_on_tie_heavy_lines(block, monkeypatch):
+    """3000 lines through the plane path, 750 per tile size.
+
+    The last voters of a line always have fewer voters left than planes; every
+    fifth line also has fewer voters than k.
+    """
+    if block is not None:
+        monkeypatch.setattr(line_solver, "_PACK_BLOCK", block)
+    lines, seed = 0, 0
+    while lines < 750:
+        seed += 1
+        rng = random.Random(seed)
+        m, k = rng.randint(1, 7), rng.randint(1, 9)
+        n = rng.randint(1, 40) if seed % 5 else rng.randint(1, k)
+        planes = min(k, n)
+        if planes > m:  # the voter loop's case, checked above
+            continue
+        lines += 1
+        draw = PLANE_DRAWS[seed % len(PLANE_DRAWS)]
+        profile, line = line_instance(seed, n, m, draw)
+        rows = _normalized_rows(profile, line)[0]
+        for rho in (rows, rows > int(rows.min())):  # scaled rows, and 0/1 rows as the witness DP sees them
+            assert_plane_sweep_matches_voter_loop(rho, planes, monkeypatch, (block, seed, draw))
+
+
+@pytest.mark.parametrize("block", [3, None])
+@pytest.mark.parametrize("bound", [1 << 62, 1 << 63])
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("n", [4, 40])
+def test_plane_sweep_stays_exact_at_the_int64_edge(n, side, bound, block, monkeypatch):
+    """n * top just below or above 2^62 and 2^63: no int64 sum may wrap.
+
+    Unclipped plane sums reach inf plus a tile's rho sum, up to about twice
+    the voter loop's bound when the tile holds the whole line: past 2^62
+    the plane path would need object arrays where the voter loop still runs
+    int64, so that solve keeps the voter loop. One candidate costs top for
+    every voter, so its column sum is n * top.
+    """
+    if block is not None:
+        monkeypatch.setattr(line_solver, "_PACK_BLOCK", block)
+    top = (bound - 1) // n if side == "below" else bound // n + 1
+    rng = random.Random(bound + n)
+    m = 5
+    rows = np.array([[rng.choice((0, 1, top - 1, top)) for _ in range(m)] for _ in range(n)], dtype=object)
+    rows[:, 2] = top
+    assert n * top < bound if side == "below" else n * top > bound
+    for planes in range(1, min(n, m) + 1):
+        assert_plane_sweep_matches_voter_loop(rows, planes, monkeypatch, (side, bound, planes))
+
+
+class VoterLoopEntered(Exception):
+    pass
+
+
+def test_one_sweep_utilitarian_solves_take_the_plane_path(monkeypatch):
+    """The voter loop runs only for egalitarian DPs, checkpointed sweeps, k > m and int64 edges."""
+
+    def refuse(*args, **kwargs):
+        raise VoterLoopEntered
+
+    monkeypatch.setattr(line_solver, "_sweep", refuse)
+    profile, line = gen_sc_line(3, 300, 6)
+    for k in (1, 4, 6):
+        assert solve_line_dp(profile, line, k).stats["sweeps"] == 1
+    profile_huge, line_huge = line_instance(3, 40, 5, "huge")  # object dtype on both paths
+    assert solve_line_dp(profile_huge, line_huge, 5).stats["engine"] == "object"
+    with pytest.raises(VoterLoopEntered):
+        solve_line_egal_threshold(profile, line, 4)  # its value sweep is egalitarian
+    with pytest.raises(VoterLoopEntered):
+        solve_line_dp(profile, line, 4, Objective.EGALITARIAN)
+    with pytest.raises(VoterLoopEntered):
+        solve_line_dp(profile, line, 7)  # k > m
+    rows = np.array([[0, (1 << 60) + 1]] * 4, dtype=np.int64)  # inf + top fits int64, 2 * inf does not
+    with pytest.raises(VoterLoopEntered):
+        _dp_engine(rows, 2, False)
+    monkeypatch.setattr(line_solver, "_BIT_BUDGET", 0)
+    with pytest.raises(VoterLoopEntered):
+        solve_line_dp(profile, line, 4)
 
 
 # ---------------------------------------------------------------------------
