@@ -170,42 +170,78 @@ def _checked_rho(rho, n: int, m: int) -> tuple[np.ndarray, int]:
 class PreferenceProfile:
     """Voters' strict rankings plus a misrepresentation matrix, stored as checked arrays.
 
-    ``rank[v]`` lists voter v's candidates from most to least preferred and
-    ``pos`` is its inverse, ``pos[v, rank[v, p]] == p``; both are (n, m)
-    int64 arrays.  Misrepresentation is kept exactly as integers over one
-    common denominator: ``rho[v][c] == Fraction(scaled[v, c], scale)``, where
-    ``scale`` is the least common multiple of the reduced denominators (1 for
-    integer rho) and ``scaled`` is int64, or an object array of Python ints
-    when some value does not fit.  The arrays are read-only.
+    The rows live in a (d, m) table plus a per-voter index: voter v's
+    ranking is ``table_rank[index[v]]`` (candidates from most to least
+    preferred), ``table_pos`` is its inverse, ``table_pos[r, table_rank[r,
+    p]] == p``, and ``table_scaled[index[v]]`` is v's misrepresentation row.
+    Voters with equal index share their ranking and scaled row; voters with
+    different index may still be alike. A profile built from a compact
+    instance with Borda misrepresentation keeps the reader's distinct
+    rankings as its table (`_from_table`); every other constructor stores one
+    row per voter with the identity index. Misrepresentation is kept exactly
+    as integers over one common denominator: ``rho[v][c] ==
+    Fraction(scaled[v, c], scale)``, where ``scale`` is the least common
+    multiple of the reduced denominators (1 for integer rho) and the scaled
+    table is int64, or an object array of Python ints when some value does
+    not fit. Under Borda misrepresentation ``table_scaled`` is
+    ``table_pos``. All arrays are read-only.
+
+    ``rank``, ``pos`` and ``scaled`` are the (n, m) per-voter views: the
+    table itself under the identity index, otherwise gathered by index the
+    first time one is read, then cached (``scaled`` is ``pos`` under Borda).
+    The line route (consistency and single-crossing checks, the
+    identical-voter merge, favorites and costs) reads the table and index
+    directly, so on a compact Borda line instance no per-voter array is
+    built; the tree and grid solvers read the per-voter views.
 
     ``rankings`` and ``rho`` are tuple views (ints, and Fractions where a
-    value is not integral), built on first access and cached; the solvers
-    work on the arrays.  Consistency of rho with the rankings is a property
-    of well-formed instances and is checked by
-    ``validation.check_consistency``, not by the constructor, so that
-    malformed external data can still be loaded and diagnosed.
+    value is not integral), built on first access and cached. Consistency
+    of rho with the rankings is a property of well-formed instances and is
+    checked by ``validation.check_consistency``, not by the constructor, so
+    that malformed external data can still be loaded and diagnosed.
     """
 
-    __slots__ = ("rank", "pos", "scaled", "scale", "_rankings", "_rho")
+    __slots__ = (
+        "table_rank", "table_pos", "table_scaled", "index", "scale",
+        "_rank", "_pos", "_scaled", "_rankings", "_rho",
+    )
 
     def __init__(self, rankings, rho):
         rank, pos = _checked_rankings(rankings)
         scaled, scale = _checked_rho(rho, *rank.shape)
         self._fill(rank, pos, scaled, scale)
 
-    def _fill(self, rank, pos, scaled, scale):
-        for arr in (rank, pos, scaled):
+    def _fill(self, rank, pos, scaled, scale, index=None):
+        per_voter = index is None
+        if per_voter:
+            index = np.arange(len(rank))
+        for arr in (rank, pos, scaled, index):
             arr.flags.writeable = False
-        for name, value in (("rank", rank), ("pos", pos), ("scaled", scaled), ("scale", scale)):
+        values = {
+            "table_rank": rank,
+            "table_pos": pos,
+            "table_scaled": scaled,
+            "index": index,
+            "scale": scale,
+            # per-voter views: the table itself under the identity index, else gathered when read
+            "_rank": rank if per_voter else None,
+            "_pos": pos if per_voter else None,
+            "_scaled": scaled if per_voter else None,
+            "_rankings": None,
+            "_rho": None,
+        }
+        for name, value in values.items():
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_rankings", None)
-        object.__setattr__(self, "_rho", None)
 
     @classmethod
-    def _from_parts(cls, rank, pos, scaled, scale) -> "PreferenceProfile":
-        """Wrap arrays that are already checked and owned by no one else."""
+    def _from_parts(cls, rank, pos, scaled, scale, index=None) -> "PreferenceProfile":
+        """Wrap arrays that are already checked and owned by no one else.
+
+        ``rank``, ``pos`` and ``scaled`` are the table; without ``index``
+        it has one row per voter.
+        """
         profile = cls.__new__(cls)
-        profile._fill(rank, pos, scaled, scale)
+        profile._fill(rank, pos, scaled, scale, index)
         return profile
 
     @classmethod
@@ -224,23 +260,51 @@ class PreferenceProfile:
     def _from_table(cls, table, index, rho=None) -> "PreferenceProfile":
         """`from_rankings` of ``table[index]``, checking and inverting each row of ``table`` once.
 
-        A table that fails a check reruns `from_rankings` on the gathered
-        rows, so the message names the first offending voter.
+        Without rho the profile keeps ``table`` and ``index``; with rho it
+        gathers one row per voter. A table that fails a check reruns
+        `from_rankings` on the gathered rows, so the message names the first
+        offending voter.
         """
         try:
             t_rank, t_pos = _checked_rankings(table)
         except ValueError:
             return cls.from_rankings(table[index], rho)
-        rank, pos = t_rank.take(index, 0), t_pos.take(index, 0)
         if rho is None:
-            return cls._from_parts(rank, pos, pos, 1)
+            return cls._from_parts(t_rank, t_pos, t_pos, 1, index)
+        rank, pos = t_rank.take(index, 0), t_pos.take(index, 0)
         return cls._from_parts(rank, pos, *_checked_rho(rho, *rank.shape))
+
+    def _gathered(self, slot: str, table: np.ndarray) -> np.ndarray:
+        rows = getattr(self, slot)
+        if rows is None:
+            rows = table.take(self.index, 0)
+            rows.flags.writeable = False
+            object.__setattr__(self, slot, rows)
+        return rows
+
+    @property
+    def rank(self) -> np.ndarray:
+        """(n, m): ``rank[v]`` lists voter v's candidates, most preferred first."""
+        return self._gathered("_rank", self.table_rank)
+
+    @property
+    def pos(self) -> np.ndarray:
+        """(n, m): ``pos[v, c]`` is candidate c's position in voter v's ranking."""
+        return self._gathered("_pos", self.table_pos)
+
+    @property
+    def scaled(self) -> np.ndarray:
+        """(n, m): ``scaled[v, c] / scale`` is voter v's misrepresentation by candidate c."""
+        if self.table_scaled is self.table_pos:
+            return self.pos
+        return self._gathered("_scaled", self.table_scaled)
 
     def __setattr__(self, name, value):
         raise AttributeError("PreferenceProfile is immutable")
 
     def __reduce__(self):
-        return (PreferenceProfile._from_parts, (self.rank, self.pos, self.scaled, self.scale))
+        tables = (self.table_rank, self.table_pos, self.table_scaled)
+        return (PreferenceProfile._from_parts, (*tables, self.scale, self.index))
 
     def __eq__(self, other):
         if not isinstance(other, PreferenceProfile):
@@ -259,11 +323,11 @@ class PreferenceProfile:
 
     @property
     def n(self) -> int:
-        return self.rank.shape[0]
+        return len(self.index)
 
     @property
     def m(self) -> int:
-        return self.rank.shape[1]
+        return self.table_rank.shape[1]
 
     @property
     def has_integer_rho(self) -> bool:
@@ -433,11 +497,22 @@ class Assignment:
         return len(self.committee)
 
 
+def line_runs(profile: PreferenceProfile, line: Line) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal runs of voters with equal index along the line.
+
+    Returns each run's first position in line order and its table row; the
+    voters of a run share their ranking and scaled row.
+    """
+    rows = profile.index[np.asarray(line.order)]
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    return starts, rows[starts]
+
+
 def _favorites(profile: PreferenceProfile, committee) -> Assignment:
-    """Every voter on their most-preferred member of the committee."""
+    """Every voter on their most-preferred member of the committee, found once per table row."""
     members = np.fromiter(committee, np.int64, len(committee))
-    first = profile.pos[:, members].argmin(axis=1)  # the member ranked highest
-    return Assignment(tuple(members[first].tolist()))
+    first = profile.table_pos[:, members].argmin(axis=1)  # the member ranked highest
+    return Assignment(tuple(members[first][profile.index].tolist()))
 
 
 def canonicalize(profile: PreferenceProfile, assignment: Assignment) -> Assignment:
@@ -451,7 +526,7 @@ def canonicalize(profile: PreferenceProfile, assignment: Assignment) -> Assignme
 
 def _costs(profile: PreferenceProfile, assignment: Assignment, objectives) -> list:
     """The assignment's cost under each objective, from one gather of its entries."""
-    values = profile.scaled[np.arange(profile.n), np.asarray(assignment.rep)].tolist()
+    values = profile.table_scaled[profile.index, np.asarray(assignment.rep)].tolist()
     return [
         to_rho_units(sum(values) if o is Objective.UTILITARIAN else max(values), profile.scale)
         for o in objectives
@@ -477,7 +552,7 @@ def reference_ranking(profile: PreferenceProfile, structure: Structure) -> tuple
         ref = structure.root
     else:
         ref = 0
-    return tuple(profile.rank[ref].tolist())
+    return tuple(profile.table_rank[profile.index[ref]].tolist())
 
 
 def normalize_to_root_order(

@@ -44,6 +44,7 @@ from .core import (
     PreferenceProfile,
     SolveResult,
     int_dtype,
+    line_runs,
     reference_ranking,
     to_rho_units,
 )
@@ -82,22 +83,30 @@ def merge_identical_voters(
     their favorite committee member. So a committee's canonical assignment
     on the full profile is the merged one, read per run. Returns the merged
     profile, whose line is the identity order.
+
+    Voters sharing a table row need no compare: the runs of equal index
+    along the line (`line_runs`) are compared by ranking, and a run's share
+    of the summed row is its table row times its length.
     """
     line = _line(profile, order)
-    voters = np.asarray(line.order)
-    cut = np.zeros(profile.n - 1, dtype=bool)
+    starts, rows = line_runs(profile, line)  # runs of voters sharing a table row
+    cut = np.zeros(len(rows) - 1, dtype=bool)
     for c in range(profile.m):  # one column at a time: no full gather of the rankings
-        col = profile.rank[voters, c]
+        col = profile.table_rank[rows, c]
         cut |= col[1:] != col[:-1]
-    starts = np.concatenate(([0], np.flatnonzero(cut) + 1))
-    # gather the full rows inside the call, so they are freed before the merged rankings exist
+    joins = np.concatenate(([0], np.flatnonzero(cut) + 1))  # the runs that start a merged voter
+    # the run rows are freed before the merged rankings exist
     if objective is Objective.EGALITARIAN:
-        scaled = np.maximum.reduceat(profile.scaled[voters], starts)
+        scaled = np.maximum.reduceat(profile.table_scaled[rows], joins)
     else:
-        dtype = int_dtype(profile.n * int(profile.scaled.max()))
-        scaled = np.add.reduceat(profile.scaled[voters], starts, dtype=dtype)
-    heads = voters[starts]
-    rank, pos = profile.rank[heads], profile.pos[heads]
+        run_rows = profile.table_scaled[rows]
+        dtype = int_dtype(profile.n * int(run_rows.max()))
+        run_rows = run_rows.astype(dtype, copy=False)
+        run_rows *= np.diff(starts, append=profile.n).astype(dtype)[:, None]  # each run's summed row
+        scaled = np.add.reduceat(run_rows, joins, dtype=dtype)
+        del run_rows
+    heads = rows[joins]
+    rank, pos = profile.table_rank[heads], profile.table_pos[heads]
     return PreferenceProfile._from_parts(rank, pos, scaled, profile.scale)
 
 

@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Grid, Line, PreferenceProfile, RootedTree
+from .core import Grid, Line, PreferenceProfile, RootedTree, line_runs
 
 
 class ConsistencyViolation(NamedTuple):
@@ -44,32 +44,43 @@ def check_consistency(profile: PreferenceProfile) -> Optional[ConsistencyViolati
 
     Adjacent positions suffice: any violating pair contains an adjacent one.
     The scaled matrix orders exactly as rho does, so one gather along the
-    rankings and one comparison decide every voter at once. A Borda profile
-    built by `PreferenceProfile.from_rankings` shares its ``pos`` array as
-    ``scaled``, and ``pos`` gathered along ``rank`` is 0..m-1 on every row,
-    so such a profile passes without the gather.
+    rankings and one comparison decide every table row at once, and voters
+    sharing a row share the verdict; the witness is the first voter whose
+    row fails, at that row's first failing position. A Borda profile
+    stores its ``table_pos`` as ``table_scaled``, and ``pos`` gathered along
+    ``rank`` is 0..m-1 on every row, so such a profile passes without the
+    gather and without building per-voter arrays.
     """
-    if profile.scaled is profile.pos:
+    if profile.table_scaled is profile.table_pos:
         return None
-    along = np.take_along_axis(profile.scaled, profile.rank, axis=1)
-    hits = np.argwhere(along[:, :-1] > along[:, 1:])
-    if len(hits) == 0:
+    rank = profile.table_rank
+    along = np.take_along_axis(profile.table_scaled, rank, axis=1)
+    falls = along[:, :-1] > along[:, 1:]
+    bad = np.flatnonzero(falls.any(axis=1)[profile.index])
+    if len(bad) == 0:
         return None
-    v, p = (int(x) for x in hits[0])
-    return ConsistencyViolation(v, int(profile.rank[v, p]), int(profile.rank[v, p + 1]))
+    v = int(bad[0])
+    row = profile.index[v]
+    p = int(np.argmax(falls[row]))
+    return ConsistencyViolation(v, int(rank[row, p]), int(rank[row, p + 1]))
 
 
 def check_sc_line(profile: PreferenceProfile, line: Line) -> Optional[CrossingViolation]:
     """Single-crossing on a line: every candidate pair flips at most once.
 
-    One pass per candidate a decides every pair (a, b > a) at once.
+    One pass per candidate a decides every pair (a, b > a) at once. Voters
+    sharing a table row cannot flip a pair between them, so the pass runs
+    over the runs of equal index along the line (`line_runs`), and a flip
+    between two runs is the one between the last voter of the first and the
+    first voter of the second.
     """
     if line.n != profile.n:
         raise ValueError("line order and profile disagree on the number of voters")
     m = profile.m
-    # row c: candidate c's rank position at each voter in line order, in the
-    # narrowest dtype that holds positions < m
-    pos = profile.pos.astype(np.min_scalar_type(m - 1))[np.asarray(line.order)]
+    starts, rows = line_runs(profile, line)
+    # row c: candidate c's rank position in each run, in the narrowest dtype
+    # that holds positions < m
+    pos = profile.table_pos.astype(np.min_scalar_type(m - 1))[rows]
     pos = np.ascontiguousarray(pos.T)
     for a in range(m - 1):
         prefers_a = pos[a + 1 :] > pos[a]  # row b - a - 1 is the pair (a, b)
@@ -80,7 +91,8 @@ def check_sc_line(profile: PreferenceProfile, line: Line) -> Optional[CrossingVi
         row = int(twice[0])
         b = a + 1 + row
         f0, f1 = (int(f) for f in np.flatnonzero(flipped[row])[:2])
-        v1, v2, v3 = (line.order[f0], line.order[f0 + 1], line.order[f1 + 1])
+        after0, after1 = int(starts[f0 + 1]), int(starts[f1 + 1])
+        v1, v2, v3 = (line.order[after0 - 1], line.order[after0], line.order[after1])
         if prefers_a[row, f0]:
             return CrossingViolation(a, b, v1, v2, v3)
         return CrossingViolation(b, a, v1, v2, v3)
