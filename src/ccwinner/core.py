@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Optional, Sequence, Union
 
@@ -365,6 +366,13 @@ class Line:
     def n(self) -> int:
         return len(self.order)
 
+    @cached_property
+    def order_array(self) -> np.ndarray:
+        """The order as a read-only int array, converted on first read only."""
+        array = np.array(self.order, dtype=np.int64)
+        array.flags.writeable = False
+        return array
+
 
 @dataclass(frozen=True)
 class RootedTree:
@@ -503,16 +511,16 @@ def line_runs(profile: PreferenceProfile, line: Line) -> tuple[np.ndarray, np.nd
     Returns each run's first position in line order and its table row; the
     voters of a run share their ranking and scaled row.
     """
-    rows = profile.index[np.asarray(line.order)]
+    rows = profile.index[line.order_array]
     starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
     return starts, rows[starts]
 
 
-def _favorites(profile: PreferenceProfile, committee) -> Assignment:
-    """Every voter on their most-preferred member of the committee, found once per table row."""
+def _favorite_reps(profile: PreferenceProfile, committee) -> np.ndarray:
+    """Every voter's most-preferred member of the committee, found once per table row."""
     members = np.fromiter(committee, np.int64, len(committee))
     first = profile.table_pos[:, members].argmin(axis=1)  # the member ranked highest
-    return Assignment(tuple(members[first][profile.index].tolist()))
+    return members[first][profile.index]
 
 
 def canonicalize(profile: PreferenceProfile, assignment: Assignment) -> Assignment:
@@ -521,12 +529,13 @@ def canonicalize(profile: PreferenceProfile, assignment: Assignment) -> Assignme
     Only the committee is read.  It shrinks to the members that remain in
     use; the cost under any consistent rho weakly decreases.  Idempotent.
     """
-    return _favorites(profile, assignment.committee)
+    return Assignment(tuple(_favorite_reps(profile, assignment.committee).tolist()))
 
 
-def _costs(profile: PreferenceProfile, assignment: Assignment, objectives) -> list:
-    """The assignment's cost under each objective, from one gather of its entries."""
-    values = profile.table_scaled[profile.index, np.asarray(assignment.rep)].tolist()
+def _costs(profile: PreferenceProfile, rep: np.ndarray, objectives) -> list:
+    """The cost of the representatives ``rep`` (one per voter) under each
+    objective, from one gather of their entries."""
+    values = profile.table_scaled[profile.index, rep].tolist()
     return [
         to_rho_units(sum(values) if o is Objective.UTILITARIAN else max(values), profile.scale)
         for o in objectives
@@ -535,7 +544,7 @@ def _costs(profile: PreferenceProfile, assignment: Assignment, objectives) -> li
 
 def cost(profile: PreferenceProfile, assignment: Assignment, objective: Objective) -> Rational:
     """Total (utilitarian) or maximum (egalitarian) misrepresentation of an assignment."""
-    return _costs(profile, assignment, (objective,))[0]
+    return _costs(profile, np.asarray(assignment.rep), (objective,))[0]
 
 
 def reference_ranking(profile: PreferenceProfile, structure: Structure) -> tuple[int, ...]:
@@ -594,8 +603,13 @@ class SolveResult:
         algorithm: str,
         stats: Optional[dict] = None,
     ) -> "SolveResult":
+        return cls._of(profile, assignment, np.asarray(assignment.rep), algorithm, stats)
+
+    @classmethod
+    def _of(cls, profile, assignment, rep, algorithm, stats) -> "SolveResult":
+        """The result for an assignment whose representatives are also the array ``rep``."""
         total_cost, egal_cost = _costs(
-            profile, assignment, (Objective.UTILITARIAN, Objective.EGALITARIAN)
+            profile, rep, (Objective.UTILITARIAN, Objective.EGALITARIAN)
         )
         return cls(
             assignment=assignment,
@@ -619,4 +633,5 @@ class SolveResult:
         Members nobody prefers drop out, so ``k_used`` may be smaller than
         the committee.
         """
-        return cls.from_assignment(profile, _favorites(profile, committee), algorithm, stats)
+        rep = _favorite_reps(profile, committee)
+        return cls._of(profile, Assignment(tuple(rep.tolist())), rep, algorithm, stats)

@@ -18,30 +18,33 @@ tier); the fold at child u considers splitting l between u's subtree and
 the part already folded, either keeping u on its own candidate (DIFF,
 budget t goes to u with candidates above c) or sharing v's candidate c
 (SAME, u's piece and v's piece merge into one subtree). The better of the
-two branches' child pieces can be taken first, and for a fixed child budget
-the affected budgets l form one contiguous block of rows (as they do for a
-fixed plane row), so the fold is one slice operation over every l and c per
-row of the plane or of the pieces, whichever has fewer: a single one for
-the first child folded into a vertex, whose plane is one row. Children are
-folded last to first, so the walk never refolds the first child. The last
-child splits against its parent alone, so the walk reads that split as two
-table entries; the partial folds the earlier children need it rebuilds with
-the same ``merge_child_plane``, on two columns per later child at the
-candidate c it reached: the child's table at c and its minimum above c. A
-vertex with one child makes no fold.
+two branches' child pieces can be taken first, and the fold is then a
+(min, +) (or (min, max)) convolution of the plane and the pieces along the
+budget axis, truncated at k rows and capped at the sentinel: one slice
+operation over every l and c per row of the plane or of the pieces,
+whichever has fewer. The convolution is associative, so pieces of several
+children can also be combined first. Children are folded last to first, so
+the walk never refolds the first child. The last child splits against its
+parent alone, so the walk reads that split as two table entries; the
+partial folds the earlier children need it rebuilds as one-column
+convolutions at the candidate c it reached, from each later child's table
+at c and its minimum above c. A vertex with one child makes no fold.
 
 The sweep runs one height level at a time (0 for a leaf, else 1 + the
 largest child height), since vertices of one height never depend on each
-other. Per level, round j folds the j-th child from the last of every vertex
+other. Per level, every vertex's first fold, its last child into its
+one-row plane, runs in one flat pass over the last children's tables laid
+end to end. Round j then folds the j-th child from the last of every vertex
 that has one, one batched fold over a (vertices, rows, m) stack per group of
 equal plane and child table shapes, whose DIFF pieces are one suffix-minimum
-pass over the stacked child tables. Sizes are read from table shapes,
-min(k, |T_v|), which is all the fold's bounds and the walk's budget ranges
-need. Infeasible states hold an integer sentinel chosen per instance above
-every finite value (the scaled rows are exact ints of any size, so a float
-infinity cannot be added to them); tables are int64, or object arrays of
-Python ints once a sum of two entries can pass the int64 range. The tight
-t ranges make the whole sweep cost
+pass over the stacked child tables. A vertex left alone with children to
+fold combines their pieces pairwise in log rounds and folds the result once.
+Sizes are read from table shapes, min(k, |T_v|), which is all the fold's
+bounds and the walk's budget ranges need. Infeasible states hold an integer
+sentinel chosen per instance above every finite value (the scaled rows are
+exact ints of any size, so a float infinity cannot be added to them);
+tables are int64, or object arrays of Python ints once a sum of two entries
+can pass the int64 range. The tight t ranges make the whole sweep cost
 O(min(k, |T_u|) * min(k, |T_rest|)) per candidate, which telescopes to
 O(min(n^2, nk)) over the tree.
 """
@@ -110,6 +113,47 @@ def _merge_iterations(rows: int, bound: int, same_hi: int, diff_hi: int) -> int:
     return total
 
 
+def _pieces(d1, k: int, inf: int, dtype):
+    """A child's pieces: ``piece[..., i, c]`` is the better of SAME with budget
+    i + 1 (the child on c) and DIFF with budget i (the child above c, so never
+    for c = m - 1), for i = 0..min(child, k - 1).
+
+    Leading axes are a batch. A DIFF piece at c is the child's best entry
+    above c, so the DIFF pieces are one suffix-minimum pass over the child
+    rows they use; rows of ``inf`` (padding) give pieces of ``inf``.
+    """
+    *batch, child, m = d1.shape
+    size = min(child, k - 1) + 1
+    piece = np.empty((*batch, size, m), dtype=dtype)
+    piece[..., size - 1, :].fill(inf)  # the DIFF-only row when child < k
+    piece[..., :child, :] = d1[..., :size, :]
+    above = np.minimum.accumulate(d1[..., : size - 1, :0:-1], axis=-1)[..., ::-1]
+    np.minimum(piece[..., 1:, : m - 1], above, out=piece[..., 1:, : m - 1])
+    return piece
+
+
+def _fold(a, b, bound: int, op, inf: int):
+    """The (min, op) convolution of two budget arrays, truncated to ``bound`` rows.
+
+    ``new[..., l, :]`` is the least ``op(a[..., r, :], b[..., i, :])`` over
+    r + i = l, capped at ``inf``; leading axes are a batch. The op is
+    symmetric, so the loop runs over whichever operand has fewer rows and
+    meets each of its rows with a block of the other in one slice
+    operation. Folding a child's pieces into a plane is one such
+    convolution, and so is combining two children's pieces: the convolution
+    is associative, and truncation and the cap commute with it on values
+    that are never negative.
+    """
+    new = np.empty((*a.shape[:-2], bound, a.shape[-1]), dtype=np.result_type(a, b))
+    new.fill(inf)
+    short, long = (a, b) if a.shape[-2] <= b.shape[-2] else (b, a)
+    for i in range(min(short.shape[-2], bound)):
+        span = min(long.shape[-2], bound - i)
+        block = new[..., i : i + span, :]
+        np.minimum(block, op(short[..., i : i + 1, :], long[..., :span, :]), out=block)
+    return new
+
+
 def merge_child_plane(
     plane,
     child_dyp1,
@@ -136,40 +180,18 @@ def merge_child_plane(
     Row l - 1 of the new plane pairs plane row r with the child's piece at
     index i = l - 1 - r, which is SAME with budget t = i + 1 or DIFF with
     t = i, and since the add (or max) distributes over min, the better of
-    the two pieces can be chosen before combining it with the plane rows.
-    A DIFF piece at c is the child's best entry above c, so the DIFF pieces
-    are one suffix-minimum pass over the child rows they use, derived here
-    and dropped with the fold. The add (or max) is also symmetric, so the
-    fold loops over whichever of the plane and the pieces has fewer rows and
-    meets each of those rows with a block of the other in one slice
-    operation: a one-row plane (the first child folded into a vertex) costs
-    one operation, not one per child budget.
+    the two pieces (``_pieces``) can be chosen before combining it with the
+    plane rows, in one truncated convolution (``_fold``).
     """
     plane = np.asarray(plane)
     d1 = np.asarray(child_dyp1)
     op = np.maximum if objective is Objective.EGALITARIAN else np.add
-    *batch, rows, m = plane.shape
-    child = d1.shape[-2]
+    rows, child = plane.shape[-2], d1.shape[-2]
     bound = min(k, rows + child)
-    dtype = np.result_type(plane, d1)
-    same_hi = min(child, bound)  # SAME budgets t = 1..same_hi
-    diff_hi = min(child, bound - 1)  # DIFF budgets t = 1..diff_hi
-    # piece[i, c]: the better of SAME with budget i + 1 (child on c) and DIFF
-    # with budget i (child above c, so never for c = m - 1); empty + fill is
-    # cheaper than np.full on the small arrays most folds meet
-    piece = np.empty((*batch, diff_hi + 1, m), dtype=dtype)
-    piece.fill(inf)
-    piece[..., :same_hi, :] = d1[..., :same_hi, :]
-    above = np.minimum.accumulate(d1[..., :diff_hi, :0:-1], axis=-1)[..., ::-1]
-    np.minimum(piece[..., 1:, : m - 1], above, out=piece[..., 1:, : m - 1])
-    new = np.empty((*batch, bound, m), dtype=dtype)
-    new.fill(inf)
-    short, long = (plane, piece) if rows <= diff_hi + 1 else (piece, plane)
-    for i in range(short.shape[-2]):
-        span = min(long.shape[-2], bound - i)
-        block = new[..., i : i + span, :]
-        np.minimum(block, op(short[..., i : i + 1, :], long[..., :span, :]), out=block)
-    return new, _merge_iterations(rows, bound, same_hi, diff_hi)
+    piece = _pieces(d1, k, inf, np.result_type(plane, d1))
+    return _fold(plane, piece, bound, op, inf), _merge_iterations(
+        rows, bound, child, min(child, bound - 1)
+    )
 
 
 def _batch(tables, keys):
@@ -199,29 +221,104 @@ def _height_levels(tree: RootedTree) -> list[list[int]]:
     return levels
 
 
+def _first_folds(rows, dyp1, inner, finished: int, children, k: int, op, pad, inf: int) -> int:
+    """Fold the last child of every vertex in ``inner`` into its one-row plane, in one flat pass.
+
+    The first ``finished`` vertices have no other child. A vertex's plane is
+    its one row, so its first fold is its last child's pieces, each combined
+    with that row. The last children's tables are laid end to end, each
+    followed by one ``inf`` row when it has fewer than k rows; the segment
+    of a child with ``child`` rows then has the min(k, child + 1) rows of
+    its parent's new table, and its extra row is the DIFF-only piece. One
+    suffix-minimum pass over the block gives every DIFF piece, the suffix
+    minima of each segment's last row are set to ``inf`` so they never
+    reach the next segment, and one shifted minimum, one gather of the
+    parents' rows, the op and the cap finish every table. The finished
+    vertices' tables own one block and the others a second one, so a
+    finished table keeps no refolded rows alive. Returns the fold's counter.
+    """
+    m = rows.shape[1]
+    parts, bounds, ends, end, merges = [], [], [], 0, 0
+    for v in inner:
+        table = dyp1[children[v][-1]]
+        child = len(table)
+        parts.append(table)
+        if child < k:
+            parts.append(pad)
+            child_bound = child + 1
+        else:
+            child_bound = k
+        bounds.append(child_bound)
+        end += child_bound
+        ends.append(end)
+        # _merge_iterations(1, child_bound, child, child_bound - 1) in closed form
+        merges += child + child_bound - 1
+    block = np.concatenate(parts)
+    # above[j, c] is the least entry of block row j from column c on, and the
+    # DIFF piece at (j + 1, c) is above[j, c + 1], m - 1 entries back in the
+    # flat arrays. Column 0, which no DIFF piece reads, and each segment's
+    # last row are set to inf, so the flat shift never reads across a row
+    # or into the next segment.
+    above = np.empty_like(block)
+    np.minimum.accumulate(block[:, ::-1], axis=1, out=above[:, ::-1])
+    above[:, 0] = inf
+    above[[e - 1 for e in ends]] = inf
+    flat, shift = block.reshape(-1), above.reshape(-1)[: end * m - m + 1]
+    np.minimum(flat[m - 1 :], shift, out=flat[m - 1 :])
+    del above, shift  # freed before the gather, which lowers the peak
+    op(block, np.repeat(rows[inner], bounds, axis=0), out=block)
+    if op is np.add:  # a max of two entries never passes inf
+        np.minimum(block, inf, out=block)
+    split = ends[finished - 1] if finished else 0
+    done = block[:split].copy() if 0 < split < end else block
+    lo = 0
+    for i, (v, hi) in enumerate(zip(inner, ends)):
+        dyp1[v] = (done if i < finished else block)[lo:hi]
+        lo = hi
+    return merges
+
+
 def _dp_tables(rows, tree: RootedTree, k: int, objective: Objective, inf: int):
     """Every vertex's dyp1 table, plus the merge counter.
 
     The sweep runs one height level at a time, since vertices of one height
-    never depend on each other. Every vertex of a level starts from its own
-    one-row plane, and round j folds the j-th child from the last of every
-    vertex that has one, with one ``merge_child_plane`` call per group of
-    vertices whose planes and children have equal table shapes; a leaf takes
-    no round. A vertex's last plane is its table, a view into its group's
-    fold result when every vertex of the group is finished, else a copy, so
-    no table keeps the slots of unfinished vertices alive. No suffix-minimum
-    (dyp0) table is kept: each fold derives the ones it reads from the
-    stacked child tables.
+    never depend on each other. Every vertex's first fold (its last child
+    into its one-row plane) runs in one flat pass per level
+    (``_first_folds``). After it, round j folds the j-th child from the last
+    of every vertex that has one, with one ``merge_child_plane`` call per
+    group of vertices whose planes and children have equal table shapes.
+    Once a single vertex of the level has children left to fold, their
+    pieces are built in one call on their tables stacked (padded with
+    ``inf`` rows to the longest), combined pairwise in ceil(log2(count))
+    rounds and folded into its plane once (``_fold_lone``, which splits a
+    very wide or very uneven vertex into a few such runs). A leaf takes no
+    fold. A vertex's last plane is its table, a view into its own segment or
+    its group's fold result when every vertex there is finished, else a
+    copy, so no table keeps the rows of unfinished vertices alive. The
+    counter is the per-fold closed form summed in the one-child-at-a-time
+    order. No suffix-minimum (dyp0) table is kept: each fold derives the
+    ones it reads from the child tables.
     """
     children = tree.child_order
+    op = np.maximum if objective is Objective.EGALITARIAN else np.add
     dyp1: list = [None] * tree.n
+    pad = np.empty((1, rows.shape[1]), dtype=rows.dtype)
+    pad.fill(inf)
     merges = 0
     for level in _height_levels(tree):
-        for v in level:  # dyp1[v] holds v's plane until its last child is folded
-            dyp1[v] = rows[v : v + 1]
-        active = [v for v in level if children[v]]
-        j = 1
+        for v in level:
+            if not children[v]:
+                dyp1[v] = rows[v : v + 1]
+        ones = [v for v in level if len(children[v]) == 1]
+        active = [v for v in level if len(children[v]) > 1]
+        if ones or active:
+            merges += _first_folds(rows, dyp1, ones + active, len(ones), children, k, op, pad, inf)
+        j = 2
         while active:
+            if len(active) == 1:
+                v = active[0]
+                merges += _fold_lone(dyp1, v, children[v][: 1 - j], k, op, inf)
+                break
             groups: dict[tuple[int, int], tuple[list, list]] = {}
             for v in active:
                 u = children[v][-j]
@@ -240,6 +337,69 @@ def _dp_tables(rows, tree: RootedTree, k: int, objective: Objective, inf: int):
             j += 1
             active = [v for v in active if len(children[v]) >= j]
     return dyp1, merges
+
+
+# rows of a lone vertex's padded stack of child tables: bounds the memory its
+# log rounds hold at once, a few times this many rows of m entries
+_RUN_ROWS = 1024
+
+
+def _slots(count: int) -> int:
+    """The power of two a stack of ``count`` pieces is filled up to."""
+    return 1 << (count - 1).bit_length()
+
+
+def _fold_lone(dyp1, v, kids, k: int, op, inf: int) -> int:
+    """Fold the children ``kids`` into v's plane, their pieces combined in log rounds.
+
+    The values are those of folding the children one at a time, last to
+    first (the convolution is associative and commutative), and the counter
+    is summed from that order's fold sizes. Longest first, the children
+    form runs whose padded stack holds at most twice their rows and at most
+    ``_RUN_ROWS`` rows: one run on most vertices, a new one where the
+    tables get short or the vertex is very wide. A run's tables are
+    stacked, padded with ``inf`` rows to the longest, and the stack is
+    filled up to a power of two with identity pieces (0 at budget 0,
+    ``inf`` above it); one ``_pieces`` call builds every piece, each round
+    folds the first half of the pieces into the second half with one
+    ``_fold`` call, and the last piece is folded into the plane.
+    """
+    rows, merges = len(dyp1[v]), 0
+    for u in reversed(kids):
+        child = len(dyp1[u])
+        bound = min(k, rows + child)
+        merges += _merge_iterations(rows, bound, child, min(child, bound - 1))
+        rows = bound
+    plane = dyp1[v]
+    tables = sorted((dyp1[u] for u in kids), key=len, reverse=True)
+    start = 0
+    while start < len(tables):
+        longest = len(tables[start])
+        stop, held = start + 1, longest
+        while stop < len(tables):
+            grown, child = stop + 1 - start, len(tables[stop])
+            if grown * longest > 2 * (held + child) or _slots(grown) * longest > _RUN_ROWS:
+                break
+            held += child
+            stop += 1
+        count = stop - start
+        if count == 1:
+            stack = tables[start][None]
+        else:
+            stack = np.empty((_slots(count), longest, plane.shape[1]), dtype=plane.dtype)
+            stack.fill(inf)
+            for slot, table in zip(stack, tables[start:stop]):
+                slot[: len(table)] = table
+        pieces = _pieces(stack, k, inf, plane.dtype)
+        del stack
+        pieces[count:, 0] = 0
+        while len(pieces) > 1:
+            half = len(pieces) // 2
+            pieces = _fold(pieces[:half], pieces[half:], min(k, 2 * pieces.shape[1] - 1), op, inf)
+        plane = _fold(plane, pieces[0], min(k, len(plane) + held), op, inf)
+        start = stop
+    dyp1[v] = plane
+    return merges
 
 
 def solve_tree_dp(
@@ -286,6 +446,33 @@ def solve_tree_dp(
     return SolveResult.from_committee(profile, {inverse[c] for c in set(rep)}, "tree-dp", stats)
 
 
+def _fold_column(rest, pair, k: int, op, inf: int):
+    """Column 0 of ``merge_child_plane`` on a (rows, 2) plane, from its column 0 alone.
+
+    ``rest`` is the plane's column at candidate c, and ``pair`` the child's
+    column c and its minimum above c (no second column at c = m - 1). The
+    pieces are one vector, min(SAME, DIFF shifted by one budget), and their
+    outer op with ``rest`` is written into an ``inf``-padded (rows, pieces +
+    rows) buffer; read with one row fewer per line, the buffer puts each
+    anti-diagonal (one new budget) in a column, so one minimum over rows
+    and the cap give the new column.
+    """
+    rows, child = len(rest), len(pair)
+    size = min(child, k - 1) + 1
+    piece = np.empty(size, dtype=pair.dtype)
+    piece[-1] = inf  # the DIFF-only piece when child < k
+    piece[:child] = pair[:, 0]
+    if pair.shape[1] > 1:
+        np.minimum(piece[1:], pair[: size - 1, 1], out=piece[1:])
+    width = size + rows - 1
+    buf = np.empty((rows, width + 1), dtype=pair.dtype)
+    buf.fill(inf)
+    op(rest[:, None], piece, out=buf[:, :size])
+    skewed = buf.reshape(-1)[: rows * width].reshape(rows, width)
+    new = skewed[:, : min(k, rows + child)].min(axis=0)
+    return np.minimum(new, inf, out=new)
+
+
 def _reconstruct(rows, tree, k, objective, dyp1, l_star, inf):
     """Walk the tables back into per-voter representatives.
 
@@ -294,23 +481,26 @@ def _reconstruct(rows, tree, k, objective, dyp1, l_star, inf):
     first child are rebuilt at the candidate c the vertex ended up with.
     Each child contributes two columns, its table at c (SAME) and its
     minimum above c (DIFF), one ``np.minimum.reduceat`` per child;
-    ``merge_child_plane`` folds the later children's columns into v's own,
-    last child first, exactly as the sweep did, and column 0 of each result
-    is the vector at c (at c = m - 1 there is one column, so no DIFF piece
-    enters). Child by child, the walk scans the child's SAME and DIFF splits
-    against the rest of the fold and takes the first minimum: SAME before
-    DIFF, then the smallest child budget. The last child's rest is v's own
-    entry, so its scan reads two table entries, SAME with budget l and then
-    DIFF with budget l - 1 (none at c = m - 1), and a vertex with one child
-    makes no fold and no ``reduceat``. The minimum must equal the value the
-    walk carries (the vertex's table entry for its first child, then the
-    rest entry the previous split chose), or the tables are inconsistent. A
-    state whose candidate is only bounded below by c (the suffix minimum,
-    derived here) resolves to the smallest attaining candidate, the first
-    minimum of its table row from c on; it is resolved when pushed, so every
-    stack entry holds a vertex's final candidate.
+    ``_fold_column`` folds the later children's columns into v's own entry,
+    last child first, as the sweep's fold does at column c and with the same
+    values (at c = m - 1 there is one column, so no DIFF piece enters). Each
+    refold is one skewed convolution of two vectors, a fixed number of numpy
+    calls whatever the rows. Child by child, the walk scans the child's SAME
+    and DIFF splits against the rest of the fold and takes the first
+    minimum: SAME before DIFF, then the smallest child budget. The last
+    child's rest is v's own entry, so its scan reads two table entries, SAME
+    with budget l and then DIFF with budget l - 1 (none at c = m - 1), and a
+    vertex with one child makes no fold and no ``reduceat``. The minimum
+    must equal the value the walk carries (the vertex's table entry for its
+    first child, then the rest entry the previous split chose), or the
+    tables are inconsistent. A state whose candidate is only bounded below
+    by c (the suffix minimum, derived here) resolves to the smallest
+    attaining candidate, the first minimum of its table row from c on; it is
+    resolved when pushed, so every stack entry holds a vertex's final
+    candidate.
     """
     op = max if objective is Objective.EGALITARIAN else add
+    fold_op = np.maximum if objective is Objective.EGALITARIAN else np.add
     m = rows.shape[1]
     rep = [0] * tree.n
     # (vertex, subtree budget, candidate)
@@ -329,10 +519,10 @@ def _reconstruct(rows, tree, k, objective, dyp1, l_star, inf):
         if len(children) > 1:
             starts = [c, c + 1][: m - c]
             pairs = [np.minimum.reduceat(dyp1[u], starts, axis=1) for u in children]
-            fold = rows[v : v + 1, c : c + 2]
+            fold = rows[v, c : c + 1]
             for pair in reversed(pairs[1:]):
-                fold, _ = merge_child_plane(fold, pair, k, objective, inf=inf)
-                rests.append(fold[:, 0].tolist())
+                fold = _fold_column(fold, pair, k, fold_op, inf)
+                rests.append(fold.tolist())
             rests.reverse()  # rests[i] now covers the children after child i, plus v
         carried = int(dyp1[v][l - 1, c])
         for u, pair, rest in zip(children, pairs, rests):

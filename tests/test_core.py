@@ -241,6 +241,16 @@ def test_line_validates_order():
         Line(())
 
 
+def test_line_order_array_is_converted_once_and_read_only():
+    line = Line((2, 0, 1))
+    array = line.order_array
+    assert array.tolist() == [2, 0, 1] and array.dtype == np.int64
+    assert line.order_array is array  # every route on this line reuses it
+    with pytest.raises(ValueError):
+        array[0] = 1
+    assert line == Line((2, 0, 1)) and hash(line) == hash(Line((2, 0, 1)))
+
+
 def test_tree_from_parent_and_paths():
     #     0
     #    / \

@@ -516,34 +516,159 @@ def test_level_sweep_tables_equal_the_reference(shape, rho):
             assert_tables_match_reference(profile, tree, k, objective)
 
 
-@pytest.mark.parametrize("height", [2, 3, 5])
-def test_rounds_fold_a_perfect_binary_level_in_two_calls(monkeypatch, height):
-    """Round j folds every vertex's j-th child from the last in one call per
-    table shape, and all vertices of one level of a perfect binary tree share
-    their shapes: two calls per internal level. Only the sweep's calls count;
-    the walk refolds with the same function."""
-    rng = random.Random(263)
-    n = 2**height - 1
-    pool = [shuffled(rng, 4) for _ in range(3)]
-    profile = PreferenceProfile.from_rankings(tuple(rng.choice(pool) for _ in range(n)))
-    calls = []
-    merge, dp_tables = tree_solver.merge_child_plane, tree_solver._dp_tables
+def count_sweep_folds(monkeypatch):
+    """Record every ``_fold`` call of the sweep (its batch size) and every
+    ``merge_child_plane`` call (its plane's rows); the walk is not counted."""
+    folds, merges = [], []
+    fold, merge = tree_solver._fold, tree_solver.merge_child_plane
+    dp_tables = tree_solver._dp_tables
 
-    def counted(plane, *rest, **kw):
-        calls.append(np.shape(plane)[0])
+    def counted_fold(a, *rest):
+        folds.append(a.shape[0] if a.ndim == 3 else 1)
+        return fold(a, *rest)
+
+    def counted_merge(plane, *rest, **kw):
+        merges.append(np.shape(plane)[-2])
         return merge(plane, *rest, **kw)
 
     def sweep_counted(*args):
         with monkeypatch.context() as patch:
-            patch.setattr(tree_solver, "merge_child_plane", counted)
+            patch.setattr(tree_solver, "_fold", counted_fold)
+            patch.setattr(tree_solver, "merge_child_plane", counted_merge)
             return dp_tables(*args)
 
     monkeypatch.setattr(tree_solver, "_dp_tables", sweep_counted)
+    return folds, merges
+
+
+@pytest.mark.parametrize("height", [2, 3, 5])
+def test_perfect_binary_levels_fold_once_past_the_flat_pass(monkeypatch, height):
+    """First folds run in the flat pass, which folds nothing through ``_fold``.
+    Round 2 then folds every vertex of an internal level in one call, since
+    they share their shapes, and the lone root's one later child is one fold:
+    one call per internal level, covering every internal vertex once."""
+    rng = random.Random(263)
+    n = 2**height - 1
+    pool = [shuffled(rng, 4) for _ in range(3)]
+    profile = PreferenceProfile.from_rankings(tuple(rng.choice(pool) for _ in range(n)))
+    folds, merges = count_sweep_folds(monkeypatch)
     for objective in Objective:
-        calls.clear()
+        folds.clear()
+        merges.clear()
         assert_matches_reference(profile, complete_binary_tree(n), 2, objective)
-        assert len(calls) == 2 * (height - 1)
-        assert sum(calls) == n - 1  # every vertex but the root folded once
+        assert len(folds) == height - 1
+        assert sum(folds) == (n - 1) // 2
+        assert 1 not in merges  # no call folds a one-row plane
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5, 9, 30, 33])
+def test_star_center_folds_in_log_rounds(monkeypatch, degree):
+    """A star's center is alone on its level: after the flat pass, its other
+    degree - 1 leaves are combined in ceil(log2(degree - 1)) rounds and folded
+    into its plane once, not folded one call per leaf. Tables and the
+    counter equal the one-leaf-at-a-time reference."""
+    rng = random.Random(269)
+    n = degree + 1
+    pool = [shuffled(rng, 4) for _ in range(3)]
+    profile = PreferenceProfile.from_rankings(tuple(rng.choice(pool) for _ in range(n)))
+    folds, merges = count_sweep_folds(monkeypatch)
+    for k in sorted({2, min(5, n - 1), n - 1}):
+        for objective in Objective:
+            folds.clear()
+            merges.clear()
+            assert_tables_match_reference(profile, star_tree(n), k, objective)
+            assert len(folds) == (degree - 2).bit_length() + 1
+            assert not merges
+
+
+@pytest.mark.parametrize("leaves, path", [(1100, 0), (40, 6)])
+def test_wide_vertex_runs_bound_the_padded_stack(monkeypatch, leaves, path):
+    """A lone vertex's children are stacked in runs: a new run starts where
+    the tables get short (a k-row path next to one-row leaves) or the stack
+    would pass ``_RUN_ROWS`` rows (over a thousand leaves). Tables and the
+    counter still equal the one-child-at-a-time reference."""
+    rng = random.Random(281)
+    parent = [None] + list(range(path))  # the root's first child heads the path
+    parent += [0] * leaves
+    tree = RootedTree.from_parent(tuple(parent), 0)
+    n, m = len(parent), 3
+    pool = [shuffled(rng, m) for _ in range(3)]
+    profile = PreferenceProfile.from_rankings(tuple(rng.choice(pool) for _ in range(n)))
+    steps = [sorted(rng.randint(0, 2) for _ in range(m)) for _ in range(n)]
+    profile = with_rho(profile, lambda v, p: steps[v][p])
+    runs = []
+    pieces = tree_solver._pieces
+
+    def counted(stack, *rest):
+        runs.append(stack.shape)
+        return pieces(stack, *rest)
+
+    inverse = reference_ranking(profile, tree)
+    inf = n * int(profile.scaled.max()) + 1
+    rows = profile.scaled[:, list(inverse)].astype(int_dtype(2 * inf), copy=False)
+    for objective in Objective:
+        runs.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(tree_solver, "_pieces", counted)
+            _dp_tables(rows, tree, 4, objective, inf)
+        assert len(runs) >= 2
+        assert all(slots * height <= tree_solver._RUN_ROWS for slots, height, _ in runs)
+        assert_tables_match_reference(profile, tree, 4, objective)
+
+
+def mixed_boundary_tree(rng, n, k):
+    """A random recursive tree whose child lists end, at random, in a path of
+    k vertices (a k-row table) or a leaf (a one-row table)."""
+    parent = [None]
+    while len(parent) < n:
+        p = rng.randrange(len(parent))
+        hang = k if rng.random() < 0.4 else 1
+        for _ in range(min(hang, n - len(parent))):
+            parent.append(p)
+            p = len(parent) - 1
+    return RootedTree.from_parent(tuple(parent), 0)
+
+
+def flat_pass_segments(tree, k):
+    """Per level, the table heights of the non-leaf vertices' last children,
+    in the flat pass's order: one-child vertices first."""
+    size, _ = subtree_sizes(tree)
+    children = tree.child_order
+    out = []
+    for level in tree_solver._height_levels(tree):
+        inner = [v for v in level if len(children[v]) == 1]
+        inner += [v for v in level if len(children[v]) > 1]
+        out.append([min(k, size[children[v][-1]]) for v in inner])
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_flat_pass_segments_of_k_rows_meet_shorter_ones(k):
+    """A k-row segment of the flat pass has no DIFF-only row after it, so its
+    suffix minima must not reach the next segment's first row; levels that
+    mix k-row and shorter last children keep every table equal to the
+    vertex-by-vertex reference, under both objectives and on every rho."""
+    rng = random.Random(271 + k)
+    mixed = 0
+    for trial in range(60):
+        n, m = rng.randint(8, 30), rng.randint(2, 5)
+        tree = mixed_boundary_tree(rng, n, k)
+        pool = [shuffled(rng, m) for _ in range(3)]
+        profile = PreferenceProfile.from_rankings(tuple(rng.choice(pool) for _ in range(n)))
+        rho = trial % 4
+        if rho == 1:
+            profile = with_rho(profile, lambda v, p: 0)
+        elif rho == 2:
+            steps = [sorted(rng.randint(0, 2) for _ in range(m)) for _ in range(n)]
+            profile = with_rho(profile, lambda v, p: steps[v][p])
+        elif rho == 3:
+            profile = with_rho(profile, lambda v, p: p * 2**70)
+        for heights in flat_pass_segments(tree, k):
+            # a k-row segment followed by another segment, next to a shorter one
+            mixed += k in heights[:-1] and min(heights) < k
+        for objective in Objective:
+            assert_tables_match_reference(profile, tree, k, objective)
+    assert mixed >= 15
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +774,37 @@ def reference_floating_walk(rows, tree, k, objective, dyp1, l_star, inf):
                 l = l - t
             carried = rest[l - 1]
     return rep
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("big", [1, 2**70], ids=["int64", "object"])
+def test_column_refold_is_column_zero_of_the_plane_fold(objective, big):
+    """The walk's refold equals column 0 of ``merge_child_plane`` on (rows, 2)
+    inputs, and on (rows, 1) inputs at c = m - 1, where no DIFF piece enters."""
+    rng = random.Random(277)
+    inf = (7 * 20 + 1) * big
+    dtype = np.int64 if big == 1 else object
+    op = np.maximum if objective is Objective.EGALITARIAN else np.add
+    truncated = 0
+    for trial in range(300):
+        k = rng.randint(1, 12)
+        rows, child = rng.randint(1, k), rng.randint(1, k)
+        columns = 1 if trial % 4 == 0 else 2  # 1: the candidate c = m - 1
+
+        def column_pair(n_rows):
+            return np.array(
+                [[inf if rng.random() < 0.15 else big * rng.randint(0, 20) for _ in range(columns)]
+                 for _ in range(n_rows)],
+                dtype=dtype,
+            )
+
+        plane, pair = column_pair(rows), column_pair(child)
+        want, _ = merge_child_plane(plane, pair, k, objective, inf=inf)
+        got = tree_solver._fold_column(plane[:, 0].copy(), pair, k, op, inf)
+        assert got.dtype == dtype
+        assert got.tolist() == want[:, 0].tolist(), (trial, k, rows, child)
+        truncated += rows + child > k
+    assert truncated > 50
 
 
 def tie_heavy_tree_instance(rng, trial):
