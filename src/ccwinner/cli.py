@@ -11,11 +11,12 @@ A cold ``ccwinner solve`` pays for every module it imports, and compiles
 each from source when Python writes no bytecode. So only `core`, `errors`
 and `validation` are imported with this module. The solver, generator,
 ``ProcessPoolExecutor`` and ``csv`` names resolve on first use, through the
-``_LAZY`` table and the module ``__getattr__``, and a solve imports the one
-solver module its route calls. These names stay attributes of this module,
-and commands call them through `_lazy`, which reads the module's current
-binding: tests patch them, and the benchmark's tracer wraps the solver
-names to time each layer. A function-local import would bypass both.
+module ``__getattr__`` and a ``_LAZY`` table that extends the package's own
+with the few names only commands use, and a solve imports the one solver
+module its route calls. These names stay attributes of this module, and
+commands read them as attributes of the module object, so a call uses the
+current binding: tests patch them, and the benchmark's tracer wraps the
+solver names to time each layer. A function-local import would bypass both.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import _LAZY as _EXPORTED
 from .core import (
     Grid,
     Line,
@@ -53,33 +55,17 @@ from .errors import (
 )
 from .validation import check_consistency, check_structure
 
-# name -> module, for the names imported on first use; a name equal to its
-# module's is the module itself
+# name -> module, for the names imported on first use: the package's table
+# plus the helpers and standard modules only commands use; a name equal to
+# its module's is the module itself
 _LAZY = {
-    name: module
-    for module, names in {
-        ".generators": ("gen_sc_grid", "gen_sc_line", "gen_sc_tree", "gen_star_instance"),
-        ".grid_solver": (
-            "build_grid_prefix",
-            "check_laminar_conjecture",
-            "rect_cost",
-            "solve_grid_bicriterial",
-            "solve_grid_laminar",
-        ),
-        ".line_solver": (
-            "build_prefix_sums",
-            "check_concave_monge",
-            "merge_identical_voters",
-            "solve_line_dp",
-            "solve_line_egal_threshold",
-            "solve_line_klink",
-        ),
-        ".oracle": ("brute_force",),
-        ".tree_solver": ("solve_tree_dp",),
-        "concurrent.futures": ("ProcessPoolExecutor",),
-        "csv": ("csv",),
-    }.items()
-    for name in names
+    **_EXPORTED,
+    "build_grid_prefix": ".grid_solver",
+    "rect_cost": ".grid_solver",
+    "build_prefix_sums": ".line_solver",
+    "merge_identical_voters": ".line_solver",
+    "ProcessPoolExecutor": "concurrent.futures",
+    "csv": "csv",
 }
 
 
@@ -94,12 +80,8 @@ def __getattr__(name: str):
     return value
 
 
-def _lazy(name: str):
-    """The module attribute ``name`` as ``cli.name`` reads it: a patched or traced name is used."""
-    try:
-        return globals()[name]
-    except KeyError:
-        return __getattr__(name)
+# commands read the lazy names as attributes of this module, at call time
+_this = sys.modules[__name__]
 
 
 SCHEMA_VERSION = 1
@@ -564,7 +546,7 @@ def _solve_merged(profile, line, objective: Objective, solve, *args) -> SolveRes
     computed on the full profile, since the maximum of a summed row is no
     single voter's misrepresentation.
     """
-    merged = _lazy("merge_identical_voters")(profile, line, objective)
+    merged = _this.merge_identical_voters(profile, line, objective)
     inner = solve(merged, Line(tuple(range(merged.n))), *args)
     stats = {**inner.stats, "compressed_n": merged.n}
     return SolveResult.from_committee(profile, inner.assignment.committee, inner.algorithm, stats)
@@ -587,18 +569,17 @@ def _dispatch(profile, structure, algorithm: str, objective: Objective, k: int) 
 
     if algorithm == "line-dp":
         need(Line, "line")
-        return _solve_merged(profile, structure, objective, _lazy("solve_line_dp"), k, objective)
+        return _solve_merged(profile, structure, objective, _this.solve_line_dp, k, objective)
     if algorithm == "line-klink":
         need(Line, "line")
         if objective is Objective.EGALITARIAN:
             # no egalitarian k-link route exists; threshold search is the
             # egalitarian line algorithm, so hand over rather than refuse
-            solve = _lazy("solve_line_egal_threshold")
-            return _solve_merged(profile, structure, objective, solve, k)
-        return _solve_merged(profile, structure, objective, _lazy("solve_line_klink"), k)
+            return _solve_merged(profile, structure, objective, _this.solve_line_egal_threshold, k)
+        return _solve_merged(profile, structure, objective, _this.solve_line_klink, k)
     if algorithm == "tree-dp":
         need(RootedTree, "tree")
-        return _lazy("solve_tree_dp")(profile, structure, k, objective)
+        return _this.solve_tree_dp(profile, structure, k, objective)
     if algorithm in ("grid-laminar", "grid-bicriterial"):
         need(Grid, "grid")
         if objective is Objective.EGALITARIAN:
@@ -606,12 +587,12 @@ def _dispatch(profile, structure, algorithm: str, objective: Objective, k: int) 
                 "egalitarian grid solving is not offered; use --objective utilitarian"
             )
         if algorithm == "grid-bicriterial":
-            return _lazy("solve_grid_bicriterial")(profile, structure, k)
-        result, tiling = _lazy("solve_grid_laminar")(profile, structure, k)
+            return _this.solve_grid_bicriterial(profile, structure, k)
+        result, tiling = _this.solve_grid_laminar(profile, structure, k)
         result.stats["tiling"] = tuple((r.i0, r.i1, r.j0, r.j1) for r in tiling.rects)
         result.stats["reps"] = tiling.reps
         return result
-    return _lazy("brute_force")(profile, k, objective, budget=_env_budget() or 10**7)
+    return _this.brute_force(profile, k, objective, budget=_env_budget() or 10**7)
 
 
 def cmd_solve(args) -> int:
@@ -648,17 +629,15 @@ def cmd_solve(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.structure == "line":
-        profile, structure = _lazy("gen_sc_line")(
-            args.seed, args.n, args.m, max_swaps=args.max_swaps
-        )
+        profile, structure = _this.gen_sc_line(args.seed, args.n, args.m, max_swaps=args.max_swaps)
     elif args.structure == "tree":
-        profile, structure = _lazy("gen_sc_tree")(
+        profile, structure = _this.gen_sc_tree(
             args.seed, args.n, args.m, max_edge_swaps=args.max_edge_swaps
         )
     elif args.structure == "star":
-        profile, structure = _lazy("gen_star_instance")(args.n)
+        profile, structure = _this.gen_star_instance(args.n)
     else:
-        profile, structure = _lazy("gen_sc_grid")(
+        profile, structure = _this.gen_sc_grid(
             args.seed, args.n1, args.n2, args.m, mode=args.mode, edits=args.edits
         )
     _write_json(instance_to_doc(profile, structure, k=args.k), args.out)
@@ -682,7 +661,7 @@ def _check_monge(args) -> int:
         if not isinstance(structure, Line):
             print("check --mode monge: needs a line instance", file=sys.stderr)
             return 2
-        violation = _lazy("check_concave_monge")(_lazy("build_prefix_sums")(profile, structure))
+        violation = _this.check_concave_monge(_this.build_prefix_sums(profile, structure))
         if violation is not None:
             print(f"monge violation at segment pair (i={violation[0] + 1}, j={violation[1] + 1})")
             return 1
@@ -693,8 +672,8 @@ def _check_monge(args) -> int:
     for trial in range(args.instances):
         n = rng.randint(3, args.n_max)
         m = rng.randint(2, args.m_max)
-        profile, line = _lazy("gen_sc_line")(args.seed + trial, n, m)
-        if _lazy("check_concave_monge")(_lazy("build_prefix_sums")(profile, line)) is not None:
+        profile, line = _this.gen_sc_line(args.seed + trial, n, m)
+        if _this.check_concave_monge(_this.build_prefix_sums(profile, line)) is not None:
             violations += 1
     print(f"monge sweep: {args.instances} instances, {violations} violations")
     return 0 if violations == 0 else 1
@@ -702,13 +681,13 @@ def _check_monge(args) -> int:
 
 def _conjecture_worker(task):
     seed, n1, n2, k, m, budget = task
-    profile, grid = _lazy("gen_sc_grid")(seed, n1, n2, m)
-    counterexample = _lazy("check_laminar_conjecture")(profile, grid, k, budget=budget)
+    profile, grid = _this.gen_sc_grid(seed, n1, n2, m)
+    counterexample = _this.check_laminar_conjecture(profile, grid, k, budget=budget)
     if counterexample is None:
         return seed, n1, n2, k, m, True, 0, None
-    laminar = _lazy("solve_grid_laminar")(profile, grid, k)[0].total_cost
-    prefix = _lazy("build_grid_prefix")(profile, grid)
-    best = sum(_lazy("rect_cost")(prefix, r)[0] for r in counterexample.rects)
+    laminar = _this.solve_grid_laminar(profile, grid, k)[0].total_cost
+    prefix = _this.build_grid_prefix(profile, grid)
+    best = sum(_this.rect_cost(prefix, r)[0] for r in counterexample.rects)
     witness = {
         "rects": [[r.i0 + 1, r.i1 + 1, r.j0 + 1, r.j1 + 1] for r in counterexample.rects],
         "reps": [c + 1 for c in counterexample.reps],
@@ -736,7 +715,7 @@ def _check_conjecture(args) -> int:
     if args.jobs > 1:
         # under the fork start method the pool starts every worker at its first
         # submit, so it gets no more workers than there are tasks
-        with _lazy("ProcessPoolExecutor")(max_workers=min(args.jobs, len(tasks))) as pool:
+        with _this.ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_conjecture_worker, tasks))
     else:
         rows = [_conjecture_worker(t) for t in tasks]
@@ -744,7 +723,7 @@ def _check_conjecture(args) -> int:
     counterexamples = [row for row in rows if not row[5]]
     if args.out:
         table = io.StringIO()
-        writer = _lazy("csv").writer(table)
+        writer = _this.csv.writer(table)
         writer.writerow(["seed", "n1", "n2", "k", "m", "holds", "gap"])
         for seed, n1, n2, k, m, holds, gap, _ in rows:
             writer.writerow([seed, n1, n2, k, m, holds, gap])
@@ -765,24 +744,24 @@ def _fit_slope(xs, ys) -> float:
 
 
 def _run_line(seed, n, m, k):
-    profile, line = _lazy("gen_sc_line")(seed, n, m)
+    profile, line = _this.gen_sc_line(seed, n, m)
     t0 = time.perf_counter()
-    result = _lazy("solve_line_dp")(profile, line, k)
+    result = _this.solve_line_dp(profile, line, k)
     return time.perf_counter() - t0, result.stats["states"]
 
 
 def _run_tree(seed, n, m, k):
-    profile, tree = _lazy("gen_sc_tree")(seed, n, m)
+    profile, tree = _this.gen_sc_tree(seed, n, m)
     t0 = time.perf_counter()
-    result = _lazy("solve_tree_dp")(profile, tree, k)
+    result = _this.solve_tree_dp(profile, tree, k)
     return time.perf_counter() - t0, result.stats["states"]
 
 
 def _run_grid(seed, n, m, k):
     # n doubles the column count; three rows keep the DP table affordable
-    profile, grid = _lazy("gen_sc_grid")(seed, 3, n, m)
+    profile, grid = _this.gen_sc_grid(seed, 3, n, m)
     t0 = time.perf_counter()
-    result, _ = _lazy("solve_grid_laminar")(profile, grid, k)
+    result, _ = _this.solve_grid_laminar(profile, grid, k)
     return time.perf_counter() - t0, result.stats["dp_cells"]
 
 

@@ -10,7 +10,6 @@ immutable and safe to share.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -191,9 +190,10 @@ class PreferenceProfile:
     table itself under the identity index, otherwise gathered by index the
     first time one is read, then cached (``scaled`` is ``pos`` under Borda).
     The line route (consistency and single-crossing checks, the
-    identical-voter merge, favorites and costs) reads the table and index
-    directly, so on a compact Borda line instance no per-voter array is
-    built; the tree and grid solvers read the per-voter views.
+    identical-voter merge, favorites and costs) and the tree single-crossing
+    check read the table and index directly, so on a compact Borda line
+    instance no per-voter array is built; the tree and grid solvers and the
+    grid check read the per-voter views.
 
     ``rankings`` and ``rho`` are tuple views (ints, and Fractions where a
     value is not integral), built on first access and cached. Consistency
@@ -379,12 +379,17 @@ class RootedTree:
     """A rooted tree on the voters with an explicit ordering of children.
 
     ``parent[v]`` is None exactly for the root; ``child_order[v]`` lists
-    v's children in the order solvers process them.
+    v's children in the order solvers process them. ``order``, derived by
+    the constructor's reachability sweep, lists the vertices breadth-first
+    from the root in ``child_order``, so each vertex follows its parent;
+    passes that need such an order read it instead of walking the tree
+    again. It takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     parent: tuple[Optional[int], ...]
     root: int
     child_order: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         parent = tuple(self.parent)
@@ -406,21 +411,17 @@ class RootedTree:
         for v in range(n):
             if sorted(child_order[v]) != children[v]:
                 raise NotATree(f"child_order of vertex {v} does not match the parent links")
-        # A reachability sweep from the root rejects cycles and disconnections.
-        seen = [False] * n
-        queue = deque([self.root])
-        seen[self.root] = True
-        while queue:
-            v = queue.popleft()
-            for u in child_order[v]:
-                if seen[u]:
-                    raise NotATree("parent links contain a cycle")
-                seen[u] = True
-                queue.append(u)
-        if not all(seen):
+        # Every vertex but the root is now the child of exactly one vertex, so
+        # the sweep from the root meets each vertex at most once; a cycle
+        # among the parent links leaves its vertices unreachable.
+        order = [self.root]
+        for v in order:
+            order.extend(child_order[v])
+        if len(order) != n:
             raise NotATree("parent links leave vertices unreachable from the root")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "child_order", child_order)
+        object.__setattr__(self, "order", tuple(order))
 
     @classmethod
     def from_parent(cls, parent: Sequence[Optional[int]], root: int) -> "RootedTree":
@@ -438,12 +439,8 @@ class RootedTree:
 
     def depths(self) -> list[int]:
         depth = [0] * self.n
-        queue = deque([self.root])
-        while queue:
-            v = queue.popleft()
-            for u in self.child_order[v]:
-                depth[u] = depth[v] + 1
-                queue.append(u)
+        for v in self.order[1:]:
+            depth[v] = depth[self.parent[v]] + 1
         return depth
 
     def path(self, u: int, w: int) -> list[int]:

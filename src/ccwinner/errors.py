@@ -10,7 +10,7 @@ class InvalidK(CCWinnerError, ValueError):
 
 
 class InvalidN(CCWinnerError, ValueError):
-    """Instance size parameter out of range."""
+    """Instance size parameter out of range, or a structure and a profile disagree on it."""
 
 
 class NotSingleCrossing(CCWinnerError, ValueError):

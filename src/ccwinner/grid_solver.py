@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .core import Assignment, Grid, PreferenceProfile, SolveResult, int_dtype, to_rho_units
-from .errors import BudgetExceeded, IncompleteTilings, InvalidK, InvalidTiling
+from .errors import BudgetExceeded, IncompleteTilings, InvalidK, InvalidN, InvalidTiling
 
 __all__ = [
     "Rect",
@@ -143,7 +143,7 @@ class GridPrefix:
 
 def build_grid_prefix(profile: PreferenceProfile, grid: Grid) -> GridPrefix:
     if profile.n != grid.n:
-        raise ValueError(f"grid has {grid.n} cells, profile has {profile.n} voters")
+        raise InvalidN(f"grid has {grid.n} cells, profile has {profile.n} voters")
     n1, n2, m = grid.n1, grid.n2, profile.m
     dtype = int_dtype(grid.n * int(profile.scaled.max()))
     cells = profile.scaled.astype(dtype, copy=False).reshape(n1, n2, m).transpose(2, 0, 1)

@@ -48,7 +48,7 @@ from .core import (
     reference_ranking,
     to_rho_units,
 )
-from .errors import InvalidK, NotSingleCrossing
+from .errors import InvalidK, InvalidN, NotSingleCrossing
 
 __all__ = [
     "PrefixSums",
@@ -67,7 +67,7 @@ __all__ = [
 def _line(profile: PreferenceProfile, order) -> Line:
     line = order if isinstance(order, Line) else Line(tuple(order))
     if line.n != profile.n:
-        raise ValueError(f"order covers {line.n} voters, profile has {profile.n}")
+        raise InvalidN(f"order covers {line.n} voters, profile has {profile.n}")
     return line
 
 

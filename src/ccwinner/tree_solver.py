@@ -63,7 +63,7 @@ from .core import (
     int_dtype,
     reference_ranking,
 )
-from .errors import InconsistentTables, InvalidK
+from .errors import InconsistentTables, InvalidK, InvalidN
 
 __all__ = ["subtree_sizes", "merge_child_plane", "solve_tree_dp"]
 
@@ -79,15 +79,8 @@ def subtree_sizes(tree: RootedTree):
     """
     n = tree.n
     size = [1] * n
-    order: list[int] = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(tree.child_order[v])
-    for v in reversed(order):
-        for u in tree.child_order[v]:
-            size[v] += size[u]
+    for v in reversed(tree.order[1:]):  # children before their parent
+        size[tree.parent[v]] += size[v]
     partial = []
     for v in range(n):
         acc = [1]
@@ -204,19 +197,13 @@ def _batch(tables, keys):
 
 def _height_levels(tree: RootedTree) -> list[list[int]]:
     """Vertices by height: 0 for a leaf, else 1 + the largest child height."""
-    post: list[int] = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        post.append(v)
-        stack.extend(tree.child_order[v])
     height = [0] * tree.n
-    for v in reversed(post):  # children before their parent
+    for v in reversed(tree.order[1:]):  # children before their parent
         p = tree.parent[v]
-        if p is not None and height[p] <= height[v]:
+        if height[p] <= height[v]:
             height[p] = height[v] + 1
     levels: list[list[int]] = [[] for _ in range(height[tree.root] + 1)]
-    for v in reversed(post):
+    for v in tree.order:
         levels[height[v]].append(v)
     return levels
 
@@ -418,7 +405,7 @@ def solve_tree_dp(
     if k < 1:
         raise InvalidK(f"committee bound must be at least 1, got {k}")
     if tree.n != profile.n:
-        raise ValueError(f"tree covers {tree.n} voters, profile has {profile.n}")
+        raise InvalidN(f"tree covers {tree.n} voters, profile has {profile.n}")
     n, m = profile.n, profile.m
 
     if k >= n:

@@ -4,6 +4,12 @@ Each checker returns None when the property holds, otherwise the
 lexicographically first violation witness (ordered by candidate pair, then
 by position).  Witnesses are plain facts about the instance and can be
 re-verified independently of the checker.
+
+The line and tree checks share one flip count (`_first_twice_flipped`): a
+profile is single-crossing on a tree when every candidate pair flips on at
+most one edge, and a line is the path case. Voters sharing a table row
+cannot flip a pair, so it runs over table rows and the edges between
+different ones.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import Grid, Line, PreferenceProfile, RootedTree, line_runs
+from .errors import InvalidN
 
 
 class ConsistencyViolation(NamedTuple):
@@ -65,38 +72,51 @@ def check_consistency(profile: PreferenceProfile) -> Optional[ConsistencyViolati
     return ConsistencyViolation(v, int(rank[row, p]), int(rank[row, p + 1]))
 
 
+def _first_twice_flipped(pos: np.ndarray, tail, head):
+    """(a, b, flipped, prefers_a) for the first pair a < b flipping on two or more edges, or None.
+
+    ``pos[c]`` holds candidate c's rank position at each node, and edge e
+    joins nodes ``tail[e]`` and ``head[e]`` (index arrays or slices). One
+    pass per candidate a decides every pair (a, b > a) at once. ``flipped``
+    marks the edges the pair flips on, ``prefers_a`` the nodes preferring a.
+    """
+    for a in range(len(pos) - 1):
+        prefers_a = pos[a + 1 :] > pos[a]  # row b - a - 1 is the pair (a, b)
+        flipped = prefers_a[:, tail] != prefers_a[:, head]
+        twice = np.flatnonzero(flipped.sum(axis=1, dtype=np.int32) >= 2)
+        if len(twice):
+            row = int(twice[0])
+            return a, a + 1 + row, flipped[row], prefers_a[row]
+    return None
+
+
+def _narrow(table: np.ndarray) -> np.ndarray:
+    """Rank positions (< m) in the narrowest dtype that holds them."""
+    return table.astype(np.min_scalar_type(table.shape[1] - 1))
+
+
 def check_sc_line(profile: PreferenceProfile, line: Line) -> Optional[CrossingViolation]:
     """Single-crossing on a line: every candidate pair flips at most once.
 
-    One pass per candidate a decides every pair (a, b > a) at once. Voters
-    sharing a table row cannot flip a pair between them, so the pass runs
-    over the runs of equal index along the line (`line_runs`), and a flip
-    between two runs is the one between the last voter of the first and the
-    first voter of the second.
+    The flips are counted between the runs of equal index along the line
+    (`line_runs`); a flip between two runs is the one between the last voter
+    of the first and the first voter of the second.
     """
     if line.n != profile.n:
-        raise ValueError("line order and profile disagree on the number of voters")
-    m = profile.m
+        raise InvalidN("line order and profile disagree on the number of voters")
     starts, rows = line_runs(profile, line)
-    # row c: candidate c's rank position in each run, in the narrowest dtype
-    # that holds positions < m
-    pos = profile.table_pos.astype(np.min_scalar_type(m - 1))[rows]
-    pos = np.ascontiguousarray(pos.T)
-    for a in range(m - 1):
-        prefers_a = pos[a + 1 :] > pos[a]  # row b - a - 1 is the pair (a, b)
-        flipped = prefers_a[:, 1:] != prefers_a[:, :-1]
-        twice = np.flatnonzero(flipped.sum(axis=1, dtype=np.int32) >= 2)
-        if len(twice) == 0:
-            continue
-        row = int(twice[0])
-        b = a + 1 + row
-        f0, f1 = (int(f) for f in np.flatnonzero(flipped[row])[:2])
-        after0, after1 = int(starts[f0 + 1]), int(starts[f1 + 1])
-        v1, v2, v3 = (line.order[after0 - 1], line.order[after0], line.order[after1])
-        if prefers_a[row, f0]:
-            return CrossingViolation(a, b, v1, v2, v3)
-        return CrossingViolation(b, a, v1, v2, v3)
-    return None
+    # row c: candidate c's rank position in each run; gathered, then transposed
+    pos = np.ascontiguousarray(_narrow(profile.table_pos)[rows].T)
+    found = _first_twice_flipped(pos, slice(None, -1), slice(1, None))
+    if found is None:
+        return None
+    a, b, flipped, prefers_a = found
+    f0, f1 = (int(f) for f in np.flatnonzero(flipped)[:2])
+    after0, after1 = int(starts[f0 + 1]), int(starts[f1 + 1])
+    v1, v2, v3 = (line.order[after0 - 1], line.order[after0], line.order[after1])
+    if prefers_a[f0]:
+        return CrossingViolation(a, b, v1, v2, v3)
+    return CrossingViolation(b, a, v1, v2, v3)
 
 
 def _tree_side_violation(
@@ -133,35 +153,32 @@ def _tree_side_violation(
 def check_sc_tree(profile: PreferenceProfile, tree: RootedTree) -> Optional[CrossingViolation]:
     """Single-crossing on a tree: each pair's supporters induce a subtree.
 
-    Checked per candidate pair on both preference sides; equivalent to the
-    path formulation (no path may read c, c_other, c) and O(n) per pair.
+    Equivalent to the path formulation (no path may read c, c_other, c).
     Both sides of a pair induce subtrees exactly when the pair flips across
-    at most one tree edge (cutting e edges leaves e + 1 one-sided parts), so
-    one pass per candidate a counts the flipped edges of every pair
-    (a, b > a); the side test and witness search run on the first failing
-    pair only.
+    at most one tree edge (cutting e edges leaves e + 1 one-sided parts).
+    The flips are counted over the table rows, on the edges whose endpoints
+    have different rows; the side test and witness search run on the first
+    failing pair only, from that pair's two table columns.
     """
     if tree.n != profile.n:
-        raise ValueError("tree and profile disagree on the number of voters")
-    n, m = profile.n, profile.m
-    # row c: candidate c's rank position at each voter, in the narrowest
-    # dtype that holds positions < m
-    pos = np.ascontiguousarray(profile.pos.T, dtype=np.min_scalar_type(m - 1))
-    child = np.array([v for v in range(n) if v != tree.root], dtype=np.int64)
-    parent = np.array([tree.parent[v] for v in child.tolist()], dtype=np.int64)
-    at_child, at_parent = pos[:, child], pos[:, parent]
-    for a in range(m - 1):
-        # row b - a - 1: the edges whose endpoints disagree on the pair (a, b)
-        flipped = (at_child[a] < at_child[a + 1 :]) ^ (at_parent[a] < at_parent[a + 1 :])
-        failing = np.flatnonzero(flipped.sum(axis=1, dtype=np.int32) >= 2)
-        if len(failing) == 0:
-            continue
-        b = a + 1 + int(failing[0])
-        prefers_a = pos[a] < pos[b]
-        for c, c_other, inside in ((a, b, prefers_a), (b, a, ~prefers_a)):
-            witness = _tree_side_violation(tree, inside, child, parent)
-            if witness is not None:
-                return CrossingViolation(c, c_other, *witness)
+        raise InvalidN("tree and profile disagree on the number of voters")
+    root = tree.root
+    child = np.delete(np.arange(tree.n), root)
+    parent = np.array(tree.parent[:root] + tree.parent[root + 1 :], dtype=np.int64)
+    index = profile.index
+    at_child, at_parent = index[child], index[parent]
+    apart = at_child != at_parent
+    # row c: candidate c's rank position in each table row
+    pos = np.ascontiguousarray(_narrow(profile.table_pos).T)
+    found = _first_twice_flipped(pos, at_child[apart], at_parent[apart])
+    if found is None:
+        return None
+    a, b = found[:2]
+    prefers_a = (profile.table_pos[:, a] < profile.table_pos[:, b])[index]
+    for c, c_other, inside in ((a, b, prefers_a), (b, a, ~prefers_a)):
+        witness = _tree_side_violation(tree, inside, child, parent)
+        if witness is not None:
+            return CrossingViolation(c, c_other, *witness)
     return None
 
 
@@ -220,7 +237,7 @@ def check_sc_grid(profile: PreferenceProfile, grid: Grid) -> Optional[CrossingVi
     for all pairs (a, b > a) of one candidate a at once.
     """
     if grid.n != profile.n:
-        raise ValueError("grid shape and profile disagree on the number of voters")
+        raise InvalidN("grid shape and profile disagree on the number of voters")
     pos = profile.pos.reshape(grid.n1, grid.n2, -1)
     m = profile.m
     for a in range(m - 1):

@@ -277,12 +277,42 @@ def test_tree_accepts_nonzero_root(parent, root):
 
 
 def test_tree_rejects_cycles_and_orphans():
-    with pytest.raises(NotATree):
+    unreachable = "^parent links leave vertices unreachable from the root$"
+    with pytest.raises(NotATree, match=unreachable):
         RootedTree.from_parent((None, 2, 1), root=0)  # 1 <-> 2 cycle
-    with pytest.raises(NotATree):
+    with pytest.raises(NotATree, match=unreachable):
+        RootedTree((None, 2, 1, 0), 0, ((3,), (2,), (1,), ()))  # a cycle beside a reachable leaf
+    with pytest.raises(NotATree, match="^vertex 2 needs a parent inside the tree$"):
         RootedTree.from_parent((None, 0, None), root=0)  # second root
     with pytest.raises(NotATree):
         RootedTree((None, 0), 0, ((), ()))  # child_order misses vertex 1
+
+
+def test_tree_order_is_breadth_first_in_child_order():
+    #       2
+    #     / | \
+    #    4  0  1      children of 2 listed as (4, 0, 1)
+    #   /      |
+    #  3       5
+    tree = RootedTree((2, 2, None, 4, 2, 1), 2, ((), (5,), (4, 0, 1), (), (3,), ()))
+    assert tree.order == (2, 4, 0, 1, 3, 5)  # the root, then each depth in child_order
+    assert all(tree.order.index(tree.parent[v]) < tree.order.index(v) for v in tree.order[1:])
+    assert tree.depths() == [1, 1, 0, 2, 1, 2]
+
+
+def test_tree_order_is_derived_and_outside_value_semantics():
+    tree = RootedTree.from_parent((None, 0, 0, 1), root=0)
+    same = RootedTree.from_parent((None, 0, 0, 1), root=0)
+    reordered = RootedTree((None, 0, 0, 1), 0, ((2, 1), (3,), (), ()))
+    assert tree.order == (0, 1, 2, 3) and reordered.order == (0, 2, 1, 3)
+    assert tree == same and hash(tree) == hash(same) and tree != reordered
+    assert repr(tree) == (
+        "RootedTree(parent=(None, 0, 0, 1), root=0, child_order=((1, 2), (3,), (), ()))"
+    )
+    with pytest.raises(TypeError):
+        RootedTree((None, 0), 0, ((1,), ()), order=(0, 1))
+    restored = pickle.loads(pickle.dumps(reordered))
+    assert restored == reordered and restored.order == (0, 2, 1, 3)
 
 
 def test_path_tree_constructs_in_linear_time():

@@ -67,6 +67,41 @@ def reference_sc_line(profile, line):
     return None
 
 
+def reference_tree_side(tree, inside):
+    """(v1, v2, v3) if ``inside`` is not connected in the tree: v3 is the first
+    member the first member cannot reach inside it, v2 the first outsider on
+    their path."""
+    members = [v for v in range(tree.n) if inside[v]]
+    if not members:
+        return None
+    reached, stack = {members[0]}, [members[0]]
+    while stack:
+        v = stack.pop()
+        around = list(tree.child_order[v]) + ([] if v == tree.root else [tree.parent[v]])
+        for u in around:
+            if inside[u] and u not in reached:
+                reached.add(u)
+                stack.append(u)
+    v3 = next((v for v in members if v not in reached), None)
+    if v3 is None:
+        return None
+    v2 = next(u for u in tree.path(members[0], v3) if not inside[u])
+    return members[0], v2, v3
+
+
+def reference_sc_tree(profile, tree):
+    """One candidate pair at a time, both sides, on one row per voter."""
+    pos = profile.pos
+    for a in range(profile.m):
+        for b in range(a + 1, profile.m):
+            prefers_a = pos[:, a] < pos[:, b]
+            for c, c_other, inside in ((a, b, prefers_a), (b, a, ~prefers_a)):
+                witness = reference_tree_side(tree, inside)
+                if witness is not None:
+                    return CrossingViolation(c, c_other, *witness)
+    return None
+
+
 def reference_merge(profile, line, objective):
     """Runs of adjacent equal rankings, their rows summed or maxed one voter at a time."""
     runs = []
@@ -207,7 +242,10 @@ def test_class_and_identity_loads_agree_with_the_references(tmp_path, capsys, ch
 def test_any_table_and_index_agree_with_one_row_per_voter():
     """Tables with repeated or unused rows, rows out of first-use order, and rho of any kind."""
     rng = np.random.default_rng(24)
-    seen = {"inconsistent": 0, "not single-crossing": 0, "object sums": 0, "int64 sums, large row": 0}
+    seen = {
+        "inconsistent": 0, "not single-crossing": 0, "not single-crossing on the tree": 0,
+        "single-crossing on a tree of 5 or more": 0, "object sums": 0, "int64 sums, large row": 0,
+    }
     for trial in range(600):
         d, m, n = (int(x) for x in rng.integers(1, (6, 6, 30), endpoint=True))
         rank = np.argsort(rng.random((d, m)), axis=1)
@@ -227,10 +265,17 @@ def test_any_table_and_index_agree_with_one_row_per_voter():
         classes = PreferenceProfile._from_parts(rank, pos, scaled, 1, index)
         voters = PreferenceProfile.from_rankings(rank[index], scaled[index])
         line = Line(tuple(rng.permutation(n).tolist()))
+        labels = rng.permutation(n).tolist()  # a random recursive tree, root and names shuffled
+        parent = [None] * n
+        for i in range(1, n):
+            parent[labels[i]] = labels[int(rng.integers(i))]
+        tree = RootedTree.from_parent(tuple(parent), labels[0])
         bad = reference_consistency(voters)
         witness = reference_sc_line(voters, line)
+        tree_witness = reference_sc_tree(voters, tree)
         assert check_consistency(classes) == check_consistency(voters) == bad
         assert check_sc_line(classes, line) == check_sc_line(voters, line) == witness
+        assert check_sc_tree(classes, tree) == check_sc_tree(voters, tree) == tree_witness
         for objective in OBJECTIVES:
             rankings, rows = reference_merge(voters, line, objective)
             got, expected = (merge_identical_voters(p, line, objective) for p in (classes, voters))
@@ -246,6 +291,8 @@ def test_any_table_and_index_agree_with_one_row_per_voter():
         assert classes == voters
         seen["inconsistent"] += bad is not None
         seen["not single-crossing"] += witness is not None
+        seen["not single-crossing on the tree"] += tree_witness is not None
+        seen["single-crossing on a tree of 5 or more"] += tree_witness is None and n >= 5
     assert min(seen.values()) >= 20, seen
 
 
@@ -297,6 +344,7 @@ def test_compact_borda_tree_solves_from_lazily_gathered_rows(tmp_path):
     paths, (compact, spaced) = both_loads(tmp_path, profile, tree, 5)
     assert len(compact.table_rank) < profile.n and per_voter_views(compact) == (None, None, None)
     assert check_consistency(compact) is None and check_structure(compact, tree) is None
+    assert per_voter_views(compact) == (None, None, None)  # the tree check reads the table
     assert compact.scaled is compact.pos and (compact.pos == profile.pos).all()
     assert not compact.pos.flags.writeable
     for objective in OBJECTIVES:

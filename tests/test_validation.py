@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccwinner.core import Grid, Line, PreferenceProfile, RootedTree
+from ccwinner.errors import CCWinnerError, InvalidN
 from ccwinner.generators import gen_sc_tree
+from ccwinner.grid_solver import build_grid_prefix
+from ccwinner.line_solver import solve_line_dp
+from ccwinner.tree_solver import solve_tree_dp
 from ccwinner.validation import (
     ConsistencyViolation,
     CrossingViolation,
@@ -269,11 +273,21 @@ def test_check_structure_dispatch():
 
 
 def test_size_mismatch_rejected():
+    """Every check and solver raises InvalidN, still a ValueError, when the sizes disagree."""
     profile = PreferenceProfile.from_rankings(((0, 1), (0, 1)))
-    with pytest.raises(ValueError):
-        check_sc_line(profile, Line((0, 1, 2)))
-    with pytest.raises(ValueError):
-        check_sc_grid(profile, Grid(2, 2))
+    path3 = RootedTree.from_parent((None, 0, 1), 0)
+    calls = [
+        (check_sc_line, (profile, Line((0, 1, 2))), "line order and profile disagree"),
+        (check_sc_tree, (profile, path3), "tree and profile disagree"),
+        (check_sc_grid, (profile, Grid(2, 2)), "grid shape and profile disagree"),
+        (solve_line_dp, (profile, Line((0, 1, 2)), 1), "order covers 3 voters, profile has 2"),
+        (solve_tree_dp, (profile, path3, 1), "tree covers 3 voters, profile has 2"),
+        (build_grid_prefix, (profile, Grid(2, 2)), "grid has 4 cells, profile has 2 voters"),
+    ]
+    for call, args, message in calls:
+        with pytest.raises(InvalidN, match=message) as caught:
+            call(*args)
+        assert isinstance(caught.value, ValueError) and isinstance(caught.value, CCWinnerError)
 
 
 @st.composite
