@@ -219,8 +219,6 @@ def _parse_structure(doc: dict, n: int):
                         _index(u, n, f"structure.child_order[{v}]")
             child_order = tuple(tuple(map(_zero_based, row)) for row in rows)
         try:
-            if child_order is None:
-                return RootedTree.from_parent(parent, root)
             return RootedTree(parent, root, child_order)
         except (ValueError, CCWinnerError) as exc:
             raise ParseError(f"structure: {exc}") from None
@@ -864,10 +862,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=5, help="candidates")
     p.add_argument("--n1", type=int, default=3, help="grid rows")
     p.add_argument("--n2", type=int, default=3, help="grid columns")
-    p.add_argument("--max-swaps", type=int, default=None, help="line: cap on crossings")
-    p.add_argument("--max-edge-swaps", type=int, default=3, help="tree: swaps per edge")
+    p.add_argument("--max-swaps", type=_at_least(0), default=None, help="line: cap on crossings")
+    p.add_argument("--max-edge-swaps", type=_at_least(0), default=3, help="tree: swaps per edge")
     p.add_argument("--mode", choices=("axis", "rejection"), default="axis", help="grid recipe")
-    p.add_argument("--edits", type=int, default=None, help="grid rejection: band edits")
+    p.add_argument("--edits", type=_at_least(0), default=None, help="grid rejection: band edits")
     p.add_argument("--k", type=int, default=None, help="store a default committee bound")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)

@@ -15,6 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from numbers import Integral
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -59,14 +60,21 @@ def to_rho_units(value: int, scale: int) -> Rational:
     return value if scale == 1 else _as_rational(Fraction(value, scale))
 
 
+def _all_integers(values) -> bool:
+    """Whether every value is an integer (numpy integers too), decided from their types."""
+    return all(issubclass(t, Integral) for t in set(map(type, values)))
+
+
 def borda_misrepresentation(rankings: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Misrepresentation by rank position: 0 for a voter's top choice, m-1 for the last."""
     rows = []
-    for ranking in rankings:
+    for v, ranking in enumerate(rankings):
         row = [0] * len(ranking)
         for pos, cand in enumerate(ranking):
             if not 0 <= cand < len(ranking):
                 raise ValueError(f"ranking entry {cand} outside 0..{len(ranking) - 1}")
+            if not isinstance(cand, Integral):
+                raise ValueError(f"ranking of voter {v} is not a permutation of 0..{len(ranking) - 1}")
             row[cand] = pos
         rows.append(tuple(row))
     return tuple(rows)
@@ -82,7 +90,7 @@ def _int_array(rows) -> np.ndarray:
 
 def _rankings_per_element(rankings) -> np.ndarray:
     """Per-row ranking checks with the constructor's messages; the fallback of `_checked_rankings`."""
-    if not rankings:
+    if len(rankings) == 0:
         raise ValueError("profile needs at least one voter")
     m = len(rankings[0])
     if m == 0:
@@ -90,7 +98,7 @@ def _rankings_per_element(rankings) -> np.ndarray:
     expected = frozenset(range(m))
     rows = tuple(tuple(r) for r in rankings)
     for v, ranking in enumerate(rows):
-        if len(ranking) != m or frozenset(ranking) != expected:
+        if len(ranking) != m or frozenset(ranking) != expected or not _all_integers(ranking):
             raise ValueError(f"ranking of voter {v} is not a permutation of 0..{m - 1}")
     return np.array(rows, dtype=np.int64)
 
@@ -189,11 +197,11 @@ class PreferenceProfile:
     ``rank``, ``pos`` and ``scaled`` are the (n, m) per-voter views: the
     table itself under the identity index, otherwise gathered by index the
     first time one is read, then cached (``scaled`` is ``pos`` under Borda).
-    The line route (consistency and single-crossing checks, the
-    identical-voter merge, favorites and costs) and the tree single-crossing
-    check read the table and index directly, so on a compact Borda line
-    instance no per-voter array is built; the tree and grid solvers and the
-    grid check read the per-voter views.
+    The line and tree routes (consistency and single-crossing checks, the
+    identical-voter merge, the tree solver's rows, favorites and costs) read
+    the table and index directly, so on a compact Borda line or tree
+    instance no per-voter array is built; the grid check and grid solver
+    read the per-voter views.
 
     ``rankings`` and ``rho`` are tuple views (ints, and Fractions where a
     value is not integral), built on first access and cached. Consistency
@@ -358,7 +366,7 @@ class Line:
 
     def __post_init__(self):
         order = tuple(self.order)
-        if frozenset(order) != frozenset(range(len(order))) or not order:
+        if frozenset(order) != frozenset(range(len(order))) or not order or not _all_integers(order):
             raise ValueError("order must be a non-empty permutation of the voters")
         object.__setattr__(self, "order", order)
 
@@ -379,42 +387,50 @@ class RootedTree:
     """A rooted tree on the voters with an explicit ordering of children.
 
     ``parent[v]`` is None exactly for the root; ``child_order[v]`` lists
-    v's children in the order solvers process them. ``order``, derived by
-    the constructor's reachability sweep, lists the vertices breadth-first
-    from the root in ``child_order``, so each vertex follows its parent;
-    passes that need such an order read it instead of walking the tree
-    again. It takes no part in ``==``, ``hash`` or ``repr``.
+    v's children in the order solvers process them, by vertex index when
+    omitted (the lists the parent links are checked against). ``order``,
+    derived by the constructor's reachability sweep, lists the vertices
+    breadth-first from the root in ``child_order``, so each vertex follows
+    its parent; passes that need such an order read it instead of walking
+    the tree again. It takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     parent: tuple[Optional[int], ...]
     root: int
-    child_order: tuple[tuple[int, ...], ...]
+    child_order: Optional[tuple[tuple[int, ...], ...]] = None
     order: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        parent = tuple(self.parent)
-        child_order = tuple(tuple(ch) for ch in self.child_order)
+        parent, root = tuple(self.parent), self.root
         n = len(parent)
         if n == 0:
             raise NotATree("tree needs at least one vertex")
-        if not (0 <= self.root < n) or parent[self.root] is not None:
+        if not isinstance(root, Integral) or not 0 <= root < n or parent[root] is not None:
             raise NotATree("root must be the unique vertex without a parent")
-        if len(child_order) != n:
-            raise NotATree("child_order must have one entry per vertex")
+        child_order = self.child_order
+        if child_order is not None:
+            child_order = tuple(tuple(ch) for ch in child_order)
+            if len(child_order) != n:
+                raise NotATree("child_order must have one entry per vertex")
         children = [[] for _ in range(n)]
-        for v, p in enumerate(parent):
-            if v == self.root:
-                continue
-            if p is None or not (0 <= p < n):
-                raise NotATree(f"vertex {v} needs a parent inside the tree")
-            children[p].append(v)
-        for v in range(n):
-            if sorted(child_order[v]) != children[v]:
-                raise NotATree(f"child_order of vertex {v} does not match the parent links")
+        try:  # a None or non-integer parent fails the comparison or the list index
+            for v, p in enumerate(parent):
+                if v != root:
+                    if not 0 <= p < n:
+                        raise IndexError
+                    children[p].append(v)
+        except (TypeError, IndexError):
+            raise NotATree(f"vertex {v} needs a parent inside the tree") from None
+        if child_order is None:
+            child_order = tuple(map(tuple, children))
+        else:
+            for v in range(n):
+                if sorted(child_order[v]) != children[v]:
+                    raise NotATree(f"child_order of vertex {v} does not match the parent links")
         # Every vertex but the root is now the child of exactly one vertex, so
         # the sweep from the root meets each vertex at most once; a cycle
         # among the parent links leaves its vertices unreachable.
-        order = [self.root]
+        order = [root]
         for v in order:
             order.extend(child_order[v])
         if len(order) != n:
@@ -425,13 +441,8 @@ class RootedTree:
 
     @classmethod
     def from_parent(cls, parent: Sequence[Optional[int]], root: int) -> "RootedTree":
-        """Children are ordered by vertex index."""
-        n = len(parent)
-        children = [[] for _ in range(n)]
-        for v, p in enumerate(parent):
-            if v != root and p is not None:
-                children[p].append(v)
-        return cls(tuple(parent), root, tuple(tuple(ch) for ch in children))
+        """The tree of the parent links, children ordered by vertex index."""
+        return cls(tuple(parent), root)
 
     @property
     def n(self) -> int:
@@ -445,15 +456,11 @@ class RootedTree:
 
     def path(self, u: int, w: int) -> list[int]:
         """Vertices of the unique u-w path, endpoints included."""
-        depth = self.depths()
+        at = {v: i for i, v in enumerate(self.order)}
         front, back = [u], [w]
-        while depth[front[-1]] > depth[back[-1]]:
-            front.append(self.parent[front[-1]])
-        while depth[back[-1]] > depth[front[-1]]:
-            back.append(self.parent[back[-1]])
-        while front[-1] != back[-1]:
-            front.append(self.parent[front[-1]])
-            back.append(self.parent[back[-1]])
+        while front[-1] != back[-1]:  # the end later in order is no ancestor of the other
+            later = front if at[front[-1]] > at[back[-1]] else back
+            later.append(self.parent[later[-1]])
         return front + back[-2::-1]
 
 

@@ -70,6 +70,8 @@ def gen_sc_line(
     """
     if n < 1 or m < 1:
         raise InvalidN(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    if max_swaps is not None and max_swaps < 0:
+        raise InvalidN(f"need max_swaps >= 0, got {max_swaps}")
     rng = random.Random(seed)
     pairs = m * (m - 1) // 2
     swaps = rng.randint(0, pairs) if max_swaps is None else min(max_swaps, pairs)
@@ -109,6 +111,8 @@ def gen_sc_tree(
     """
     if n < 1 or m < 1:
         raise InvalidN(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    if max_edge_swaps < 0:
+        raise InvalidN(f"need max_edge_swaps >= 0, got {max_edge_swaps}")
     rng = random.Random(seed)
     parent: list[Optional[int]] = [None] + [rng.randrange(v) for v in range(1, n)]
     tree = RootedTree.from_parent(tuple(parent), 0)
@@ -197,6 +201,8 @@ def gen_sc_grid(
     """
     if n1 < 1 or n2 < 1 or m < 1:
         raise InvalidN(f"need n1, n2, m >= 1, got n1={n1}, n2={n2}, m={m}")
+    if edits is not None and edits < 0:
+        raise InvalidN(f"need edits >= 0, got {edits}")
     if mode not in ("axis", "rejection"):
         raise ValueError(f"mode must be 'axis' or 'rejection', got {mode!r}")
     grid = Grid(n1, n2)

@@ -410,14 +410,15 @@ def solve_tree_dp(
 
     if k >= n:
         # one subtree per voter: everyone's top choice is attainable
-        tops = set(profile.rank[:, 0].tolist())
+        tops = set(profile.table_rank[profile.index, 0].tolist())
         stats = {"shortcut": "tops", "merge_iterations": 0}
         return SolveResult.from_committee(profile, tops, "tree-dp", stats)
 
     inverse = reference_ranking(profile, tree)
-    inf = n * int(profile.scaled.max()) + 1  # above every finite total and maximum
+    rows = profile.table_scaled[np.ix_(profile.index, inverse)]  # voter v's row, in the root's order
+    inf = n * int(rows.max()) + 1  # above every finite total and maximum
     # a fold adds two table values, each at most inf
-    rows = profile.scaled[:, list(inverse)].astype(int_dtype(2 * inf), copy=False)
+    rows = rows.astype(int_dtype(2 * inf), copy=False)
     dyp1, merges = _dp_tables(rows, tree, k, objective, inf)
 
     l_star = int(np.argmin(dyp1[tree.root].min(axis=1))) + 1  # first minimum

@@ -14,7 +14,6 @@ different ones.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -119,35 +118,24 @@ def check_sc_line(profile: PreferenceProfile, line: Line) -> Optional[CrossingVi
     return CrossingViolation(b, a, v1, v2, v3)
 
 
-def _tree_side_violation(
-    tree: RootedTree, inside: np.ndarray, child: np.ndarray, parent: np.ndarray
-) -> Optional[tuple[int, int, int]]:
+def _tree_side_violation(tree: RootedTree, inside: np.ndarray) -> Optional[tuple[int, int, int]]:
     """If `inside` does not induce a connected subtree, return (v1, v2, v3).
 
-    ``child`` lists the non-root vertices and ``parent`` their parents.
+    v1 is the first member, v3 the first member outside v1's component and
+    v2 the first non-member on the tree path from v1 to v3. One pass over
+    ``tree.order``, where each vertex follows its parent, labels every
+    member with the top vertex of its component.
     """
-    members = np.flatnonzero(inside)
-    if len(members) == 0:
+    inside, parent, top = inside.tolist(), tree.parent, {}
+    for v in tree.order:
+        if inside[v]:
+            top[v] = top.get(parent[v], v)  # the root's parent None is never a key
+    v1 = min(top, default=None)
+    v3 = min((v for v, t in top.items() if t != top[v1]), default=None)
+    if v3 is None:
         return None
-    # A vertex subset of a tree is connected iff it spans |S| - 1 edges.
-    edges = np.count_nonzero(inside[child] & inside[parent])
-    if edges == len(members) - 1:
-        return None
-    start = int(members[0])
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        neighbors = list(tree.child_order[v])
-        if v != tree.root:
-            neighbors.append(tree.parent[v])
-        for u in neighbors:
-            if inside[u] and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    v3 = int(next(v for v in members if int(v) not in seen))
-    v2 = next(u for u in tree.path(start, v3) if not inside[u])
-    return start, v2, v3
+    v2 = next(u for u in tree.path(v1, v3) if not inside[u])
+    return v1, v2, v3
 
 
 def check_sc_tree(profile: PreferenceProfile, tree: RootedTree) -> Optional[CrossingViolation]:
@@ -162,21 +150,19 @@ def check_sc_tree(profile: PreferenceProfile, tree: RootedTree) -> Optional[Cros
     """
     if tree.n != profile.n:
         raise InvalidN("tree and profile disagree on the number of voters")
-    root = tree.root
-    child = np.delete(np.arange(tree.n), root)
-    parent = np.array(tree.parent[:root] + tree.parent[root + 1 :], dtype=np.int64)
-    index = profile.index
-    at_child, at_parent = index[child], index[parent]
-    apart = at_child != at_parent
+    index, parent = profile.index, list(tree.parent)
+    parent[tree.root] = tree.root  # a loop at the root: its ends share a row, so it never flips
+    at_parent = index[parent]
+    apart = index != at_parent
     # row c: candidate c's rank position in each table row
     pos = np.ascontiguousarray(_narrow(profile.table_pos).T)
-    found = _first_twice_flipped(pos, at_child[apart], at_parent[apart])
+    found = _first_twice_flipped(pos, index[apart], at_parent[apart])
     if found is None:
         return None
     a, b = found[:2]
     prefers_a = (profile.table_pos[:, a] < profile.table_pos[:, b])[index]
     for c, c_other, inside in ((a, b, prefers_a), (b, a, ~prefers_a)):
-        witness = _tree_side_violation(tree, inside, child, parent)
+        witness = _tree_side_violation(tree, inside)
         if witness is not None:
             return CrossingViolation(c, c_other, *witness)
     return None

@@ -681,6 +681,23 @@ def test_solver_detected_crossing_exits_1(tmp_path, monkeypatch, capsys):
     assert "not concave Monge" in capsys.readouterr().err
 
 
+def test_tree_without_child_order_loads_and_solves_as_with_it(tmp_path, capsys):
+    profile, tree = shuffled_tree(23, 60, 6)
+    doc = instance_to_doc(profile, tree, k=4)
+    bare = {**doc, "structure": {key: value for key, value in doc["structure"].items()
+                                 if key != "child_order"}}
+    paths = [write(tmp_path, d, f"{name}.json") for name, d in (("with", doc), ("without", bare))]
+    loaded = [load_instance(path)[1] for path in paths]
+    assert loaded[0] == loaded[1] == tree and loaded[0].order == loaded[1].order
+    assert any(len(row) > 1 for row in tree.child_order)  # the order of siblings is at stake
+    for objective in ("utilitarian", "egalitarian"):
+        outs = [tmp_path / f"{i}-{objective}.out" for i in range(2)]
+        for path, out in zip(paths, outs):
+            assert main(["solve", path, "--objective", objective, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+    capsys.readouterr()
+
+
 def test_solve_reports_a_non_list_child_order_row(tmp_path, capsys):
     doc = {**THREE, "structure": {**TREE, "child_order": [[2, 3], 5, []]}}
     assert main(["solve", write(tmp_path, doc), "--k", "1"]) == 1
@@ -918,6 +935,19 @@ def test_generated_files_validate(tmp_path):
         out = str(tmp_path / f"{structure}.json")
         assert main(["generate", "--structure", structure, "--seed", "2", *extra, "--out", out]) == 0
         assert main(["validate", out]) == 0
+
+
+@pytest.mark.parametrize(
+    "option", [["--structure", "tree", "--max-edge-swaps", "-1"],
+               ["--structure", "line", "--max-swaps", "-1"],
+               ["--structure", "grid", "--mode", "rejection", "--edits", "-1"]],
+    ids=["max-edge-swaps", "max-swaps", "edits"],
+)
+def test_generate_refuses_negative_counts_as_usage_errors(tmp_path, capsys, option):
+    out = tmp_path / "out.json"
+    assert main(["generate", *option, "--out", str(out)]) == 2
+    assert "expected an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_star_matches_the_fixed_family(tmp_path):

@@ -265,6 +265,26 @@ def test_tree_from_parent_and_paths():
     assert tree.path(0, 3) == [0, 1, 3]
 
 
+def test_tree_paths_join_the_ancestor_chains():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 7, 30):
+        perm = rng.permutation(n).tolist()
+        parent = [None] * n
+        for v in range(1, n):
+            parent[perm[v]] = perm[int(rng.integers(v))]
+        tree = RootedTree.from_parent(parent, perm[0])
+        for u in range(n):
+            for w in range(n):
+                up_u, up_w = [u], [w]
+                while up_u[-1] != tree.root:
+                    up_u.append(tree.parent[up_u[-1]])
+                while up_w[-1] != tree.root:
+                    up_w.append(tree.parent[up_w[-1]])
+                meet = next(x for x in up_u if x in up_w)
+                expected = up_u[: up_u.index(meet) + 1] + up_w[: up_w.index(meet)][::-1]
+                assert tree.path(u, w) == expected
+
+
 @pytest.mark.parametrize(
     "parent,root",
     [
@@ -329,6 +349,57 @@ def test_tree_rejects_child_order_mismatch_by_vertex():
         RootedTree((None, 0, 1), 0, ((1, 2), (), ()))
     with pytest.raises(NotATree, match="child_order of vertex 1 does not match"):
         RootedTree((None, 0, 1), 0, ((1,), (), (2,)))
+
+
+def test_tree_child_order_defaults_to_the_parent_links_in_vertex_order():
+    parent = (2, 2, None, 4, 2, 1)
+    default = RootedTree(parent, 2)
+    built = RootedTree.from_parent(parent, 2)
+    explicit = RootedTree(parent, 2, ((), (5,), (0, 1, 4), (), (3,), ()))
+    for tree in (built, explicit):
+        assert tree == default and hash(tree) == hash(default)
+        assert repr(tree) == repr(default) and tree.order == default.order
+    assert default.child_order == ((), (5,), (0, 1, 4), (), (3,), ())
+    assert default.order == (2, 0, 1, 4, 5, 3)
+
+
+@pytest.mark.parametrize("parent", [(None, 5), (None, -1), (None, 0.0), (None, 0.5)])
+def test_tree_parent_outside_the_tree_or_not_an_integer_is_refused(parent):
+    with pytest.raises(NotATree, match="^vertex 1 needs a parent inside the tree$"):
+        RootedTree.from_parent(parent, 0)
+
+
+def test_tree_root_must_be_an_integer_vertex():
+    with pytest.raises(NotATree, match="^root must be the unique vertex without a parent$"):
+        RootedTree.from_parent((None, 0), 0.0)
+
+
+def test_ids_may_be_numpy_integers():
+    tree = RootedTree.from_parent((None, np.int64(0), np.int32(1)), np.int64(0))
+    assert tree == RootedTree.from_parent((None, 0, 1), 0) and tree.order == (0, 1, 2)
+    assert Line(tuple(np.arange(3)[::-1])).order == (2, 1, 0)
+    profile = PreferenceProfile.from_rankings([[np.int64(1), np.int8(0)], [0, 1]])
+    assert profile.rankings == ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PreferenceProfile.from_rankings([[0, 1.0], [1.0, 0]]),
+        lambda: PreferenceProfile.from_rankings(np.array([[0.0, 1.0]])),
+        lambda: PreferenceProfile.from_rankings([[0, Fraction(1)]]),
+        lambda: PreferenceProfile([[0, 1.0], [1.0, 0]], [[0, 1], [1, 0]]),
+    ],
+    ids=["list", "float-array", "fraction", "with-rho"],
+)
+def test_profile_refuses_non_integer_candidate_ids(build):
+    with pytest.raises(ValueError, match="^ranking of voter 0 is not a permutation of 0..1$"):
+        build()
+
+
+def test_line_refuses_non_integer_voter_ids():
+    with pytest.raises(ValueError, match="non-empty permutation of the voters"):
+        Line((0, 1.0))
 
 
 def test_grid_indexing_roundtrip():

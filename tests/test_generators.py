@@ -66,6 +66,20 @@ def test_line_rejects_empty_dimensions():
         gen_sc_line(seed=0, n=3, m=0)
 
 
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda: gen_sc_line(0, 5, 3, max_swaps=-1),
+        lambda: gen_sc_tree(0, 5, 3, max_edge_swaps=-1),
+        lambda: gen_sc_grid(0, 2, 3, 3, mode="rejection", edits=-1),
+    ],
+    ids=["line max_swaps", "tree max_edge_swaps", "grid edits"],
+)
+def test_negative_counts_are_refused(generate):
+    with pytest.raises(InvalidN, match=">= 0, got -1"):
+        generate()
+
+
 # ---------------------------------------------------------------------------
 # tree
 

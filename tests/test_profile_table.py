@@ -354,6 +354,21 @@ def test_compact_borda_tree_solves_from_lazily_gathered_rows(tmp_path):
         assert (result.total_cost, result.egal_cost) == (expected.total_cost, expected.egal_cost)
 
 
+def test_compact_borda_tree_route_gathers_no_per_voter_rows(tmp_path):
+    profile, tree = shuffled_tree(7, 120, 8)
+    paths, (compact, spaced) = both_loads(tmp_path, profile, tree, 5)
+    loaded, structure, _ = load_instance(paths[0])  # fresh: nothing gathered yet
+    assert len(loaded.table_rank) < profile.n
+    assert check_consistency(loaded) is None and check_structure(loaded, structure) is None
+    for k in (5, profile.n, profile.n + 3):  # the DP, and the tops shortcut at k >= n
+        for objective in OBJECTIVES:
+            result = cli._dispatch(loaded, structure, "auto", objective, k)
+            expected = cli._dispatch(spaced, structure, "auto", objective, k)
+            assert result.assignment == expected.assignment and result.stats == expected.stats
+            assert (result.total_cost, result.egal_cost) == (expected.total_cost, expected.egal_cost)
+    assert per_voter_views(loaded) == (None, None, None)
+
+
 # ---------------------------------------------------------------------------
 # value semantics of a profile built from a table
 

@@ -579,7 +579,7 @@ def members_and_edges_check_sc_tree(profile, tree):
         row, flip = divmod(int(failing[0]), 2)
         b = a + 1 + row
         inside = prefers_a[row] if flip == 0 else ~prefers_a[row]
-        witness = _tree_side_violation(tree, inside, child, parent)
+        witness = _tree_side_violation(tree, inside)
         c, c_other = (a, b) if flip == 0 else (b, a)
         return CrossingViolation(c, c_other, *witness)
     return None
