@@ -234,40 +234,36 @@ def _parse_structure(doc: dict, n: int):
 def load_instance(path: str):
     """Parse an instance file into (profile, structure, default k or None).
 
-    A rankings value written compactly, ``"rankings":[[3,1,2],[1,3,2],...]``
-    as ``json.dumps(separators=(",", ":"))`` writes it, is read at C speed
-    (`_compact_instance`). That reader parses, range-checks and inverts each
-    distinct ranking once and gathers the voters' rows from them, which pays
-    because a single-crossing profile has few: each candidate pair flips on
-    at most one edge of a line or tree, so there are at most m(m-1)/2 + 1
-    distinct rankings whatever n is. Any other form, whitespace inside the
-    value included, takes the full JSON decoder, with identical results and
-    messages.
+    The rankings value is read at C speed (`_array_instance`) whether it is
+    written compactly, ``"rankings":[[3,1,2],[1,3,2],...]``, with
+    ``json.dump``'s default spaces or indented as ``ccwinner generate``
+    writes it. That reader parses, range-checks and inverts each distinct
+    ranking once and gathers the voters' rows from them, which pays because
+    a single-crossing profile has few: each candidate pair flips on at most
+    one edge of a line or tree, so there are at most m(m-1)/2 + 1 distinct
+    rankings whatever n is. Any text it declines, and any instance whose
+    arrays fail a check, takes the full JSON decoder and the per-entry
+    checks, with identical results; their messages are the only ones given.
     """
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-        fast = _compact_instance(text)
+        fast = _array_instance(text)
         doc = json.loads(text) if fast is None else fast[0]
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # also integers past the digit limit, deep nesting
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    profile = None
-    if fast is not None:
-        profile = _profile_from_arrays(doc, *fast[1:])
-        if profile is None:  # the diagnosis reads json's lists, as for any other text
-            doc = json.loads(text)
+    profile = None if fast is None else _profile_from_arrays(*fast)
     if profile is None:
+        if fast is not None:  # the diagnosis reads json's lists, as for any other text
+            doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ParseError(f"{path}: top level must be an object")
         m = _field(doc, "m", int, "instance")
         if m < 1:
             raise ParseError("instance.m: need at least one candidate")
-        rankings_raw = _field(doc, "rankings", list, "instance")
-        profile = _profile_from_arrays(doc, _int_rows(rankings_raw, m))
-        if profile is None:
-            profile = _profile_per_element(doc, rankings_raw, m)
+        profile = _profile_per_element(doc, _field(doc, "rankings", list, "instance"), m)
     structure = _parse_structure(_field(doc, "structure", dict, "instance"), profile.n)
     k = doc.get("k")
     if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
@@ -288,46 +284,53 @@ def _int_rows(rows: list, width: int):
         return None
 
 
-def _compact_instance(text: str):
-    """(doc, table, index) for a text whose rankings value is compact, else None.
+# JSON's whitespace and nothing else: re's \s and np.loadtxt take more
+_BLANK = "[ \t\n\r]*"
+# the key up to the first row's "[", the value's own "[" as group 1
+_RANKINGS_VALUE = re.compile(f'"rankings"{_BLANK}:{_BLANK}(\\[){_BLANK}\\[')
+_VALUE_END = re.compile(f"\\]{_BLANK}\\]")  # the last row's "]" and the value's
+_ROW_BREAK = re.compile(f"\\]{_BLANK},{_BLANK}\\[".encode())
+_BLANKS_AS_SPACES = bytes.maketrans(b"\t\n\r", b"   ")  # np.loadtxt reads no newline in a row
 
-    The value is cut out of the text and read by C-level ``bytes`` methods
-    and one `np.loadtxt` over the distinct row texts: ``table`` holds them
-    in order of first appearance and voter v's ranking is
-    ``table[index[v]]``. This reader accepts only canonical digit tokens, so
-    equal row texts are equal rankings. json decodes the rest with ``0`` in
-    place of the value. Only a span that is a JSON list of non-empty lists
-    of plain digit tokens is read here, and ``"rankings"`` must occur once,
-    as a top-level key: with no backslash in the text there is no other way
-    to spell that key. Every other text returns None and takes the full
-    decode, the only source of error messages.
+
+def _array_instance(text: str):
+    """(doc, table, index) for a text whose rankings value is a list of integer lists, else None.
+
+    The value is cut out of the text and split into row texts by one
+    ``re`` split; `np.loadtxt` reads the distinct row texts: ``table``
+    holds them in order of first appearance and voter v's ranking is
+    ``table[index[v]]``. JSON whitespace may stand around the key's colon
+    and the value's brackets, commas and numbers. It stays in the row
+    texts, so one ranking spaced two ways is two table rows, and two
+    digits with only whitespace between them stay one field, which
+    np.loadtxt refuses. json decodes the rest of the text with ``0`` in
+    place of the value. ``"rankings"`` must occur once, as a top-level
+    key: with no backslash in the text there is no other way to spell that
+    key. Every other text returns None and takes the full decode, the only
+    source of error messages.
     """
-    key = text.find('"rankings":[[')
-    if key < 0 or "\\" in text or text.count('"rankings"') != 1:
+    if "\\" in text or text.count('"rankings"') != 1:
         return None
-    start = key + len('"rankings":')
-    end = text.find("]]", start) + 2
-    span = text[start:end]
-    if end < 2 or not span.isascii():
+    head = _RANKINGS_VALUE.search(text)
+    tail = _VALUE_END.search(text, head.end()) if head else None
+    if tail is None:
         return None
-    inner = span[2:-2].encode()
-    rows = inner.split(b"],[")
-    if (
-        inner.translate(None, b"0123456789,[]")
-        or inner.count(b"[") != len(rows) - 1
-        or inner.count(b"]") != len(rows) - 1
-        or b"" in rows  # np.loadtxt would skip an empty row and shift the index
-    ):
-        return None
+    inner = text[head.end() : tail.start()]  # the rows' texts and the breaks between them
+    rows = _ROW_BREAK.split(inner.encode())
     kinds = {row: d for d, row in enumerate(dict.fromkeys(rows))}
-    # a token with a leading zero, which JSON refuses and np.loadtxt reads, is
-    # a "0" after a comma once the rows are joined by commas; an empty field
-    # np.loadtxt refuses itself
-    if b",0" in b"," + b",".join(kinds):
+    lines = [row.translate(_BLANKS_AS_SPACES) for row in kinds]
+    # Each character of the value outside the row breaks lies in some row,
+    # so checking the distinct rows checks the whole value. np.loadtxt skips
+    # an empty line, which would shift the index, and reads a token with a
+    # leading zero, which JSON refuses: a "0" after a comma or a blank once
+    # the rows are joined by commas. An empty field, a blank line and blanks
+    # between two digits np.loadtxt refuses itself
+    joined = b"," + b",".join(lines)
+    if b"" in kinds or joined.translate(None, b"0123456789, ") or b",0" in joined or b" 0" in joined:
         return None
     try:
-        table = np.loadtxt(list(kinds), delimiter=",", dtype=np.int64, ndmin=2)
-        doc = json.loads(text[:start] + "0" + text[end:])
+        table = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
+        doc = json.loads(text[: head.start(1)] + "0" + text[tail.end() :])
     except (ValueError, OverflowError, RecursionError):
         return None
     if not isinstance(doc, dict) or doc.get("rankings") != 0:
@@ -338,22 +341,18 @@ def _compact_instance(text: str):
     return doc, table, np.fromiter(map(kinds.__getitem__, rows), np.intp, len(rows))
 
 
-def _profile_from_arrays(doc: dict, rank, index=None):
+def _profile_from_arrays(doc: dict, table, index):
     """The profile from int64 rankings, checked by whole-array passes.
 
-    ``rank`` is the (n, m) rankings, or with ``index`` the (d, m) table of
-    distinct rankings that voter v reads at row ``index[v]``; the table is
-    range- and permutation-checked once. None when a check fails, ``rank``
-    being None included: that leaves the diagnosis to
-    `_profile_per_element`, which names the offending field and entry.
-    Checks run in its order, so an error raised here is the one it would
-    raise.
+    ``table`` is the (d, m) table of distinct rankings that voter v reads at
+    row ``index[v]``; it is range- and permutation-checked once. None when a
+    check fails: that leaves the diagnosis to `_profile_per_element`, which
+    names the offending field and entry. Checks run in its order, so an
+    error raised here is the one it would raise.
     """
-    if rank is None:
-        return None
-    m = rank.shape[1]
-    n = len(rank if index is None else index)
-    if rank.min() < 1 or rank.max() > m:
+    m = table.shape[1]
+    n = len(index)
+    if table.min() < 1 or table.max() > m:
         return None
     rho = None
     if doc.get("rho") is not None:
@@ -363,11 +362,9 @@ def _profile_from_arrays(doc: dict, rank, index=None):
         rho = _int_rows(rho_raw, m)
         if rho is None:
             return None
-    rank -= 1
+    table -= 1
     try:
-        if index is None:
-            return PreferenceProfile.from_rankings(rank, rho)
-        return PreferenceProfile._from_table(rank, index, rho)
+        return PreferenceProfile._from_table(table, index, rho)
     except ValueError as exc:
         raise ParseError(f"rankings: {exc}") from None
 
@@ -396,14 +393,15 @@ def _profile_per_element(doc: dict, rankings_raw: list, m: int) -> PreferencePro
 
 
 def instance_to_doc(profile: PreferenceProfile, structure, k=None) -> dict:
+    # the structures keep numpy integers as given; json writes only Python ints
     if isinstance(structure, Line):
-        struct = {"type": "line", "order": [v + 1 for v in structure.order]}
+        struct = {"type": "line", "order": (structure.order_array + 1).tolist()}
     elif isinstance(structure, RootedTree):
         struct = {
             "type": "tree",
-            "parent": [None if p is None else p + 1 for p in structure.parent],
-            "root": structure.root + 1,
-            "child_order": [[u + 1 for u in row] for row in structure.child_order],
+            "parent": [None if p is None else int(p) + 1 for p in structure.parent],
+            "root": int(structure.root) + 1,
+            "child_order": [[int(u) + 1 for u in row] for row in structure.child_order],
         }
     elif isinstance(structure, Grid):
         struct = {"type": "grid", "n1": structure.n1, "n2": structure.n2}
@@ -866,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-edge-swaps", type=_at_least(0), default=3, help="tree: swaps per edge")
     p.add_argument("--mode", choices=("axis", "rejection"), default="axis", help="grid recipe")
     p.add_argument("--edits", type=_at_least(0), default=None, help="grid rejection: band edits")
-    p.add_argument("--k", type=int, default=None, help="store a default committee bound")
+    p.add_argument("--k", type=_at_least(1), default=None, help="store a default committee bound")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 

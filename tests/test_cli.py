@@ -1,6 +1,7 @@
 """Tests for the command line front-end and its file formats."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -33,8 +34,8 @@ THREE = {
 TREE = {"type": "tree", "parent": [None, 1, 1], "root": 1, "child_order": [[2, 3], [], []]}
 
 
-SPACED = (", ", ": ")  # json.dumps's default: always the full JSON decoder
-COMPACT = (",", ":")  # the bench's writer: a compact rankings value is read at C speed
+SPACED = (", ", ": ")  # json.dumps's default
+COMPACT = (",", ":")  # the bench's writer; both are read by the array reader
 WRITERS = (SPACED, COMPACT)
 
 
@@ -105,6 +106,22 @@ def test_instance_round_trip(tmp_path, make):
         assert instance_to_doc(profile2, structure2, k=k) == instance_to_doc(
             profile, structure, k=2
         )
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [
+        Line(tuple(np.arange(3))),
+        RootedTree.from_parent((None, np.int64(0), np.int64(1)), 0),
+        RootedTree((None, 0, 1), np.int64(0), ((np.int64(1),), (np.int64(2),), ())),
+    ],
+    ids=["line order", "tree parents", "tree root and child order"],
+)
+def test_structures_holding_numpy_integers_write_and_load(tmp_path, structure):
+    profile = PreferenceProfile.from_rankings([[0, 1, 2], [1, 0, 2], [1, 2, 0]])
+    path = str(tmp_path / "instance.json")
+    cli._write_json(instance_to_doc(profile, structure, k=1), path)
+    assert load_instance(path) == (profile, structure, 1)
 
 
 def test_fractional_rho_round_trip(tmp_path):
@@ -208,7 +225,7 @@ def test_large_integer_rho_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the compact rankings reader against the full JSON decoder
+# the array rankings reader against the full JSON decoder
 
 
 def outcome(path):
@@ -220,26 +237,31 @@ def outcome(path):
     return profile, structure, k, profile.scaled.dtype, profile.scaled is profile.pos
 
 
+def decoder_outcome(monkeypatch, path):
+    """`outcome` with the array reader declining every text: json's lists, checked per entry."""
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_array_instance", lambda text: None)
+        return outcome(path)
+
+
 def compact_outcome(tmp_path, monkeypatch, text):
     """`load_instance`'s outcome on the compact ``text``, checked against the full JSON decoder.
 
     The same text through the decoder alone must give the same profile,
     structure and k or the same ParseError text, and so must the document
-    written again with spaces when it is valid JSON.
+    written again with spaces and indented when it is valid JSON.
     """
     path = tmp_path / "instance.json"
     path.write_text(text, encoding="utf-8")
     got = outcome(str(path))
-    with monkeypatch.context() as patched:
-        patched.setattr(cli, "_compact_instance", lambda text: None)
-        assert outcome(str(path)) == got
+    assert decoder_outcome(monkeypatch, str(path)) == got
     try:
-        spaced = json.dumps(json.loads(text), separators=SPACED)
+        doc = json.loads(text)
     except ValueError:  # invalid JSON: only the decoder's own reading compares
         return got
-    assert cli._compact_instance(spaced) is None
-    path.write_text(spaced, encoding="utf-8")
-    assert outcome(str(path)) == got
+    for rewritten in (json.dumps(doc, separators=SPACED), json.dumps(doc, indent=2)):
+        path.write_text(rewritten, encoding="utf-8")
+        assert outcome(str(path)) == got
     return got
 
 
@@ -263,7 +285,7 @@ def test_compact_instances_equal_the_json_route(tmp_path, monkeypatch):
                 rows = [[Fraction(x, 3) for x in row] for row in rows]
             profile = PreferenceProfile.from_rankings(profile.rank, rows)
         text = json.dumps(instance_to_doc(profile, structure, k=3), separators=COMPACT)
-        assert cli._compact_instance(text) is not None
+        assert cli._array_instance(text) is not None
         assert compact_outcome(tmp_path, monkeypatch, text)[:3] == (profile, structure, 3)
 
 
@@ -293,6 +315,21 @@ def test_compact_instances_equal_the_json_route(tmp_path, monkeypatch):
         "[[1,2]]]",
         "[[1,2,3],[2,1,3]]",
         "[]",
+        # with whitespace
+        "[ [1,2,3], [ ], [2,3,1] ]",
+        "[[1,2,3],[\n],[2,3,1]]",
+        "[ [ ] ]",
+        "[[1,2,3], [2, 01, 3], [2,3,1]]",
+        "[[1,2,3],\n  [\n    01,\n    2,\n    3\n  ]]",
+        "[[1,2,3], [2, 1, , 3], [2,3,1]]",
+        "[[1,2,3], [2, 1, 3 ,], [2,3,1]]",
+        "[[1,2,3], [2, 1, 3]] ]",
+        "[[1,2,3], [[2, 1, 3]], [2,3,1]]",
+        "[[1,2,3], [2, 1, 3],, [2,3,1]]",
+        "[[1,2,3], [2, 1, 3]\n[2,3,1]]",
+        "[[1,2,3], [2,\f1,3], [2,3,1]]",
+        "[[1,2,3], [2,\v1,3], [2,3,1]]",
+        "[[1,2,3], [2,\u00a01,3], [2,3,1]]",
     ],
     ids=lambda rankings: rankings if len(rankings) <= 40 else rankings[:20] + "...",
 )
@@ -360,7 +397,7 @@ def test_compact_rho_equals_the_json_route(tmp_path, monkeypatch, rho, fast):
 @pytest.mark.parametrize(
     "rankings,error,column",
     [
-        # an empty field, which np.loadtxt refuses inside _compact_instance
+        # an empty field, which np.loadtxt refuses inside _array_instance
         ("[[1,2,3],[2,1,,3],[2,3,1]]", "Expecting value", 96),
         ("[[1,,2,3],[2,1,3],[2,3,1]]", "Expecting value", 86),
         ("[[1,2,3],[,2,1,3],[2,3,1]]", "Expecting value", 92),
@@ -379,15 +416,69 @@ def test_compact_rho_equals_the_json_route(tmp_path, monkeypatch, rho, fast):
     ],
 )
 def test_malformed_compact_rankings_get_the_json_error(tmp_path, rankings, error, column):
-    """`_compact_instance` declines the text, and the full decoder's message names the spot."""
+    """`_array_instance` declines the text, and the full decoder's message names the spot."""
     text = json.dumps({**THREE, "rankings": "@"}, separators=COMPACT).replace('"@"', rankings)
-    assert cli._compact_instance(text) is None
+    assert cli._array_instance(text) is None
     path = tmp_path / "instance.json"
     path.write_text(text, encoding="utf-8")
     expected = f"{path}: invalid JSON ({error}: line 1 column {column} (char {column - 1}))"
     with pytest.raises(ParseError) as caught:
         load_instance(str(path))
     assert str(caught.value) == expected
+
+
+SPACED_THREE = '{"m": 3, "structure": {"type": "line", "order": [1, 2, 3]}, '
+WHITESPACE_TEXTS = {
+    "indented": json.dumps(THREE, indent=2),
+    "json.dump default": json.dumps(THREE),
+    "tabs": json.dumps(THREE, indent="\t"),
+    "crlf": json.dumps(THREE, indent=2).replace("\n", "\r\n"),
+    "spaced colon": SPACED_THREE + '"rankings" : [ [1, 2, 3] , [ 2,1,3 ],[2 , 3 , 1 ] ]}',
+    "blanks at the ends": SPACED_THREE + '"rankings":[\t[ 1,2,3],[2,1,3],[2,3,1 ]\r\n]}',
+    "one ranking spaced two ways": SPACED_THREE + '"rankings": [[2, 1, 3], [2,1,3], [2, 1, 3]]}',
+}
+
+
+@pytest.mark.parametrize("text", WHITESPACE_TEXTS.values(), ids=WHITESPACE_TEXTS.keys())
+def test_whitespace_texts_take_the_array_reader(tmp_path, monkeypatch, text):
+    path = tmp_path / "instance.json"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert cli._array_instance(path.read_text(encoding="utf-8")) is not None
+    got = outcome(str(path))
+    assert not isinstance(got, str)
+    assert got == decoder_outcome(monkeypatch, str(path))
+
+
+@pytest.mark.parametrize("blank", [" ", "\t", "\n", "\r\n", "  \t "])
+def test_blanks_never_join_two_digits(tmp_path, blank):
+    """``1 2`` is no ranking entry: the array reader declines it and json names the spot."""
+    rankings = f"[[1{blank}2,3,4,5,6,7,8,9,10,11,1,2]]"
+    text = '{"m":12,"structure":{"type":"line","order":[1]},"rankings":' + rankings + "}"
+    assert cli._array_instance(text) is None
+    path = tmp_path / "instance.json"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(ParseError, match=r"invalid JSON \(Expecting ',' delimiter"):
+        load_instance(str(path))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--structure", "line", "--seed", "7", "--n", "400", "--m", "5", "--max-swaps", "10"],
+        ["--structure", "tree", "--seed", "3", "--n", "400", "--m", "6", "--max-edge-swaps", "1"],
+    ],
+    ids=["line", "tree"],
+)
+def test_generated_files_load_as_their_distinct_rankings(tmp_path, monkeypatch, argv):
+    path = str(tmp_path / "instance.json")
+    assert main(["generate", *argv, "--k", "2", "--out", path]) == 0
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    assert "\n    [\n      " in text  # indented, one entry a line
+    distinct = {tuple(row) for row in json.loads(text)["rankings"]}
+    profile, _, _ = load_instance(path)
+    assert len(profile.table_rank) == len(distinct) < profile.n
+    assert outcome(path) == decoder_outcome(monkeypatch, path)
 
 
 def shuffled_tree(seed, n, m):
@@ -441,7 +532,7 @@ def test_duplicate_heavy_compact_instances_equal_the_json_route(tmp_path, monkey
         if rho is not None:
             profile = PreferenceProfile.from_rankings(profile.rank, monotone_rho(seed, profile, rho == "p/q"))
         text = json.dumps(instance_to_doc(profile, structure, k=2), separators=COMPACT)
-        _, table, index = cli._compact_instance(text)
+        _, table, index = cli._array_instance(text)
         assert len(table) <= m * (m - 1) // 2 + 1 and len(index) == n
         assert compact_outcome(tmp_path, monkeypatch, text)[:3] == (profile, structure, 2)
 
@@ -468,7 +559,7 @@ def test_a_repeated_malformed_ranking_names_its_first_voter(tmp_path, monkeypatc
     if rho is not None:
         doc["rho"] = rho
     text = json.dumps(doc, separators=COMPACT).replace('"@"', rankings)
-    assert cli._compact_instance(text) is not None
+    assert cli._array_instance(text) is not None
     assert compact_outcome(tmp_path, monkeypatch, text) == message
 
 
@@ -1156,6 +1247,8 @@ def test_bench_report(tmp_path, capsys):
         ["check", "--mode", "conjecture", "--jobs", "0"],
         ["check", "--mode", "monge", "--instances", "0"],
         ["check", "--mode", "monge", "--jobs", "-1"],
+        ["generate", "--structure", "line", "--k", "0", "--out", os.devnull],
+        ["generate", "--structure", "tree", "--k", "-2", "--out", os.devnull],
     ],
 )
 def test_sweep_bounds_below_their_range_are_usage_errors(argv, capsys):

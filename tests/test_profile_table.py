@@ -1,13 +1,15 @@
 """Profiles stored as distinct rankings plus a per-voter index.
 
-A compact instance with Borda misrepresentation loads as the reader's table
-of distinct rankings and an index (the class path); the same instance written
-with spaces, and every instance with rho, loads one row per voter (the
-identity path). The line route reads the table and index directly. Here both
-loads must give the same witnesses, merged profiles, results and ``--out``
-bytes, equal in turn to the per-voter reference implementations below.
+An instance with Borda misrepresentation loads as the array reader's table
+of distinct rankings and an index (the class path), compact or spaced; the
+same instance read by the full JSON decoder (the reader declining it), and
+every instance with rho, loads one row per voter (the identity path). The
+line route reads the table and index directly. Here both loads must give the
+same witnesses, merged profiles, results and ``--out`` bytes, equal in turn
+to the per-voter reference implementations below.
 """
 
+import contextlib
 import json
 import pickle
 import random
@@ -162,15 +164,29 @@ def duplicate_heavy(seed):
     return PreferenceProfile.from_rankings(rank, rows), structure, rng.randint(1, m + 1)
 
 
-def both_loads(tmp_path, profile, structure, k):
-    """The instance loaded from its compact text (class path without rho) and its spaced text."""
+@contextlib.contextmanager
+def per_element(monkeypatch):
+    """Loads inside take json's lists and build one row per voter: the array reader declines."""
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_array_instance", lambda text: None)
+        yield
+
+
+def both_loads(tmp_path, monkeypatch, profile, structure, k):
+    """The instance loaded by the array reader (class path without rho) and one row per voter.
+
+    The array reader reads the compact text; the spaced text is loaded with
+    the reader declining. Returns both paths and both profiles.
+    """
     doc = instance_to_doc(profile, structure, k=k)
     paths = []
     for name, separators in (("compact.json", COMPACT), ("spaced.json", SPACED)):
         path = tmp_path / name
         path.write_text(json.dumps(doc, separators=separators), encoding="utf-8")
         paths.append(str(path))
-    return paths, [load_instance(path)[0] for path in paths]
+    with per_element(monkeypatch):
+        spaced = load_instance(paths[1])[0]
+    return paths, [load_instance(paths[0])[0], spaced]
 
 
 def solve_outputs(path, k, algorithm, objective, out, capsys):
@@ -186,17 +202,18 @@ def solve_outputs(path, k, algorithm, objective, out, capsys):
 
 
 @pytest.mark.parametrize("chunk", range(CHUNKS))
-def test_class_and_identity_loads_agree_with_the_references(tmp_path, capsys, chunk):
+def test_class_and_identity_loads_agree_with_the_references(tmp_path, monkeypatch, capsys, chunk):
     seen = {"class path": 0, "not single-crossing": 0, "inconsistent": 0, "n = 1": 0, "one ranking": 0}
     per_chunk = INSTANCES // CHUNKS
     for seed in range(chunk * per_chunk, (chunk + 1) * per_chunk):
         profile, structure, k = duplicate_heavy(seed)
-        paths, (compact, spaced) = both_loads(tmp_path, profile, structure, k)
+        paths, (compact, spaced) = both_loads(tmp_path, monkeypatch, profile, structure, k)
         n, m = profile.n, profile.m
         distinct = len({tuple(row) for row in profile.rank.tolist()})
         assert len(spaced.table_rank) == n
         borda = profile.scale == 1 and (profile.scaled == profile.pos).all()  # written without rho
         assert len(compact.table_rank) == (distinct if borda else n)
+        assert len(load_instance(paths[1])[0].table_rank) == len(compact.table_rank)
         seen["class path"] += len(compact.table_rank) < n
         seen["n = 1"] += n == 1
         seen["one ranking"] += distinct == 1 < n
@@ -232,7 +249,9 @@ def test_class_and_identity_loads_agree_with_the_references(tmp_path, capsys, ch
         for algorithm in algorithms:
             for objective in ("utilitarian", "egalitarian"):
                 out = str(tmp_path / "out.json")
-                got = [solve_outputs(path, k, algorithm, objective, out, capsys) for path in paths]
+                got = [solve_outputs(paths[0], k, algorithm, objective, out, capsys)]
+                with per_element(monkeypatch):
+                    got.append(solve_outputs(paths[1], k, algorithm, objective, out, capsys))
                 assert got[0] == got[1]
                 assert got[0][0] == (0 if bad is None and witness is None else 1)
         assert compact == spaced == profile and compact.scale == spaced.scale
@@ -307,7 +326,7 @@ def per_voter_views(profile):
 def test_compact_borda_line_route_gathers_no_per_voter_rows(tmp_path, monkeypatch):
     # shaped like the benchmark's line-bulk workload: the full crossing word, n = 4000, m = 30
     profile, line = gen_sc_line(11, 4000, 30, max_swaps=435, shuffle_voters=True)
-    paths, (compact, spaced) = both_loads(tmp_path, profile, line, 8)
+    paths, (compact, spaced) = both_loads(tmp_path, monkeypatch, profile, line, 8)
     read_by = []  # the profile of every read of rank, pos or scaled
     real = PreferenceProfile._gathered
     monkeypatch.setattr(
@@ -339,9 +358,9 @@ def shuffled_tree(seed, n, m):
     return PreferenceProfile.from_rankings(rank), RootedTree.from_parent(tuple(parent), perm[tree.root])
 
 
-def test_compact_borda_tree_solves_from_lazily_gathered_rows(tmp_path):
+def test_compact_borda_tree_solves_from_lazily_gathered_rows(tmp_path, monkeypatch):
     profile, tree = shuffled_tree(5, 300, 8)
-    paths, (compact, spaced) = both_loads(tmp_path, profile, tree, 5)
+    paths, (compact, spaced) = both_loads(tmp_path, monkeypatch, profile, tree, 5)
     assert len(compact.table_rank) < profile.n and per_voter_views(compact) == (None, None, None)
     assert check_consistency(compact) is None and check_structure(compact, tree) is None
     assert per_voter_views(compact) == (None, None, None)  # the tree check reads the table
@@ -354,9 +373,9 @@ def test_compact_borda_tree_solves_from_lazily_gathered_rows(tmp_path):
         assert (result.total_cost, result.egal_cost) == (expected.total_cost, expected.egal_cost)
 
 
-def test_compact_borda_tree_route_gathers_no_per_voter_rows(tmp_path):
+def test_compact_borda_tree_route_gathers_no_per_voter_rows(tmp_path, monkeypatch):
     profile, tree = shuffled_tree(7, 120, 8)
-    paths, (compact, spaced) = both_loads(tmp_path, profile, tree, 5)
+    paths, (compact, spaced) = both_loads(tmp_path, monkeypatch, profile, tree, 5)
     loaded, structure, _ = load_instance(paths[0])  # fresh: nothing gathered yet
     assert len(loaded.table_rank) < profile.n
     assert check_consistency(loaded) is None and check_structure(loaded, structure) is None
