@@ -32,16 +32,23 @@ class Objective(Enum):
     EGALITARIAN = "egalitarian"
 
 
-_INT64_MAX = (1 << 63) - 1
+# the integer tiers, narrowest first, with their largest values
+_TIERS = tuple((int(np.iinfo(t).max), t) for t in (np.int16, np.int32, np.int64))
 
 
 def int_dtype(bound: int):
-    """``np.int64`` when no value of a computation exceeds ``bound`` in magnitude, else ``object``.
+    """The narrowest of ``np.int16``, ``np.int32`` and ``np.int64`` whose maximum is at
+    least ``bound``, else ``object``.
 
-    Object arrays hold Python ints, so the same array code stays exact past
-    the int64 range.
+    ``bound`` is the largest magnitude any value of the computation takes,
+    its intermediates included: numpy integer arrays wrap silently. Object
+    arrays hold Python ints, so the same array code stays exact past the
+    int64 range.
     """
-    return np.int64 if bound <= _INT64_MAX else object
+    for top, dtype in _TIERS:
+        if bound <= top:
+            return dtype
+    return object
 
 
 def _as_rational(x) -> Rational:
@@ -448,6 +455,13 @@ class RootedTree:
     def n(self) -> int:
         return len(self.parent)
 
+    @cached_property
+    def parent_array(self) -> np.ndarray:
+        """The parent links as a read-only int array, the root its own parent."""
+        array = np.array(self.parent[: self.root] + (self.root,) + self.parent[self.root + 1 :])
+        array.flags.writeable = False
+        return array
+
     def depths(self) -> list[int]:
         depth = [0] * self.n
         for v in self.order[1:]:
@@ -455,13 +469,19 @@ class RootedTree:
         return depth
 
     def path(self, u: int, w: int) -> list[int]:
-        """Vertices of the unique u-w path, endpoints included."""
-        at = {v: i for i, v in enumerate(self.order)}
-        front, back = [u], [w]
-        while front[-1] != back[-1]:  # the end later in order is no ancestor of the other
-            later = front if at[front[-1]] > at[back[-1]] else back
-            later.append(self.parent[later[-1]])
-        return front + back[-2::-1]
+        """Vertices of the unique u-w path, endpoints included.
+
+        Walks from u to the root, then from w up to the first vertex on
+        u's walk, their lowest common ancestor: time in the two depths.
+        """
+        front = [u]
+        while self.parent[front[-1]] is not None:
+            front.append(self.parent[front[-1]])
+        at = {v: i for i, v in enumerate(front)}
+        back = [w]
+        while back[-1] not in at:
+            back.append(self.parent[back[-1]])
+        return front[: at[back[-1]] + 1] + back[-2::-1]
 
 
 @dataclass(frozen=True)

@@ -128,10 +128,13 @@ def _rect_key(r: Rect):
 class GridPrefix:
     """Per-candidate 2D prefix sums of scaled rho.
 
-    ``table`` is a read-only (m, n1+1, n2+1) array (int64, or object past
-    the int64 range) whose [c, i, j] entry sums candidate c's scaled values
-    over the cells above row i and left of column j.  Divide by ``scale``
-    for rho units.
+    ``table`` is a read-only (m, n1+1, n2+1) array whose [c, i, j] entry
+    sums candidate c's scaled values over the cells above row i and left of
+    column j.  Divide by ``scale`` for rho units.  Its dtype is
+    ``int_dtype(cells * top)``, top the largest scaled value: int16, int32
+    or int64, the narrowest that holds every sum, else object (Python ints).
+    The laminar DP's value and sum tables share it: a rectangle's cost, and
+    the cost of two disjoint halves, is at most that bound too.
     """
 
     table: np.ndarray
@@ -148,7 +151,7 @@ def build_grid_prefix(profile: PreferenceProfile, grid: Grid) -> GridPrefix:
     dtype = int_dtype(grid.n * int(profile.scaled.max()))
     cells = profile.scaled.astype(dtype, copy=False).reshape(n1, n2, m).transpose(2, 0, 1)
     table = np.zeros((m, n1 + 1, n2 + 1), dtype=dtype)
-    table[:, 1:, 1:] = cells.cumsum(axis=1).cumsum(axis=2)
+    table[:, 1:, 1:] = cells.cumsum(axis=1, dtype=dtype).cumsum(axis=2, dtype=dtype)
     table.flags.writeable = False
     return GridPrefix(table, n1, n2, m, profile.scale)
 
@@ -185,6 +188,7 @@ def _rect_minima(prefix: GridPrefix, i0, j0, h, w):
     table = prefix.table.reshape(prefix.m, -1)
     top = i0 * (prefix.n2 + 1) + j0
     low = top + h * (prefix.n2 + 1)
+    # left to right every partial result stays within -bound..bound, the table's tier
     sums = table.take(low + w, 1) - table.take(top + w, 1) - table.take(low, 1) + table.take(top, 1)
     cand = sums.argmin(axis=0)
     return sums[cand, np.arange(len(cand))], cand
@@ -250,7 +254,12 @@ def _solve_laminar(profile: PreferenceProfile, grid: Grid, budget: int, algorith
     rep = np.empty((n1, n2), dtype=np.int64)
     for r, c in zip(tiling.rects, tiling.reps):
         rep[r.i0 : r.i1 + 1, r.j0 : r.j1 + 1] = c
-    stats = {"rects": len(tiling.rects), "budget": kk, "dp_cells": value.size}
+    stats = {
+        "engine": value.dtype.name,
+        "rects": len(tiling.rects),
+        "budget": kk,
+        "dp_cells": value.size,
+    }
     assignment = Assignment(rep.ravel().tolist())
     result = SolveResult.from_assignment(profile, assignment, algorithm, stats)
     return result, tiling

@@ -95,16 +95,17 @@ def merge_identical_voters(
         col = profile.table_rank[rows, c]
         cut |= col[1:] != col[:-1]
     joins = np.concatenate(([0], np.flatnonzero(cut) + 1))  # the runs that start a merged voter
+    run_rows = profile.table_scaled[rows]
+    top = int(run_rows.max())
     # the run rows are freed before the merged rankings exist
     if objective is Objective.EGALITARIAN:
-        scaled = np.maximum.reduceat(profile.table_scaled[rows], joins)
+        scaled = np.maximum.reduceat(run_rows.astype(int_dtype(top), copy=False), joins)
     else:
-        run_rows = profile.table_scaled[rows]
-        dtype = int_dtype(profile.n * int(run_rows.max()))
+        dtype = int_dtype(profile.n * max(top, 1))  # every summed row, and every run length
         run_rows = run_rows.astype(dtype, copy=False)
         run_rows *= np.diff(starts, append=profile.n).astype(dtype)[:, None]  # each run's summed row
         scaled = np.add.reduceat(run_rows, joins, dtype=dtype)
-        del run_rows
+    del run_rows
     heads = rows[joins]
     rank, pos = profile.table_rank[heads], profile.table_pos[heads]
     return PreferenceProfile._from_parts(rank, pos, scaled, profile.scale)
@@ -178,7 +179,9 @@ def check_concave_monge(prefix: PrefixSums) -> Optional[tuple[int, int]]:
     n = 3. On single-crossing input there is no violation, so a hit
     falsifies either the input's single-crossing claim or the weight table.
     """
-    n, table = prefix.n, prefix.table
+    n = prefix.n
+    # a weight is at most the largest column total, and lhs and rhs add two
+    table = prefix.table.astype(int_dtype(2 * int(prefix.table[:, -1].max())), copy=False)
 
     def weights(i):  # w(i, j) for j = i+1..n, at index j - i - 1
         return (table[:, i + 1 :] - table[:, i : i + 1]).min(axis=0)
@@ -359,8 +362,8 @@ def _exact_k_path(klink: KLinkInstance, lam, k: int) -> tuple[int, ...]:
     table = klink.prefix.table
     dtype = int_dtype(max(cost) + int(table[:, -1].max()) + lam)
     cost_a = np.array(cost, dtype=dtype)
-    lmin_a = np.array(lmin, dtype=np.int64)
-    lmax_a = np.array(lmax, dtype=np.int64)
+    lmin_a = np.array(lmin, dtype=int_dtype(n))  # link counts are at most n
+    lmax_a = np.array(lmax, dtype=lmin_a.dtype)
 
     path = [n]
     v, t = n, k
@@ -390,10 +393,12 @@ def _exact_k_path(klink: KLinkInstance, lam, k: int) -> tuple[int, ...]:
 # (a running suffix minimum over c). Infeasible states hold the sentinel
 # inf, chosen per instance above every finite total, and the recurrences
 # propagate it, so no explicit bound of t against m is needed. Values are
-# int64 when inf plus any entry fits, otherwise Python ints in object arrays;
-# the same array code runs on both. Every sweep starts past the last voter,
-# where dyp1 row 0 is zero and all else is inf: an empty suffix costs nothing
-# and opens no candidate. So every voter, the last one included, is one step.
+# held in ``int_dtype(inf + top)``, top the largest entry: int16, int32 or
+# int64, the narrowest that holds inf plus any entry, else Python ints in
+# object arrays; the same array code runs on every tier. Every sweep starts
+# past the last voter, where dyp1 row 0 is zero and all else is inf: an
+# empty suffix costs nothing and opens no candidate. So every voter, the
+# last one included, is one step.
 #
 # Inside a sweep the planes and rows are held with the candidate axis
 # reversed, column j for candidate m - 1 - j: the suffix minimum over c is
@@ -488,8 +493,10 @@ def _plane_sweep(rho, d1, d0, inf, choice, take):
     candidate and on plane 0), the voter recurrence unrolls to
     ``d1_t[i] = min(min_{j>=i}(H[j] + P[j+1]) - P[i], inf)``, with the
     carried d1_t as the term past the tile: one reversed running minimum
-    over voters. Unclipped sums reach inf plus one tile's rho sum, so the
-    caller runs this only where ``int_dtype(2 * inf)`` is the sweep's dtype.
+    over voters. Unclipped sums reach inf plus one tile's rho sum, below
+    2 * inf, so the tile buffers hold them in ``int_dtype(2 * inf)``; the
+    carried planes keep the dtype of ``d1`` and ``d0``, which the caller
+    chooses to hold inf plus any entry.
     Records every voter's choice and take rows exactly as ``_sweep`` does
     and returns the planes at voter 0.
     """
@@ -497,12 +504,13 @@ def _plane_sweep(rho, d1, d0, inf, choice, take):
     planes = d1.shape[0]
     d1, d0 = d1.copy(), d0.copy()  # the carried planes, replaced tile by tile
     block = min(_PACK_BLOCK, n)
+    wide = int_dtype(2 * inf)
     # bits per plane in the reversed layout, turned into voter rows once per tile
     ch_buf = np.empty((planes, block, m), dtype=bool)
     tk_buf = np.empty_like(ch_buf)
     # flat (block + 1, m) tile buffers, the last row for the voter past the tile:
     # P; H + P, turned in place into this plane's dyp1; its dyp0; the previous dyp0
-    prefix = np.zeros((block + 1) * m, dtype=rho.dtype)
+    prefix = np.zeros((block + 1) * m, dtype=wide)
     v1, v0, prev = (np.empty_like(prefix) for _ in range(3))
     minimum, accumulate = np.minimum, np.minimum.accumulate
     for end in range(n, 0, -block):
@@ -510,7 +518,7 @@ def _plane_sweep(rho, d1, d0, inf, choice, take):
         size = end - start
         cells = size * m
         p = prefix[: cells + m].reshape(size + 1, m)
-        np.cumsum(rho[start:end], axis=0, out=p[1:])
+        np.cumsum(rho[start:end], axis=0, dtype=wide, out=p[1:])
         w1 = v1[: cells + m].reshape(size + 1, m)
         prev[: cells + m] = inf  # plane 0 opens nothing: no smaller size
         for t in range(planes):
@@ -549,10 +557,14 @@ def _dp_sweep(rho: np.ndarray, planes: int, egal: bool, record: bool = True):
     arrays, so a walk within the budget needs no second sweep; without it
     the sweep computes values only.
 
-    A recorded utilitarian sweep of every voter with planes <= m runs plane
-    by plane over tiles of voters (``_plane_sweep``) when its unclipped
-    sums, up to 2 * inf, fit the sweep's dtype; every other sweep steps one
-    voter at a time (``_sweep``). Both give the same planes and bits.
+    The rows and planes are held in ``int_dtype(inf + top)``, the narrowest
+    tier that holds every value of the voter loop. A recorded utilitarian
+    sweep of every voter with planes <= m runs plane by plane over tiles of
+    voters (``_plane_sweep``) when its unclipped sums, up to 2 * inf, fit
+    int64 or the planes are object arrays already: its tile buffers then
+    sweep in ``int_dtype(2 * inf)``, which may be a wider tier than the
+    planes'. Every other sweep steps one voter at a time (``_sweep``). Both
+    give the same planes and bits.
 
     Returns the reversed rows in the sweep's dtype, the sentinel inf, B, the
     checkpoints and the choice and take bit arrays (no rows without ``record``).
@@ -571,7 +583,9 @@ def _dp_sweep(rho: np.ndarray, planes: int, egal: bool, record: bool = True):
     d1[0] = 0
     d0 = np.full((planes, m), inf, dtype=dtype)
     checkpoints = {n: (d1, d0)}
-    if recorded >= n and not egal and planes <= m and int_dtype(2 * inf) is dtype:
+    # the plane path's unclipped sums, up to 2 * inf, need int64 or object arrays
+    sums_fit = int_dtype(2 * inf) is not object or dtype is object
+    if recorded >= n and not egal and planes <= m and sums_fit:
         checkpoints[0] = _plane_sweep(rho, d1, d0, inf, choice, take)
     else:
         _sweep(rho, d1, d0, egal, inf, n, 0, spacing, checkpoints, choice, take)
@@ -699,6 +713,7 @@ def solve_line_klink(profile: PreferenceProfile, order, k: int) -> SolveResult:
 
     committee = {inverse[klink.cand(u, v)] for u, v in zip(path, path[1:])}
     stats = {
+        "engine": klink.prefix.table.dtype.name,
         "lambda": to_rho_units(lam, profile.scale),
         "links": len(path) - 1,
         "omega_evals": klink.evals,
@@ -730,8 +745,10 @@ def solve_line_egal_threshold(profile: PreferenceProfile, order, k: int) -> Solv
     line = _line(profile, order)
     rows, inverse = _normalized_rows(profile, line)
     planes = min(k, profile.n)
-    checkpoints = _dp_sweep(rows, planes, True, record=False)[3]
+    # the value sweep's dtype is the route's widest: the 0/1 rows give the
+    # witness a sentinel no larger
+    rho, _, _, checkpoints = _dp_sweep(rows, planes, True, record=False)[:4]
     t = int(checkpoints[0][1][:, -1].min())
     witness = {inverse[c] for c in set(_dp_engine(rows > t, planes, False)[0])}
-    stats = {"threshold": to_rho_units(t, profile.scale), "dp_calls": 2}
+    stats = {"engine": rho.dtype.name, "threshold": to_rho_units(t, profile.scale), "dp_calls": 2}
     return SolveResult.from_committee(profile, witness, "line-egal-threshold", stats)

@@ -43,8 +43,9 @@ Sizes are read from table shapes, min(k, |T_v|), which is all the fold's
 bounds and the walk's budget ranges need. Infeasible states hold an integer
 sentinel chosen per instance above every finite value (the scaled rows are
 exact ints of any size, so a float infinity cannot be added to them);
-tables are int64, or object arrays of Python ints once a sum of two entries
-can pass the int64 range. The tight t ranges make the whole sweep cost
+tables are held in ``int_dtype(2 * inf)``, since a fold adds two entries of
+at most inf: int16, int32 or int64, the narrowest that holds that sum, else
+object arrays of Python ints. The tight t ranges make the whole sweep cost
 O(min(k, |T_u|) * min(k, |T_rest|)) per candidate, which telescopes to
 O(min(n^2, nk)) over the tree.
 """
@@ -415,10 +416,11 @@ def solve_tree_dp(
         return SolveResult.from_committee(profile, tops, "tree-dp", stats)
 
     inverse = reference_ranking(profile, tree)
-    rows = profile.table_scaled[np.ix_(profile.index, inverse)]  # voter v's row, in the root's order
-    inf = n * int(rows.max()) + 1  # above every finite total and maximum
-    # a fold adds two table values, each at most inf
-    rows = rows.astype(int_dtype(2 * inf), copy=False)
+    table = profile.table_scaled
+    inf = n * int(table.max()) + 1  # above every finite total and maximum
+    # a fold adds two table values, each at most inf; the (d, m) table is
+    # cast once, and voter v's row gathered from it in the root's order
+    rows = table.astype(int_dtype(2 * inf), copy=False)[np.ix_(profile.index, inverse)]
     dyp1, merges = _dp_tables(rows, tree, k, objective, inf)
 
     l_star = int(np.argmin(dyp1[tree.root].min(axis=1))) + 1  # first minimum
@@ -427,6 +429,7 @@ def solve_tree_dp(
     cells = 2 * sum(table.size for table in dyp1)
     del dyp1  # freed before the costs are computed, which lowers the peak
     stats = {
+        "engine": rows.dtype.name,
         "merge_iterations": merges,
         "states": m * merges + cells,
         "l_star": l_star,

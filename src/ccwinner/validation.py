@@ -122,18 +122,27 @@ def _tree_side_violation(tree: RootedTree, inside: np.ndarray) -> Optional[tuple
     """If `inside` does not induce a connected subtree, return (v1, v2, v3).
 
     v1 is the first member, v3 the first member outside v1's component and
-    v2 the first non-member on the tree path from v1 to v3. One pass over
-    ``tree.order``, where each vertex follows its parent, labels every
-    member with the top vertex of its component.
+    v2 the first non-member on the tree path from v1 to v3. Pointer jumping
+    labels every member with the top vertex of its component: a member whose
+    parent is a member points at that parent, every other vertex at itself,
+    and each round replaces every pointer by the one it points at, until
+    none moves; the rounds grow with the log of the longest chain of members.
     """
-    inside, parent, top = inside.tolist(), tree.parent, {}
-    for v in tree.order:
-        if inside[v]:
-            top[v] = top.get(parent[v], v)  # the root's parent None is never a key
-    v1 = min(top, default=None)
-    v3 = min((v for v, t in top.items() if t != top[v1]), default=None)
-    if v3 is None:
+    members = np.flatnonzero(inside)
+    if len(members) == 0:
         return None
+    parent = tree.parent_array
+    up = np.where(inside & inside[parent], parent, np.arange(tree.n))
+    while True:
+        jumped = up[up]
+        if np.array_equal(jumped, up):
+            break
+        up = jumped
+    v1 = int(members[0])
+    apart = members[up[members] != up[v1]]
+    if len(apart) == 0:
+        return None
+    v3 = int(apart[0])
     v2 = next(u for u in tree.path(v1, v3) if not inside[u])
     return v1, v2, v3
 
@@ -150,9 +159,8 @@ def check_sc_tree(profile: PreferenceProfile, tree: RootedTree) -> Optional[Cros
     """
     if tree.n != profile.n:
         raise InvalidN("tree and profile disagree on the number of voters")
-    index, parent = profile.index, list(tree.parent)
-    parent[tree.root] = tree.root  # a loop at the root: its ends share a row, so it never flips
-    at_parent = index[parent]
+    index = profile.index
+    at_parent = index[tree.parent_array]  # a loop at the root: its ends share a row, so it never flips
     apart = index != at_parent
     # row c: candidate c's rank position in each table row
     pos = np.ascontiguousarray(_narrow(profile.table_pos).T)

@@ -540,6 +540,7 @@ def reference_klink(profile, line, k):
                 return NotSingleCrossing
     committee = {inverse[klink.cand(u, v)] for u, v in zip(path, path[1:])}
     stats = {
+        "engine": klink.prefix.table.dtype.name,
         "lambda": to_rho_units(lam, profile.scale),
         "links": len(path) - 1,
         "omega_evals": klink.evals,

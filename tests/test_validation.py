@@ -605,3 +605,81 @@ def test_flipped_edge_count_matches_the_members_and_edges_checker():
             verify_tree_witness(profile, tree, got)
             sides.add(got.c < got.c_other)
     assert sides == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the side test against the order pass it replaced
+
+
+def breadth_first_path(tree, u, w):
+    """The u-w path walked by breadth-first positions: the later end steps up."""
+    at = {v: i for i, v in enumerate(tree.order)}
+    front, back = [u], [w]
+    while front[-1] != back[-1]:
+        later = front if at[front[-1]] > at[back[-1]] else back
+        later.append(tree.parent[later[-1]])
+    return front + back[-2::-1]
+
+
+def order_pass_tree_side(tree, inside):
+    """The side test as it was: one Python pass over ``tree.order`` labels each
+    member with the top vertex of its component, the path by breadth-first walk."""
+    inside, parent, top = inside.tolist(), tree.parent, {}
+    for v in tree.order:
+        if inside[v]:
+            top[v] = top.get(parent[v], v)
+    v1 = min(top, default=None)
+    v3 = min((v for v, t in top.items() if t != top[v1]), default=None)
+    if v3 is None:
+        return None
+    return v1, next(u for u in breadth_first_path(tree, v1, v3) if not inside[u]), v3
+
+
+def shuffled_tree(rng, shape, n):
+    """A star, path or random recursive tree with shuffled labels, so the root is any vertex."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    parent = [None] * n
+    for v in range(1, n):
+        p = {"star": 0, "path": v - 1}.get(shape, rng.randrange(v))
+        parent[labels[v]] = labels[p]
+    return RootedTree.from_parent(tuple(parent), labels[0])
+
+
+def test_side_witnesses_match_the_order_pass_on_broken_trees():
+    """Stars, paths, random trees and perturbed single-crossing trees: every pair's
+    two sides give the order pass's witness, and at least 500 trees are broken."""
+    rng = random.Random(137)
+    broken = 0
+    for trial in range(640):
+        n, m = rng.randint(3, 50), rng.randint(2, 6)
+        shape = ("star", "path", "random", "sc")[trial % 4]
+        if shape == "sc":
+            base, tree = gen_sc_tree(60_000 + trial, n, m)
+            rankings = perturbed(rng, list(base.rankings))
+        else:
+            tree = shuffled_tree(rng, shape, n)
+            pool = [tuple(rng.sample(range(m), m)) for _ in range(rng.randint(2, 4))]
+            rankings = [rng.choice(pool) for _ in range(n)]
+        profile = PreferenceProfile.from_rankings(rankings)
+        witness = check_sc_tree(profile, tree)
+        if witness is not None:
+            broken += 1
+            verify_tree_witness(profile, tree, witness)
+        pos = profile.pos
+        for a in range(m):
+            for b in range(a + 1, m):
+                inside = pos[:, a] < pos[:, b]
+                for side in (inside, ~inside):
+                    assert _tree_side_violation(tree, side) == order_pass_tree_side(tree, side), trial
+    assert broken >= 500
+
+
+def test_tree_path_matches_the_breadth_first_walk():
+    rng = random.Random(139)
+    for trial in range(60):
+        n = rng.randint(1, 30)
+        tree = shuffled_tree(rng, ("star", "path", "random")[trial % 3], n)
+        for u in range(n):
+            for w in range(n):
+                assert tree.path(u, w) == breadth_first_path(tree, u, w), (trial, u, w)
