@@ -26,9 +26,10 @@ whichever has fewer. The convolution is associative, so pieces of several
 children can also be combined first. Children are folded last to first, so
 the walk never refolds the first child. The last child splits against its
 parent alone, so the walk reads that split as two table entries; the
-partial folds the earlier children need it rebuilds as one-column
-convolutions at the candidate c it reached, from each later child's table
-at c and its minimum above c. A vertex with one child makes no fold.
+partial folds the earlier children need it rebuilds at the candidate c it
+reached from one gather of the children's columns: the innermost by one
+elementwise op, the others as one-column convolutions. A vertex with one
+child makes no fold.
 
 The sweep runs one height level at a time (0 for a leaf, else 1 + the
 largest child height), since vertices of one height never depend on each
@@ -44,14 +45,16 @@ bounds and the walk's budget ranges need. Infeasible states hold an integer
 sentinel chosen per instance above every finite value (the scaled rows are
 exact ints of any size, so a float infinity cannot be added to them);
 tables are held in ``int_dtype(2 * inf)``, since a fold adds two entries of
-at most inf: int16, int32 or int64, the narrowest that holds that sum, else
-object arrays of Python ints. The tight t ranges make the whole sweep cost
-O(min(k, |T_u|) * min(k, |T_rest|)) per candidate, which telescopes to
-O(min(n^2, nk)) over the tree.
+at most inf (``int_dtype(inf)`` for the egalitarian max): int16, int32 or
+int64, the narrowest that holds that bound, else object arrays of Python
+ints. The tight t ranges make the whole sweep cost O(min(k, |T_u|) *
+min(k, |T_rest|)) per candidate, which telescopes to O(min(n^2, nk)) over
+the tree.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import add
 
 import numpy as np
@@ -418,9 +421,11 @@ def solve_tree_dp(
     inverse = reference_ranking(profile, tree)
     table = profile.table_scaled
     inf = n * int(table.max()) + 1  # above every finite total and maximum
-    # a fold adds two table values, each at most inf; the (d, m) table is
-    # cast once, and voter v's row gathered from it in the root's order
-    rows = table.astype(int_dtype(2 * inf), copy=False)[np.ix_(profile.index, inverse)]
+    # a utilitarian fold adds two table values, each at most inf, and an
+    # egalitarian one takes their max; the (d, m) table is cast once, and
+    # voter v's row gathered from it in the root's order
+    bound = inf if objective is Objective.EGALITARIAN else 2 * inf
+    rows = table.astype(int_dtype(bound), copy=False)[np.ix_(profile.index, inverse)]
     dyp1, merges = _dp_tables(rows, tree, k, objective, inf)
 
     l_star = int(np.argmin(dyp1[tree.root].min(axis=1))) + 1  # first minimum
@@ -467,89 +472,89 @@ def _fold_column(rest, pair, k: int, op, inf: int):
 def _reconstruct(rows, tree, k, objective, dyp1, l_star, inf):
     """Walk the tables back into per-voter representatives.
 
-    dyp2 planes were dropped after the sweep, so per visited vertex with
-    several children the value vectors of the partial folds without its
-    first child are rebuilt at the candidate c the vertex ended up with.
-    Each child contributes two columns, its table at c (SAME) and its
-    minimum above c (DIFF), one ``np.minimum.reduceat`` per child;
-    ``_fold_column`` folds the later children's columns into v's own entry,
-    last child first, as the sweep's fold does at column c and with the same
-    values (at c = m - 1 there is one column, so no DIFF piece enters). Each
-    refold is one skewed convolution of two vectors, a fixed number of numpy
-    calls whatever the rows. Child by child, the walk scans the child's SAME
-    and DIFF splits against the rest of the fold and takes the first
-    minimum: SAME before DIFF, then the smallest child budget. The last
-    child's rest is v's own entry, so its scan reads two table entries, SAME
-    with budget l and then DIFF with budget l - 1 (none at c = m - 1), and a
-    vertex with one child makes no fold and no ``reduceat``. The minimum
-    must equal the value the walk carries (the vertex's table entry for its
-    first child, then the rest entry the previous split chose), or the
-    tables are inconsistent. A state whose candidate is only bounded below
-    by c (the suffix minimum, derived here) resolves to the smallest
-    attaining candidate, the first minimum of its table row from c on; it is
-    resolved when pushed, so every stack entry holds a vertex's final
-    candidate.
+    dyp2 planes were dropped after the sweep, so at a visited vertex with K
+    >= 2 children the partial folds without its first child are rebuilt at
+    the candidate c the vertex ended up with. One ``np.minimum.reduceat``
+    over the children's tables laid end to end gives each child's table at
+    c (SAME) and minimum above c (DIFF; none at c = m - 1), two lists sliced
+    per child. The innermost rest, the last child's pieces against v's own
+    entry, is one elementwise op and the cap; ``_fold_column`` folds the
+    K - 2 children before it in, last first, as the sweep's fold does at
+    column c. Child by child, the walk scans the SAME and DIFF splits
+    against the rest and takes the first minimum: SAME before DIFF, then the
+    smallest child budget. The last child's rest is v's own entry, so its
+    scan reads two table entries, SAME with budget l and DIFF with budget
+    l - 1, and a vertex with one child gathers nothing. The minimum must
+    equal the value the walk carries (v's table entry for its first child,
+    then the rest entry the previous split chose), or the tables are
+    inconsistent. A DIFF state resolves when pushed, to the first minimum
+    of the child's table row above c (the smallest attaining candidate), so
+    every stack entry holds a vertex's final candidate and its table entry
+    there, as the split that pushed it read it.
     """
     op = max if objective is Objective.EGALITARIAN else add
     fold_op = np.maximum if objective is Objective.EGALITARIAN else np.add
     m = rows.shape[1]
     rep = [0] * tree.n
-    # (vertex, subtree budget, candidate)
-    stack = [(tree.root, l_star, int(np.argmin(dyp1[tree.root][l_star - 1])))]
+    top = dyp1[tree.root][l_star - 1]
+    c = int(top.argmin())
+    stack = [(tree.root, l_star, c, top.item(c))]  # (vertex, budget, candidate, table entry)
     while stack:
-        v, l, c = stack.pop()
+        v, l, c, carried = stack.pop()
         rep[v] = c
         children = tree.child_order[v]
         if not children:
             continue
-        # per child, column c and the minimum over columns c + 1.. (none at
-        # c = m - 1); rest vectors of the partial folds, innermost first: the
-        # sweep's own fold on these pairs, whose column 0 is candidate c. A
-        # vertex with one child needs neither (see the last child's step).
-        pairs, rests = [], []
+        r = rows.item(v, c)
         if len(children) > 1:
-            starts = [c, c + 1][: m - c]
-            pairs = [np.minimum.reduceat(dyp1[u], starts, axis=1) for u in children]
-            fold = rows[v, c : c + 1]
-            for pair in reversed(pairs[1:]):
-                fold = _fold_column(fold, pair, k, fold_op, inf)
+            tables = [dyp1[u] for u in children]
+            ends = list(accumulate(len(table) for table in tables))
+            cols = np.minimum.reduceat(np.concatenate(tables), [c, c + 1][: m - c], axis=1)
+            same = cols[:, 0].tolist()
+            diff = cols[:, 1].tolist() if c + 1 < m else [inf] * len(same)
+            # rests[i] covers the children after child i, plus v; the
+            # innermost is the last child's pieces against v's entry
+            pieces = map(min, same[ends[-2] :] + [inf], [inf] + diff[ends[-2] :])
+            rests = [[min(op(r, piece), inf) for piece in pieces][:k]]
+            fold = rests[0]
+            for lo, hi in zip(ends[-3::-1], ends[-2::-1]):
+                fold = _fold_column(np.asarray(fold, dtype=cols.dtype), cols[lo:hi], k, fold_op, inf)
                 rests.append(fold.tolist())
-            rests.reverse()  # rests[i] now covers the children after child i, plus v
-        carried = int(dyp1[v][l - 1, c])
-        for u, pair, rest in zip(children, pairs, rests):
-            d1 = pair[:, 0].tolist()  # SAME: u on c
-            d0 = pair[:, 1].tolist() if c + 1 < m else [inf] * len(d1)  # DIFF: u above c
-            upper, child = len(rest), len(d1)
-            same_ts = range(max(1, l + 1 - upper), min(l, child) + 1)
-            diff_ts = range(max(1, l - upper), min(l - 1, child) + 1)
-            got = [op(d1[t - 1], rest[l - t]) for t in same_ts]
-            got += [op(d0[t - 1], rest[l - t - 1]) for t in diff_ts]
-            best = min(got)
-            if best != carried:
-                raise InconsistentTables(
-                    f"vertex {v}, child {u}: the splits reach {best}, the table holds {carried}"
-                )
-            j = got.index(best)
-            if j < len(same_ts):
-                t = same_ts[j]
-                stack.append((u, t, c))
-                l = l - t + 1
-            else:
-                t = diff_ts[j - len(same_ts)]
-                stack.append((u, t, c + 1 + int(np.argmin(dyp1[u][t - 1, c + 1 :]))))
-                l = l - t
-            carried = rest[l - 1]
+            rests.reverse()
+            for u, lo, hi, rest in zip(children, [0, *ends], ends, rests):
+                d1, d0 = same[lo:hi], diff[lo:hi]  # SAME: u on c; DIFF: u above c
+                upper, child = len(rest), hi - lo
+                same_ts = range(max(1, l + 1 - upper), min(l, child) + 1)
+                diff_ts = range(max(1, l - upper), min(l - 1, child) + 1)
+                got = [op(d1[t - 1], rest[l - t]) for t in same_ts]
+                got += [op(d0[t - 1], rest[l - t - 1]) for t in diff_ts]
+                best = min(got)
+                if best != carried:
+                    raise InconsistentTables(
+                        f"vertex {v}, child {u}: the splits reach {best}, the table holds {carried}"
+                    )
+                j = got.index(best)
+                if j < len(same_ts):
+                    t = same_ts[j]
+                    stack.append((u, t, c, d1[t - 1]))
+                    l = l - t + 1
+                else:
+                    t = diff_ts[j - len(same_ts)]
+                    stack.append((u, t, c + 1 + int(dyp1[u][t - 1, c + 1 :].argmin()), d0[t - 1]))
+                    l = l - t
+                carried = rest[l - 1]
         # the last child splits against v alone, whose rest is the one entry
         # rows[v, c]: SAME with budget l, then DIFF with budget l - 1
-        u, table, r = children[-1], dyp1[children[-1]], int(rows[v, c])
+        u, table = children[-1], dyp1[children[-1]]
         best, push = op(inf, r), None  # reported when no split exists
         if l <= len(table):
-            best, push = op(int(table[l - 1, c]), r), (u, l, c)
+            entry = table.item(l - 1, c)
+            best, push = op(entry, r), (u, l, c, entry)
         if 2 <= l <= len(table) + 1 and c + 1 < m:
-            j = c + 1 + int(np.argmin(table[l - 2, c + 1 :]))
-            diff = op(int(table[l - 2, j]), r)
-            if push is None or diff < best:
-                best, push = diff, (u, l - 1, j)
+            j = c + 1 + int(table[l - 2, c + 1 :].argmin())
+            entry = table.item(l - 2, j)
+            if push is None or op(entry, r) < best:
+                best, push = op(entry, r), (u, l - 1, j, entry)
         if push is None or best != carried:
             raise InconsistentTables(
                 f"vertex {v}, child {u}: the splits reach {best}, the table holds {carried}"

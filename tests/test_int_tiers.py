@@ -466,18 +466,20 @@ def tree_with_top(n, m, top, seed=3):
 
 @pytest.mark.parametrize("edge", EDGES)
 @pytest.mark.parametrize("side", SIDES)
-def test_tree_tables_at_the_tier_edges(edge, side):
-    """A fold adds two table entries of at most inf = n * top + 1."""
+@pytest.mark.parametrize("objective", list(Objective))
+def test_tree_tables_at_the_tier_edges(edge, side, objective):
+    """A utilitarian fold adds two table entries of at most inf = n * top + 1; an
+    egalitarian one takes their max, which never passes inf."""
     n, m = 14, 4
-    top = tops_at(edge, lambda t: 2 * (n * t + 1))[side]
+    scale = 2 if objective is Objective.UTILITARIAN else 1
+    top = tops_at(edge, lambda t: scale * (n * t + 1))[side]
     profile, tree = tree_with_top(n, m, top)
     for k in (2, 5):
-        for objective in Objective:
-            got = assert_tier_at_edge(
-                lambda: tree_solver.solve_tree_dp(profile, tree, k, objective),
-                2 * (n * top + 1), edge, side,
-            )
-            assert got.stats["engine"] == tier_name(edge, side)
+        got = assert_tier_at_edge(
+            lambda: tree_solver.solve_tree_dp(profile, tree, k, objective),
+            scale * (n * top + 1), edge, side,
+        )
+        assert got.stats["engine"] == tier_name(edge, side)
 
 
 @pytest.mark.parametrize("edge", EDGES)

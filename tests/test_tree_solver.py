@@ -274,6 +274,65 @@ def test_walk_rejects_a_tampered_table(monkeypatch, objective):
             solve_tree_dp(profile, tree, 3, objective)
 
 
+@pytest.mark.parametrize("objective", list(Objective))
+def test_walk_rejects_a_tampered_table_below_the_root(monkeypatch, objective):
+    """Each vertex's table entry rides on the stack from its parent's split; a
+    table one above what its own children reach is caught at the parent or at
+    the vertex itself."""
+    walk = tree_solver._reconstruct
+    random_profile, random_tree = gen_sc_tree(48, 40, 5)
+    wide = [
+        v for v in range(random_tree.n)
+        if v != random_tree.root and len(random_tree.child_order[v]) >= 3
+    ]
+    path = path_tree(20)
+    assert wide and len(path.child_order[5]) == 1
+    # a vertex with three or more children, then a one-child vertex on a path
+    for profile, tree, vertex in (
+        (random_profile, random_tree, wide[0]), (gen_sc_line(48, 20, 5)[0], path, 5)
+    ):
+
+        def tampered(rows, tree, k, objective, dyp1, *rest, vertex=vertex):
+            dyp1[vertex] = dyp1[vertex] + 1
+            return walk(rows, tree, k, objective, dyp1, *rest)
+
+        monkeypatch.setattr(tree_solver, "_reconstruct", tampered)
+        with pytest.raises(InconsistentTables, match=r"the splits reach \d+, the table holds \d+"):
+            solve_tree_dp(profile, tree, 3, objective)
+
+
+def perfect_binary_tree(n):
+    return RootedTree.from_parent((None,) + tuple((v - 1) // 2 for v in range(1, n)), 0)
+
+
+@pytest.mark.parametrize(
+    "shape, refolds",
+    [("star", 9 - 2), ("star-of-2", 0), ("binary", 0), ("path", 0)],
+)
+@pytest.mark.parametrize("objective", list(Objective))
+def test_walk_refolds_all_but_two_children_of_a_vertex(monkeypatch, shape, refolds, objective):
+    """A vertex with K >= 2 children refolds K - 2 of them: the first child needs no
+    rest of its own, and the innermost rest is the last child's pieces against the
+    vertex's own entry. A one-child vertex refolds nothing."""
+    calls = []
+    fold_column = tree_solver._fold_column
+    monkeypatch.setattr(tree_solver, "_fold_column", lambda *a: calls.append(a) or fold_column(*a))
+    rng = random.Random(5)
+    if shape.startswith("star"):
+        profile, tree = gen_star_instance(10 if shape == "star" else 3)  # the center is the root
+    elif shape == "binary":
+        tree = perfect_binary_tree(31)
+        rows = [sorted(rng.randint(0, 4) for _ in range(4)) for _ in range(tree.n)]
+        profile = PreferenceProfile(((0, 1, 2, 3),) * tree.n, rows)
+    else:
+        profile, _ = gen_sc_line(6, 20, 5)
+        tree = path_tree(20)
+    for k in (1, 2):  # below n, so the walk runs
+        calls.clear()
+        solve_tree_dp(profile, tree, k, objective)
+        assert len(calls) == refolds, (shape, k)
+
+
 def test_solve_keeps_one_table_per_vertex():
     """Suffix minima are derived where they are read, never stored per vertex.
 
