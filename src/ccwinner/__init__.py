@@ -7,13 +7,15 @@ package implements them, together with recognizers for the three
 single-crossing notions, seeded instance generators, brute-force oracles,
 and a command line front-end.
 
-Only `core`, `errors` and `validation` are imported with the package. The
-names of `generators`, `grid_solver`, `line_solver`, `oracle` and
-`tree_solver` resolve through the module ``__getattr__`` below, which
-imports their module on first access: ``python -m ccwinner.cli`` imports
-this package first, and a cold ``ccwinner solve`` should compile and run
-only the solver module its route calls. The names stay package
-attributes, cached in the module namespace once read, because
+Only `errors`, which imports nothing, is imported with the package, so
+``import ccwinner`` imports no numpy and changes no environment variable.
+Every other name resolves through the module ``__getattr__`` below, which
+imports its module on first access. ``python -m ccwinner.cli`` and the
+``ccwinner`` console script import this package first: both then start
+numpy with one OpenBLAS thread (see `launch`), a setting that takes effect
+only before numpy is imported, and a cold ``ccwinner solve`` should compile
+and run only the solver module its route calls. The names stay
+package attributes, cached in the module namespace once read, because
 ``ccwinner.X``, ``from ccwinner import X`` and ``from ccwinner import *``
 are the library's public interface; each gives the defining module's
 object.
@@ -21,18 +23,6 @@ object.
 
 from importlib import import_module
 
-from .core import (
-    Assignment,
-    Grid,
-    Line,
-    Objective,
-    PreferenceProfile,
-    RootedTree,
-    SolveResult,
-    borda_misrepresentation,
-    canonicalize,
-    cost,
-)
 from .errors import (
     AlgorithmStructureMismatch,
     BudgetExceeded,
@@ -47,13 +37,6 @@ from .errors import (
     OutputError,
     ParseError,
     RejectionBudgetExceeded,
-)
-from .validation import (
-    check_consistency,
-    check_sc_grid,
-    check_sc_line,
-    check_sc_tree,
-    check_structure,
 )
 
 __version__ = "0.1.0"
@@ -112,6 +95,18 @@ __all__ = [
 _LAZY = {
     name: module
     for module, names in {
+        ".core": (
+            "Assignment",
+            "Grid",
+            "Line",
+            "Objective",
+            "PreferenceProfile",
+            "RootedTree",
+            "SolveResult",
+            "borda_misrepresentation",
+            "canonicalize",
+            "cost",
+        ),
         ".generators": ("gen_sc_grid", "gen_sc_line", "gen_sc_tree", "gen_star_instance"),
         ".grid_solver": (
             "Rect",
@@ -131,6 +126,13 @@ _LAZY = {
         ),
         ".oracle": ("brute_force", "brute_force_tiling"),
         ".tree_solver": ("solve_tree_dp",),
+        ".validation": (
+            "check_consistency",
+            "check_sc_grid",
+            "check_sc_line",
+            "check_sc_tree",
+            "check_structure",
+        ),
     }.items()
     for name in names
 }

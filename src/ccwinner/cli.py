@@ -17,6 +17,12 @@ module its route calls. These names stay attributes of this module, and
 commands read them as attributes of the module object, so a call uses the
 current binding: tests patch them, and the benchmark's tracer wraps the
 solver names to time each layer. A function-local import would bypass both.
+
+Run as ``python -m ccwinner.cli``, like the ``ccwinner`` console script
+(`launch`), this module starts numpy with one OpenBLAS thread unless the
+user set ``OPENBLAS_NUM_THREADS``; the package imports no numpy, so the
+setting comes first. Imported as a library module, it leaves the
+environment as it was.
 """
 
 from __future__ import annotations
@@ -33,6 +39,11 @@ import time
 from fractions import Fraction
 from importlib import import_module
 from itertools import chain
+
+from .launch import one_blas_thread
+
+if __name__ == "__main__":  # before the first numpy import
+    one_blas_thread()
 
 import numpy as np
 

@@ -393,9 +393,12 @@ def _exact_k_path(klink: KLinkInstance, lam, k: int) -> tuple[int, ...]:
 # (a running suffix minimum over c). Infeasible states hold the sentinel
 # inf, chosen per instance above every finite total, and the recurrences
 # propagate it, so no explicit bound of t against m is needed. Values are
-# held in ``int_dtype(inf + top)``, top the largest entry: int16, int32 or
-# int64, the narrowest that holds inf plus any entry, else Python ints in
-# object arrays; the same array code runs on every tier. Every sweep starts
+# held in int16, int32 or int64, the narrowest tier that holds every value
+# of the sweep, else Python ints in object arrays; the same array code runs
+# on every tier. A utilitarian step adds an entry before it clips to inf, so
+# its tier is ``int_dtype(inf + top)``, top the largest entry; an
+# egalitarian step takes a minimum and a maximum of values at most inf, so
+# its tier is ``int_dtype(inf)``. Every sweep starts
 # past the last voter, where dyp1 row 0 is zero and all else is inf: an
 # empty suffix costs nothing and opens no candidate. So every voter, the
 # last one included, is one step.
@@ -557,8 +560,11 @@ def _dp_sweep(rho: np.ndarray, planes: int, egal: bool, record: bool = True):
     arrays, so a walk within the budget needs no second sweep; without it
     the sweep computes values only.
 
-    The rows and planes are held in ``int_dtype(inf + top)``, the narrowest
-    tier that holds every value of the voter loop. A recorded utilitarian
+    The rows and planes are held in the narrowest tier that holds every
+    value of the voter loop: ``int_dtype(inf + top)`` for a utilitarian
+    sweep, whose step adds an entry before clipping to inf, and
+    ``int_dtype(inf)`` for an egalitarian one, whose step takes a minimum
+    and a maximum of values at most inf. A recorded utilitarian
     sweep of every voter with planes <= m runs plane by plane over tiles of
     voters (``_plane_sweep``) when its unclipped sums, up to 2 * inf, fit
     int64 or the planes are object arrays already: its tile buffers then
@@ -572,7 +578,7 @@ def _dp_sweep(rho: np.ndarray, planes: int, egal: bool, record: bool = True):
     n, m = rho.shape
     top = int(rho.max())
     inf = n * top + 1  # above every finite total and every finite maximum
-    dtype = int_dtype(inf + top)
+    dtype = int_dtype(inf if egal else inf + top)
     rho = rho.astype(dtype, copy=False)[:, ::-1]
     nbytes = (planes * m + 7) // 8
     spacing = n if 2 * n * nbytes <= _BIT_BUDGET else max(1, int(8 * math.sqrt(n)))
@@ -745,10 +751,12 @@ def solve_line_egal_threshold(profile: PreferenceProfile, order, k: int) -> Solv
     line = _line(profile, order)
     rows, inverse = _normalized_rows(profile, line)
     planes = min(k, profile.n)
-    # the value sweep's dtype is the route's widest: the 0/1 rows give the
-    # witness a sentinel no larger
     rho, _, _, checkpoints = _dp_sweep(rows, planes, True, record=False)[:4]
     t = int(checkpoints[0][1][:, -1].min())
-    witness = {inverse[c] for c in set(_dp_engine(rows > t, planes, False)[0])}
-    stats = {"engine": rho.dtype.name, "threshold": to_rho_units(t, profile.scale), "dp_calls": 2}
+    rep_pos, _, witness_engine, _ = _dp_engine(rows > t, planes, False)
+    witness = {inverse[c] for c in set(rep_pos)}
+    # the wider of the two sweeps' tiers: the witness holds n + 2, one more
+    # than the value sweep's inf = n * top + 1 when top is 1
+    engine = np.result_type(rho.dtype, witness_engine).name
+    stats = {"engine": engine, "threshold": to_rho_units(t, profile.scale), "dp_calls": 2}
     return SolveResult.from_committee(profile, witness, "line-egal-threshold", stats)

@@ -12,6 +12,7 @@ package, so a helper that a refactor leaves behind does not linger.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -122,17 +123,24 @@ DEFERRED = {
 }
 
 
-def modules_after(code: str, *args: str) -> set[str]:
-    """The modules a fresh interpreter holds after running ``code`` with arguments ``args``."""
+def run_fresh(code: str, *args: str, blas_threads: str | None = None):
+    """The JSON value a fresh interpreter prints last after running ``code`` with arguments
+    ``args``, with OPENBLAS_NUM_THREADS set to ``blas_threads`` (None: unset)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))",
-         *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def modules_after(code: str, *args: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code`` with arguments ``args``."""
+    return set(run_fresh(f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))", *args))
 
 
 def test_importing_the_package_defers_every_solver_module():
@@ -220,3 +228,77 @@ def test_solve_calls_the_patched_cli_attribute(tmp_path, monkeypatch, structure,
     monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
     assert cli.main(["solve", instance_file(tmp_path, structure), *options]) == 0
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# one OpenBLAS thread on the program's entry paths, none set by the library
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("module", ["ccwinner", "ccwinner.errors"])
+def test_importing_the_package_imports_no_numpy(module):
+    code = (
+        "import json, os, sys\nbefore = dict(os.environ)\n"
+        f"import {module}\n"
+        "print(json.dumps(['numpy' in sys.modules, dict(os.environ) == before]))"
+    )
+    assert run_fresh(code) == [False, True]
+
+
+def test_the_cli_as_a_library_leaves_the_thread_variable_unset():
+    code = "import json, os\nimport ccwinner.cli\nprint(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))"
+    assert run_fresh(code) is None
+
+
+# reports the exit code, the process's thread count and the variable after the run
+REPORT = (
+    "print(json.dumps([code, len(os.listdir('/proc/self/task')),"
+    " os.environ.get('OPENBLAS_NUM_THREADS')]))"
+)
+# runs the CLI module as ``python -m ccwinner.cli`` does, with the arguments given
+AS_MAIN = f"""import json, os, runpy, sys
+sys.argv = ["ccwinner", *sys.argv[1:]]
+try:
+    runpy.run_module("ccwinner.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+{REPORT}"""
+# loads the console script's target, then calls it as the generated script does
+AS_SCRIPT = f"""import json, os, sys
+from importlib import import_module
+module, function = sys.argv[1].split(":")
+main = getattr(import_module(module), function)
+assert "numpy" not in sys.modules, "numpy imported before the entry point ran"
+sys.argv = ["ccwinner", *sys.argv[2:]]
+code = main()
+{REPORT}"""
+
+
+def console_script_target() -> str:
+    """The ``module:function`` of the ccwinner entry in pyproject's [project.scripts]."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return re.search(r'^ccwinner\s*=\s*"([\w.]+:\w+)"', section, re.MULTILINE).group(1)
+
+
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task (Linux)"
+)
+
+
+@needs_proc
+@pytest.mark.parametrize("blas_threads", [None, "2"], ids=["unset", "caller-set"])
+@pytest.mark.parametrize("entry", ["python -m", "console script"])
+def test_the_program_runs_numpy_on_one_blas_thread(tmp_path, entry, blas_threads):
+    argv = ["solve", instance_file(tmp_path, "line"), "--out", str(tmp_path / "result.json")]
+    if entry == "python -m":
+        code, threads, value = run_fresh(AS_MAIN, *argv, blas_threads=blas_threads)
+    else:
+        code, threads, value = run_fresh(
+            AS_SCRIPT, console_script_target(), *argv, blas_threads=blas_threads
+        )
+    assert code == 0
+    assert value == (blas_threads or "1")  # a value the caller set wins
+    if blas_threads is None:
+        assert threads == 1

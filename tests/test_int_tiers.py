@@ -309,18 +309,26 @@ def line_with_top(n, m, top, seed=1, swaps=2):
     return PreferenceProfile(profile.rankings, rows), line
 
 
+def voter_loop_bound(objective, n, top):
+    """inf = n * top + 1; a utilitarian step adds an entry to it before clipping, an
+    egalitarian one takes a max, which never passes inf."""
+    return (n + 1) * top + 1 if objective is Objective.UTILITARIAN else n * top + 1
+
+
 @pytest.mark.parametrize("edge", EDGES)
 @pytest.mark.parametrize("side", SIDES)
-def test_line_voter_loop_at_the_tier_edges(edge, side):
-    """The voter loop holds inf + top, inf = n * top + 1: egalitarian DPs and k > m."""
+@pytest.mark.parametrize("objective", list(Objective))
+def test_line_voter_loop_at_the_tier_edges(edge, side, objective):
+    """The voter loop runs egalitarian DPs and utilitarian ones at k > m."""
     n, m = 9, 4
-    top = tops_at(edge, lambda t: (n + 1) * t + 1)[side]
+    top = tops_at(edge, lambda t: voter_loop_bound(objective, n, t))[side]
     profile, line = line_with_top(n, m, top)
-    for k, objective in ((3, Objective.EGALITARIAN), (m + 1, Objective.UTILITARIAN)):
-        got = assert_tier_at_edge(
-            lambda: line_solver.solve_line_dp(profile, line, k, objective), (n + 1) * top + 1, edge, side
-        )
-        assert got.stats["engine"] == tier_name(edge, side)
+    k = m + 1 if objective is Objective.UTILITARIAN else 3
+    got = assert_tier_at_edge(
+        lambda: line_solver.solve_line_dp(profile, line, k, objective),
+        voter_loop_bound(objective, n, top), edge, side,
+    )
+    assert got.stats["engine"] == tier_name(edge, side)
 
 
 @pytest.mark.parametrize("edge", EDGES)
@@ -362,13 +370,30 @@ def test_witness_dp_at_the_int16_edge(side):
 @pytest.mark.parametrize("edge", EDGES)
 @pytest.mark.parametrize("side", SIDES)
 def test_egalitarian_threshold_at_the_tier_edges(edge, side):
+    """The value sweep is egalitarian: it holds inf = n * top + 1."""
     n, m = 9, 4
-    top = tops_at(edge, lambda t: (n + 1) * t + 1)[side]
+    top = tops_at(edge, lambda t: voter_loop_bound(Objective.EGALITARIAN, n, t))[side]
     profile, line = line_with_top(n, m, top)
     got = assert_tier_at_edge(
-        lambda: line_solver.solve_line_egal_threshold(profile, line, 2), (n + 1) * top + 1, edge, side
+        lambda: line_solver.solve_line_egal_threshold(profile, line, 2), n * top + 1, edge, side
     )
     assert got.stats["engine"] == tier_name(edge, side)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_threshold_reports_the_witness_tier_when_it_is_wider(side):
+    """With 0/1 rho the value sweep holds inf = n + 1 and the 0/1 witness n + 2, so at
+    n = 2^15 - 2 the value sweep runs in int16 and the witness in int32; the route
+    reports the wider of the two."""
+    n = (1 << 15) - 2 if side == "above" else (1 << 15) - 3
+    rank = np.zeros((n, 2), dtype=np.int64)
+    rank[:, 1] = 1
+    rank[n // 2 :] = (1, 0)  # two blocks of voters with opposite rankings: one crossing
+    profile = PreferenceProfile.from_rankings(rank)  # Borda on two candidates: 0/1
+    got, seen = record_tiers(lambda: line_solver.solve_line_egal_threshold(profile, range(n), 2))
+    assert got.stats["threshold"] == 0
+    assert seen[n + 1] is np.int16
+    assert got.stats["engine"] == ("int32" if side == "above" else "int16")
 
 
 @pytest.mark.parametrize("edge", EDGES)

@@ -106,7 +106,7 @@ def reference_dp_engine(rho, planes, egal):
     n, m = rho.shape
     top = int(rho.max())
     inf = n * top + 1
-    dtype = int_dtype(inf + top)
+    dtype = int_dtype(inf if egal else inf + top)
     rho = rho.astype(dtype, copy=False)
     spacing = max(1, int(8 * math.sqrt(n)))
     checkpoints = {}
