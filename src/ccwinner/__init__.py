@@ -9,16 +9,7 @@ and a command line front-end.
 
 Only `errors`, which imports nothing, is imported with the package, so
 ``import ccwinner`` imports no numpy and changes no environment variable.
-Every other name resolves through the module ``__getattr__`` below, which
-imports its module on first access. ``python -m ccwinner.cli`` and the
-``ccwinner`` console script import this package first: both then start
-numpy with one OpenBLAS thread (see `launch`), a setting that takes effect
-only before numpy is imported, and a cold ``ccwinner solve`` should compile
-and run only the solver module its route calls. The names stay
-package attributes, cached in the module namespace once read, because
-``ccwinner.X``, ``from ccwinner import X`` and ``from ccwinner import *``
-are the library's public interface; each gives the defining module's
-object.
+Every other name is imported on first read, through `_LazyNames`.
 """
 
 from importlib import import_module
@@ -138,13 +129,37 @@ _LAZY = {
 }
 
 
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module, __name__), name)
-    globals()[name] = value  # later reads find it without this call
-    return value
+class _LazyNames:
+    """A module's names, those of `table` imported on first read.
+
+    The package and `cli` each bind one to their ``globals()`` as their
+    ``__getattr__``, and the CLI's commands read their late names from it.
+    A read returns the namespace's binding first, so a patched, wrapped or
+    already resolved name wins; else it imports ``table[name]`` (the module
+    itself for a name equal to its module's) and caches the value in the
+    namespace. So a cold solve imports only its route's solver, numpy loads
+    after `launch` set its thread count, and no module object is needed.
+    """
+
+    def __init__(self, namespace: dict, table: dict):
+        self._namespace = namespace
+        self._table = table
+
+    def __getattr__(self, name: str):
+        namespace = self._namespace
+        if name in namespace:
+            return namespace[name]
+        module = self._table.get(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = import_module(module, namespace["__package__"])
+        if name != module:
+            value = getattr(value, name)
+        namespace[name] = value  # later reads find it without this call
+        return value
+
+
+__getattr__ = _LazyNames(globals(), _LAZY).__getattr__
 
 
 def __dir__():

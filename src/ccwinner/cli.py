@@ -5,18 +5,18 @@ candidates are 1-based in files and terminal output (0-based everywhere in
 the library); misrepresentation values are integers or exact "p/q" strings,
 never floats.  Exit codes: 0 success, 1 validation or feasibility failure,
 2 usage error, 3 work budget exceeded.  The CC_BUDGET environment variable
-caps enumeration sizes for the oracle and the conjecture checker.
+caps enumeration sizes for the oracle and the conjecture checker. Unset, the
+oracle route caps at 10**7 committees and the conjecture sweep enumerates
+every tiling uncapped; the library's own defaults, `oracle.DEFAULT_BUDGET`
+(500,000) and `grid_solver.DEFAULT_TILING_BUDGET` (2,000,000), hold only
+for direct library calls.
 
 A cold ``ccwinner solve`` pays for every module it imports, and compiles
 each from source when Python writes no bytecode. So only `core`, `errors`
-and `validation` are imported with this module. The solver, generator,
-``ProcessPoolExecutor`` and ``csv`` names resolve on first use, through the
-module ``__getattr__`` and a ``_LAZY`` table that extends the package's own
-with the few names only commands use, and a solve imports the one solver
-module its route calls. These names stay attributes of this module, and
-commands read them as attributes of the module object, so a call uses the
-current binding: tests patch them, and the benchmark's tracer wraps the
-solver names to time each layer. A function-local import would bypass both.
+and `validation` are imported with this module; commands read the solver,
+generator, ``ProcessPoolExecutor`` and ``csv`` names from `_names` (see the
+package's `_LazyNames`), at call time, and a solve imports the one solver
+module its route calls.
 
 Run as ``python -m ccwinner.cli``, like the ``ccwinner`` console script
 (`launch`), this module starts numpy with one OpenBLAS thread unless the
@@ -37,7 +37,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from importlib import import_module
 from itertools import chain
 
 from .launch import one_blas_thread
@@ -47,7 +46,7 @@ if __name__ == "__main__":  # before the first numpy import
 
 import numpy as np
 
-from . import _LAZY as _EXPORTED
+from . import _LAZY as _EXPORTED, _LazyNames
 from .core import (
     Grid,
     Line,
@@ -79,20 +78,8 @@ _LAZY = {
     "csv": "csv",
 }
 
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = import_module(module, __package__)
-    if name != module:
-        value = getattr(value, name)
-    globals()[name] = value  # later reads find it without this call
-    return value
-
-
-# commands read the lazy names as attributes of this module, at call time
-_this = sys.modules[__name__]
+_names = _LazyNames(globals(), _LAZY)
+__getattr__ = _names.__getattr__
 
 
 SCHEMA_VERSION = 1
@@ -553,7 +540,7 @@ def _solve_merged(profile, line, objective: Objective, solve, *args) -> SolveRes
     computed on the full profile, since the maximum of a summed row is no
     single voter's misrepresentation.
     """
-    merged = _this.merge_identical_voters(profile, line, objective)
+    merged = _names.merge_identical_voters(profile, line, objective)
     inner = solve(merged, Line(tuple(range(merged.n))), *args)
     stats = {**inner.stats, "compressed_n": merged.n}
     return SolveResult.from_committee(profile, inner.assignment.committee, inner.algorithm, stats)
@@ -576,17 +563,17 @@ def _dispatch(profile, structure, algorithm: str, objective: Objective, k: int) 
 
     if algorithm == "line-dp":
         need(Line, "line")
-        return _solve_merged(profile, structure, objective, _this.solve_line_dp, k, objective)
+        return _solve_merged(profile, structure, objective, _names.solve_line_dp, k, objective)
     if algorithm == "line-klink":
         need(Line, "line")
         if objective is Objective.EGALITARIAN:
             # no egalitarian k-link route exists; threshold search is the
             # egalitarian line algorithm, so hand over rather than refuse
-            return _solve_merged(profile, structure, objective, _this.solve_line_egal_threshold, k)
-        return _solve_merged(profile, structure, objective, _this.solve_line_klink, k)
+            return _solve_merged(profile, structure, objective, _names.solve_line_egal_threshold, k)
+        return _solve_merged(profile, structure, objective, _names.solve_line_klink, k)
     if algorithm == "tree-dp":
         need(RootedTree, "tree")
-        return _this.solve_tree_dp(profile, structure, k, objective)
+        return _names.solve_tree_dp(profile, structure, k, objective)
     if algorithm in ("grid-laminar", "grid-bicriterial"):
         need(Grid, "grid")
         if objective is Objective.EGALITARIAN:
@@ -594,12 +581,12 @@ def _dispatch(profile, structure, algorithm: str, objective: Objective, k: int) 
                 "egalitarian grid solving is not offered; use --objective utilitarian"
             )
         if algorithm == "grid-bicriterial":
-            return _this.solve_grid_bicriterial(profile, structure, k)
-        result, tiling = _this.solve_grid_laminar(profile, structure, k)
+            return _names.solve_grid_bicriterial(profile, structure, k)
+        result, tiling = _names.solve_grid_laminar(profile, structure, k)
         result.stats["tiling"] = tuple((r.i0, r.i1, r.j0, r.j1) for r in tiling.rects)
         result.stats["reps"] = tiling.reps
         return result
-    return _this.brute_force(profile, k, objective, budget=_env_budget() or 10**7)
+    return _names.brute_force(profile, k, objective, budget=_env_budget() or 10**7)
 
 
 def cmd_solve(args) -> int:
@@ -636,15 +623,15 @@ def cmd_solve(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.structure == "line":
-        profile, structure = _this.gen_sc_line(args.seed, args.n, args.m, max_swaps=args.max_swaps)
+        profile, structure = _names.gen_sc_line(args.seed, args.n, args.m, max_swaps=args.max_swaps)
     elif args.structure == "tree":
-        profile, structure = _this.gen_sc_tree(
+        profile, structure = _names.gen_sc_tree(
             args.seed, args.n, args.m, max_edge_swaps=args.max_edge_swaps
         )
     elif args.structure == "star":
-        profile, structure = _this.gen_star_instance(args.n)
+        profile, structure = _names.gen_star_instance(args.n)
     else:
-        profile, structure = _this.gen_sc_grid(
+        profile, structure = _names.gen_sc_grid(
             args.seed, args.n1, args.n2, args.m, mode=args.mode, edits=args.edits
         )
     _write_json(instance_to_doc(profile, structure, k=args.k), args.out)
@@ -668,7 +655,7 @@ def _check_monge(args) -> int:
         if not isinstance(structure, Line):
             print("check --mode monge: needs a line instance", file=sys.stderr)
             return 2
-        violation = _this.check_concave_monge(_this.build_prefix_sums(profile, structure))
+        violation = _names.check_concave_monge(_names.build_prefix_sums(profile, structure))
         if violation is not None:
             print(f"monge violation at segment pair (i={violation[0] + 1}, j={violation[1] + 1})")
             return 1
@@ -679,8 +666,8 @@ def _check_monge(args) -> int:
     for trial in range(args.instances):
         n = rng.randint(3, args.n_max)
         m = rng.randint(2, args.m_max)
-        profile, line = _this.gen_sc_line(args.seed + trial, n, m)
-        if _this.check_concave_monge(_this.build_prefix_sums(profile, line)) is not None:
+        profile, line = _names.gen_sc_line(args.seed + trial, n, m)
+        if _names.check_concave_monge(_names.build_prefix_sums(profile, line)) is not None:
             violations += 1
     print(f"monge sweep: {args.instances} instances, {violations} violations")
     return 0 if violations == 0 else 1
@@ -688,13 +675,13 @@ def _check_monge(args) -> int:
 
 def _conjecture_worker(task):
     seed, n1, n2, k, m, budget = task
-    profile, grid = _this.gen_sc_grid(seed, n1, n2, m)
-    counterexample = _this.check_laminar_conjecture(profile, grid, k, budget=budget)
+    profile, grid = _names.gen_sc_grid(seed, n1, n2, m)
+    counterexample = _names.check_laminar_conjecture(profile, grid, k, budget=budget)
     if counterexample is None:
         return seed, n1, n2, k, m, True, 0, None
-    laminar = _this.solve_grid_laminar(profile, grid, k)[0].total_cost
-    prefix = _this.build_grid_prefix(profile, grid)
-    best = sum(_this.rect_cost(prefix, r)[0] for r in counterexample.rects)
+    laminar = _names.solve_grid_laminar(profile, grid, k)[0].total_cost
+    prefix = _names.build_grid_prefix(profile, grid)
+    best = sum(_names.rect_cost(prefix, r)[0] for r in counterexample.rects)
     witness = {
         "rects": [[r.i0 + 1, r.i1 + 1, r.j0 + 1, r.j1 + 1] for r in counterexample.rects],
         "reps": [c + 1 for c in counterexample.reps],
@@ -722,7 +709,7 @@ def _check_conjecture(args) -> int:
     if args.jobs > 1:
         # under the fork start method the pool starts every worker at its first
         # submit, so it gets no more workers than there are tasks
-        with _this.ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
+        with _names.ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_conjecture_worker, tasks))
     else:
         rows = [_conjecture_worker(t) for t in tasks]
@@ -730,7 +717,7 @@ def _check_conjecture(args) -> int:
     counterexamples = [row for row in rows if not row[5]]
     if args.out:
         table = io.StringIO()
-        writer = _this.csv.writer(table)
+        writer = _names.csv.writer(table)
         writer.writerow(["seed", "n1", "n2", "k", "m", "holds", "gap"])
         for seed, n1, n2, k, m, holds, gap, _ in rows:
             writer.writerow([seed, n1, n2, k, m, holds, gap])
@@ -751,24 +738,24 @@ def _fit_slope(xs, ys) -> float:
 
 
 def _run_line(seed, n, m, k):
-    profile, line = _this.gen_sc_line(seed, n, m)
+    profile, line = _names.gen_sc_line(seed, n, m)
     t0 = time.perf_counter()
-    result = _this.solve_line_dp(profile, line, k)
+    result = _names.solve_line_dp(profile, line, k)
     return time.perf_counter() - t0, result.stats["states"]
 
 
 def _run_tree(seed, n, m, k):
-    profile, tree = _this.gen_sc_tree(seed, n, m)
+    profile, tree = _names.gen_sc_tree(seed, n, m)
     t0 = time.perf_counter()
-    result = _this.solve_tree_dp(profile, tree, k)
+    result = _names.solve_tree_dp(profile, tree, k)
     return time.perf_counter() - t0, result.stats["states"]
 
 
 def _run_grid(seed, n, m, k):
     # n doubles the column count; three rows keep the DP table affordable
-    profile, grid = _this.gen_sc_grid(seed, 3, n, m)
+    profile, grid = _names.gen_sc_grid(seed, 3, n, m)
     t0 = time.perf_counter()
-    result, _ = _this.solve_grid_laminar(profile, grid, k)
+    result, _ = _names.solve_grid_laminar(profile, grid, k)
     return time.perf_counter() - t0, result.stats["dp_cells"]
 
 

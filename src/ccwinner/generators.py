@@ -238,15 +238,11 @@ def gen_sc_grid(
                 band = [grid.index(i, j) for i in range(rng.randrange(n1), n1) for j in range(n2)]
             else:
                 band = [grid.index(i, j) for i in range(n1) for j in range(rng.randrange(n2), n2)]
+            trial = list(base)  # kept only if the edit passes
             for v in band:
-                r = list(base[v])
-                r[p], r[p + 1] = r[p + 1], r[p]
-                base[v] = tuple(r)
-            if check_sc_grid(PreferenceProfile.from_rankings(tuple(base)), grid) is None:
+                r = trial[v]
+                trial[v] = (*r[:p], r[p + 1], r[p], *r[p + 2 :])
+            if check_sc_grid(PreferenceProfile.from_rankings(tuple(trial)), grid) is None:
+                base = trial
                 done += 1
-            else:
-                for v in band:
-                    r = list(base[v])
-                    r[p], r[p + 1] = r[p + 1], r[p]
-                    base[v] = tuple(r)
     return PreferenceProfile.from_rankings(tuple(base)), grid

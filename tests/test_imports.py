@@ -230,6 +230,27 @@ def test_solve_calls_the_patched_cli_attribute(tmp_path, monkeypatch, structure,
     assert len(calls) == 1
 
 
+# runs the CLI module as __main__ with runpy's default alter_sys=False, which
+# leaves sys.modules["__main__"] the caller's module; prints the exit code
+AS_RUNPY = """import json, runpy, sys
+sys.argv = ["ccwinner", *sys.argv[1:]]
+try:
+    runpy.run_module("ccwinner.cli", run_name="__main__")
+except SystemExit as exc:
+    print(json.dumps(exc.code))
+"""
+
+
+@pytest.mark.parametrize("structure", ["line", "tree", "grid"])
+def test_runpy_without_alter_sys_solves_as_main_does(tmp_path, structure):
+    """Commands find their lazy names in the namespace that runs them, not through sys.modules."""
+    path = instance_file(tmp_path, structure)
+    expected, got = tmp_path / "main.json", tmp_path / "runpy.json"
+    assert cli.main(["solve", path, "--out", str(expected)]) == 0
+    assert run_fresh(AS_RUNPY, "solve", path, "--out", str(got)) == 0
+    assert got.read_bytes() == expected.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # one OpenBLAS thread on the program's entry paths, none set by the library
 
